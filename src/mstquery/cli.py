@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import factory, learner
 from .errormetrics import hop_distance
-from .graphcore import load_instance
+from .graphcore import ParseError, PreconditionViolated, ValidationError, load_instance
 from .oracle import DEFAULT_CAP, CapExceeded, opt_brute_force
 from .strategies import StrategyConfig, randomized_gamma, run_combined
 
@@ -293,7 +293,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CapExceeded) as exc:
+    except (ConfigError, CapExceeded, ParseError, ValidationError, PreconditionViolated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

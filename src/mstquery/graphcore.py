@@ -423,12 +423,11 @@ class QueryRun:
         self._remove(eid, "deleted")
 
     def _remove(self, eid: int, kind: str) -> None:
-        was_queried = self._state[eid].is_trivial and eid in set(self.queried)
-        originally_trivial = self._graph.edge(eid).interval.is_trivial
-        del self._state[eid]
-        self.removed[eid] = kind
-        if not was_queried and not originally_trivial:
+        # only reveal turns an interval into a point, so an edge still open
+        # is one that was never queried and was not trivial to begin with
+        if not self._state.pop(eid).is_trivial:
             self.removed_unqueried[eid] = kind
+        self.removed[eid] = kind
         self.transcript.record("contract" if kind == "contracted" else "delete", edge=eid)
 
     def contracted_ids(self) -> list[int]:

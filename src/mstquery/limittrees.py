@@ -5,6 +5,13 @@ its lower (upper) endpoint plus (minus) an infinitesimal.  Keys are exact
 lexicographic pairs (base, eps) with eps in {-1, 0, +1}, so the perturbation
 never needs a concrete epsilon.  Kruskal with (key, edge id) ordering makes
 every tree deterministic.
+
+Cycles and cuts come from one path index per tree (:func:`_path_index`): the
+tree path of every non-tree edge, and for every tree edge the non-tree edges
+whose path covers it.  A tree edge's cut is that edge plus its covering
+edges.  Verified reduction runs one Kruskal per call: deleting a non-tree
+edge leaves the lower limit tree unchanged, and contracting tree edge l
+leaves it minus l, so one tree and one index serve every move of the call.
 """
 
 from __future__ import annotations
@@ -125,6 +132,50 @@ def tree_cut(run: QueryRun, tree: set[int], eid: int) -> list[int]:
     return cut
 
 
+class PathIndex(NamedTuple):
+    """Fundamental paths of a spanning tree and their transpose."""
+
+    paths: dict[int, list[int]]         # non-tree edge -> its tree path
+    covers: dict[int, set[int]]         # tree edge -> non-tree edges whose path holds it
+
+
+def _path_index(run: QueryRun, tree: set[int]) -> PathIndex:
+    """Tree path of every present non-tree edge, in :func:`_tree_path` order,
+    so that tree_cycle(f) == [f] + paths[f] and
+    tree_cut(l) == sorted(covers[l] | {l})."""
+    adj = _tree_adjacency(run, tree)
+    # root the (connected) tree: vertex -> (parent vertex, edge to parent, depth)
+    up: dict[int, tuple[int, int, int]] = {root: (root, -1, 0) for root in list(adj)[:1]}
+    stack = list(up)
+    while stack:
+        node = stack.pop()
+        depth = up[node][2] + 1
+        for nbr, eid in adj[node]:
+            if nbr not in up:
+                up[nbr] = (node, eid, depth)
+                stack.append(nbr)
+    paths: dict[int, list[int]] = {}
+    covers: dict[int, set[int]] = {l: set() for l in tree}
+    for f in run.present_ids():
+        if f in tree:
+            continue
+        a, b = run.endpoints(f)
+        from_b: list[int] = []
+        from_a: list[int] = []
+        while a != b:
+            if up[b][2] >= up[a][2]:
+                b, eid, _ = up[b]
+                from_b.append(eid)
+            else:
+                a, eid, _ = up[a]
+                from_a.append(eid)
+        path = from_b + from_a[::-1]
+        paths[f] = path
+        for l in path:
+            covers[l].add(f)
+    return PathIndex(paths, covers)
+
+
 @dataclass
 class LimitTrees:
     """Normal form of an instance with unique coinciding limit trees."""
@@ -147,27 +198,24 @@ class LimitTrees:
         return list(self.cuts[eid])
 
 
-def _uniqueness_gap(run: QueryRun, t_lower: set[int], t_upper: set[int]):
-    """First strictness violation, or None if both trees are unique.
+def _uniqueness_gap(run: QueryRun, index: PathIndex):
+    """First strictness violation of the tree indexed by `index`, which must
+    be both the lower and the upper limit tree, or None if it is unique.
 
     Ties between two point intervals cannot be separated by queries and are
     resolved by edge id, so they do not count as violations.
     """
-    for f in sorted(set(run.present_ids()) - t_upper):
+    for f in sorted(index.paths):
         kf = upper_key(run.interval(f))
-        for e in tree_cycle(run, t_upper, f):
-            if e == f:
-                continue
+        for e in index.paths[f]:
             ke = upper_key(run.interval(e))
             if ke > kf:
                 raise PreconditionViolated("upper limit tree violates the cycle rule")
             if ke == kf and not (run.is_trivial(e) and run.is_trivial(f)):
                 return ("upper", f, e)
-    for l in sorted(t_lower):
+    for l in sorted(index.covers):
         kl = lower_key(run.interval(l))
-        for x in tree_cut(run, t_lower, l):
-            if x == l:
-                continue
+        for x in sorted(index.covers[l]):
             kx = lower_key(run.interval(x))
             if kx < kl:
                 raise PreconditionViolated("lower limit tree violates the cut rule")
@@ -179,7 +227,7 @@ def _uniqueness_gap(run: QueryRun, t_lower: set[int], t_upper: set[int]):
 def limit_trees_unique(run: QueryRun) -> bool:
     t_lower = lower_limit_tree(run)
     t_upper = upper_limit_tree(run)
-    return t_lower == t_upper and _uniqueness_gap(run, t_lower, t_upper) is None
+    return t_lower == t_upper and _uniqueness_gap(run, _path_index(run, t_lower)) is None
 
 
 def compute_limit_trees(run: QueryRun) -> LimitTrees:
@@ -192,14 +240,12 @@ def compute_limit_trees(run: QueryRun) -> LimitTrees:
     t_upper = upper_limit_tree(run)
     if t_lower != t_upper:
         raise PreconditionViolated("limit trees differ; preprocessing required")
-    if _uniqueness_gap(run, t_lower, t_upper) is not None:
+    index = _path_index(run, t_lower)
+    if _uniqueness_gap(run, index) is not None:
         raise PreconditionViolated("limit trees are not unique; preprocessing required")
-    nontree = sorted(
-        (e for e in run.present_ids() if e not in t_lower),
-        key=lambda e: (lower_key(run.interval(e)), e),
-    )
-    cycles = {f: tree_cycle(run, t_lower, f) for f in nontree}
-    cuts = {l: tree_cut(run, t_lower, l) for l in sorted(t_lower)}
+    nontree = sorted(index.paths, key=lambda e: (lower_key(run.interval(e)), e))
+    cycles = {f: [f] + index.paths[f] for f in nontree}
+    cuts = {l: sorted(index.covers[l] | {l}) for l in sorted(t_lower)}
     return LimitTrees(tree=t_lower, nontree_order=nontree, cycles=cycles, cuts=cuts)
 
 
@@ -259,9 +305,31 @@ def reduce_once(run: QueryRun) -> bool:
 
 
 def reduce_verified(run: QueryRun) -> int:
+    """Remove every verified edge; returns the number of moves.
+
+    Makes exactly the moves of calling :func:`reduce_once` until it returns
+    False, from one Kruskal and one path index.  Deleting a non-tree edge
+    changes neither the tree nor another edge's path, so every dominated
+    non-tree edge goes first, in id order.  Contracting tree edge l leaves
+    the tree minus l and every other cover as it was, so the contractible
+    tree edges follow in id order.  Neither move enables one of the other
+    kind: a dominated edge has inf* >= sup* of every edge on its path, so
+    it never blocked a contraction, and an edge whose path held a
+    contractible l has inf* >= sup*(l), so l never blocked its domination.
+    """
+    tree = lower_limit_tree(run)
+    paths, covers = _path_index(run, tree)
+    low = {e: run.interval(e).inf_star() for e in run.present_ids()}
+    high = {e: run.interval(e).sup_star() for e in run.present_ids()}
     count = 0
-    while reduce_once(run):
-        count += 1
+    for f in sorted(paths):
+        if all(high[e] <= low[f] for e in paths[f]):
+            run.delete(f)
+            count += 1
+    for l in sorted(tree):
+        if all(low[x] >= high[l] for x in covers[l]):
+            run.contract(l)
+            count += 1
     return count
 
 
@@ -277,8 +345,8 @@ def ensure_unique_limit_trees(run: QueryRun, reduce: bool = True) -> list[int]:
     queried: list[int] = []
     cap = 4 * (len(run.present_ids()) + 1) ** 2 + 8
     for _ in range(cap):
-        if reduce and reduce_once(run):
-            continue
+        if reduce:
+            reduce_verified(run)
         t_lower = lower_limit_tree(run)
         t_upper = upper_limit_tree(run)
         if t_lower != t_upper:
@@ -290,7 +358,7 @@ def ensure_unique_limit_trees(run: QueryRun, reduce: bool = True) -> list[int]:
             run.reveal(diff[0])
             queried.append(diff[0])
             continue
-        gap = _uniqueness_gap(run, t_lower, t_upper)
+        gap = _uniqueness_gap(run, _path_index(run, t_lower))
         if gap is None:
             return queried
         # upper-side tie: swapping the tied tree edge out of the upper tree

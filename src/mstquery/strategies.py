@@ -43,8 +43,15 @@ class StrategyConfig:
     def __post_init__(self):
         if self.mode not in ("tradeoff", "error_sensitive", "baseline"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode != "baseline" and Fraction(self.gamma) < 2:
+        if self.mode == "baseline":
+            return
+        if Fraction(self.gamma) < 2:
             raise ValueError("gamma must be at least 2")
+        if Fraction(self.gamma).denominator != 1:
+            raise ValueError(
+                f"gamma must be an integer, got {self.gamma}; "
+                "run a rational gamma through randomized_gamma"
+            )
 
 
 # -- prediction-mandatory-free characterization ----------------------------
@@ -669,8 +676,7 @@ def run_combined(
     if config.mode == "baseline":
         run_baseline(run)
     else:
-        gamma = int(config.gamma)
-        phase1 = make_prediction_mandatory_free(run, gamma)
+        phase1 = make_prediction_mandatory_free(run, config.gamma)
         run.transcript.record("phase", tag="phase2")
         if config.mode == "tradeoff":
             phase2 = phase2_tradeoff(run)

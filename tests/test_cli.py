@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from mstquery import factory
@@ -155,3 +158,33 @@ def test_bundled_family_config_passes_every_bound(capsys):
     assert main(["bench", "--config", str(config)]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert all(row["status"] == "ok" for row in rows)
+
+
+def _run_cli(*argv):
+    """The CLI in a child process, so stderr is exactly what a user sees."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "mstquery.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_malformed_instance_is_one_error_line(tmp_path):
+    doc = factory.gen_triangle_chain(1).to_dict()
+    doc["edges"][1]["pred"] = "x"
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    proc = _run_cli("run", "--alg", "tradeoff", "--instance", str(inst))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "'x'" in proc.stderr
+
+
+def test_missing_instance_file_is_one_error_line(tmp_path):
+    missing = tmp_path / "absent.json"
+    proc = _run_cli("opt", "--instance", str(missing))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: no such instance file: {missing}\n"

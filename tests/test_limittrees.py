@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from mstquery import factory
+from mstquery import factory, limittrees
 from mstquery.graphcore import Interval, QueryRun, UncertainEdge, UncertainGraph
 from mstquery.limittrees import (
     WrongSide,
@@ -13,11 +13,19 @@ from mstquery.limittrees import (
     limit_trees_unique,
     lower_key,
     lower_limit_tree,
+    tree_cut,
+    tree_cycle,
     upper_key,
     upper_limit_tree,
     verified_tree_of_original,
 )
 from mstquery.oracle import is_feasible, mandatory_edges
+from mstquery.strategies import (
+    make_prediction_mandatory_free,
+    phase2_error_sensitive,
+    phase2_tradeoff,
+    run_baseline,
+)
 
 
 def make_edge(eid, u, v, low, high, pred=None, true=None):
@@ -300,3 +308,81 @@ def test_verified_tree_includes_contracted_edges():
     ensure_unique_limit_trees(run)
     tree = verified_tree_of_original(run)
     assert tree == {0, 2}
+
+
+# -- indexed reduction against the one-step reference ------------------------
+
+STRATEGY_CELLS = (
+    ("baseline", 2),
+    ("tradeoff", 2),
+    ("tradeoff", 3),
+    ("error_sensitive", 2),
+    ("error_sensitive", 3),
+)
+
+
+def reduce_by_single_steps(run):
+    """Reference for reduce_verified: reduce_once until nothing changes."""
+    count = 0
+    while limittrees.reduce_once(run):
+        count += 1
+    return count
+
+
+def strategy_trace(graph, mode, gamma):
+    """The strategy part of run_combined, without the oracle, as a comparable
+    record: events, verified tree, and both removal maps."""
+    run = QueryRun(graph)
+    if mode == "baseline":
+        run_baseline(run)
+    else:
+        make_prediction_mandatory_free(run, gamma)
+        run.transcript.record("phase", tag="phase2")
+        (phase2_tradeoff if mode == "tradeoff" else phase2_error_sensitive)(run)
+    ensure_unique_limit_trees(run)
+    return (
+        run.transcript.events,
+        verified_tree_of_original(run),
+        run.removed,
+        run.removed_unqueried,
+    )
+
+
+def equivalence_instances(corpus_by_rate):
+    # every fifth corpus instance: 5 is coprime to the corpus' 36-step
+    # parameter cycle, so each (vertices, extra edges, overlap) mix is kept
+    for rate in sorted(corpus_by_rate):
+        yield from corpus_by_rate[rate][::5]
+    for n in (4, 8, 16):
+        yield factory.gen_vc_flip(n, "ex2")
+        yield factory.gen_path_parallel(n)
+        yield factory.gen_triangle_chain(n)
+    yield factory.gen_random(40, 40, 0.9, 0.3, seed=5)
+    yield factory.gen_random(60, 60, 0.95, 0.5, seed=6)
+    yield factory.gen_random(70, 70, 0.95, 0.0, seed=7)
+
+
+def test_reduce_verified_matches_single_steps(corpus_by_rate, monkeypatch):
+    instances = list(equivalence_instances(corpus_by_rate))
+    indexed = [strategy_trace(g, mode, gamma) for g in instances for mode, gamma in STRATEGY_CELLS]
+    monkeypatch.setattr(limittrees, "reduce_verified", reduce_by_single_steps)
+    reference = [strategy_trace(g, mode, gamma) for g in instances for mode, gamma in STRATEGY_CELLS]
+    for got, want in zip(indexed, reference):
+        assert got == want
+
+
+@pytest.mark.parametrize("reduce", (False, True))
+def test_limit_tree_cycles_and_cuts_match_per_edge_scans(corpus_by_rate, reduce):
+    instances = [g for rate in sorted(corpus_by_rate) for g in corpus_by_rate[rate][:100]]
+    instances += [factory.gen_vc_flip(8, "ex2"), factory.gen_triangle_chain(8)]
+    instances.append(factory.gen_random(40, 40, 0.9, 0.3, seed=5))
+    for g in instances:
+        run = QueryRun(g)
+        ensure_unique_limit_trees(run, reduce=reduce)
+        trees = compute_limit_trees(run)
+        assert set(trees.cycles) == set(run.present_ids()) - trees.tree
+        for f, cycle in trees.cycles.items():
+            assert cycle == tree_cycle(run, trees.tree, f)
+        assert set(trees.cuts) == trees.tree
+        for l, cut in trees.cuts.items():
+            assert cut == tree_cut(run, trees.tree, l)

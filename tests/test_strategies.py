@@ -382,6 +382,21 @@ def test_strategy_config_validation():
         StrategyConfig(gamma=2, mode="nonsense")
 
 
+def test_strategy_config_rejects_rational_gamma():
+    # 5/2 used to run as gamma=2 while the bounds were checked against 5/2:
+    # 3 queries against OPT=2 exceed (1 + 2/5) * 2 and read as inconsistent
+    g = factory.gen_random(4, 5, 0.5, 0.0, 15)
+    for mode in ("tradeoff", "error_sensitive"):
+        with pytest.raises(ValueError, match="randomized_gamma"):
+            StrategyConfig(gamma=Fraction(5, 2), mode=mode)
+    assert StrategyConfig(gamma=Fraction(5, 2), mode="baseline").mode == "baseline"
+    out = run_combined(g, StrategyConfig(gamma=Fraction(3), mode="tradeoff"))
+    assert out.report.gamma == 3 and out.report.consistency_ok is True
+    for seed in range(4):
+        rep = randomized_gamma(g, Fraction(5, 2), seed=seed, mode="tradeoff").report
+        assert rep.gamma == Fraction(5, 2) and rep.consistency_ok is True
+
+
 def test_randomized_gamma_exact_expectations():
     g = factory.gen_triangle_chain(1)
     out = randomized_gamma(g, Fraction(5, 2), seed=3)
