@@ -62,10 +62,28 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _parse_gamma(text: str, mode: str) -> Fraction:
+    try:
+        gamma = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"gamma must be a rational number, got {text!r}") from None
+    if mode != "baseline" and gamma < 2:
+        raise ConfigError(f"gamma must be at least 2, got {text}")
+    return gamma
+
+
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise ConfigError(f"no such {what} file: {path}") from None
+
+
 def _cmd_run(args) -> int:
     graph = load_instance(args.instance)
-    gamma = Fraction(args.gamma)
     mode = _MODE_BY_FLAG[args.alg]
+    gamma = _parse_gamma(args.gamma, mode)
     if mode != "baseline" and gamma != int(gamma):
         outcome = randomized_gamma(
             graph, gamma, seed=args.seed, mode=mode,
@@ -130,9 +148,10 @@ def _cmd_error(args) -> int:
 
 
 def _cmd_learn(args) -> int:
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     graph = load_instance(args.instance)
-    with open(args.dist, "r", encoding="utf-8") as fh:
-        sampler = learner.RealizationSampler.from_json(graph, fh.read(), seed=args.seed)
+    sampler = learner.RealizationSampler.from_json(graph, _read_text(args.dist, "distribution"), seed=args.seed)
     learned = learner.erm_train(graph, sampler, args.samples)
     text = learner.predictions_to_json(learned)
     if args.out:
@@ -171,8 +190,10 @@ def _bench_instances(job, oracle_cap):
 
 
 def _cmd_bench(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+    try:
+        config = json.loads(_read_text(args.config, "config"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid config JSON: {exc}") from None
     jobs = config.get("jobs", [])
     if not jobs:
         raise ConfigError("config lists no jobs")
@@ -189,7 +210,7 @@ def _cmd_bench(args) -> int:
                 if alg not in _MODE_BY_FLAG:
                     raise ConfigError(f"unknown strategy {alg!r}")
                 mode = _MODE_BY_FLAG[alg]
-                gamma = Fraction(str(strat.get("gamma", 2)))
+                gamma = _parse_gamma(str(strat.get("gamma", 2)), mode)
                 seed = int(strat.get("seed", 0))
                 try:
                     if mode != "baseline" and gamma != int(gamma):

@@ -5,12 +5,21 @@ whether the true value falls left of it, inside it, or right of it.  The hop
 distance counts the wrongly predicted relations over all ordered edge pairs.
 It is a property of the original instance: queries made during a run never
 change it.
+
+Every relation-mismatch count goes through one kernel,
+:class:`RelationKernel`.  The signature of a value, for edge e, is its
+relation to every other open interval, in ``graph.edges`` order; two values
+disagree on e's relations exactly where their signatures differ.  Callers
+compute one signature per (edge, distinct value) and compare signatures,
+instead of re-deriving relations for every pair of values.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ne
 from typing import Iterable
 
 from .graphcore import Interval, UncertainGraph
@@ -29,15 +38,55 @@ def relation(value: Fraction, interval: Interval) -> int:
     return INSIDE
 
 
+def open_limits(graph: UncertainGraph) -> list[Fraction]:
+    """Sorted distinct endpoints of the graph's open intervals."""
+    return sorted({x for e in graph.edges if not e.interval.is_trivial for x in (e.interval.low, e.interval.high)})
+
+
+class RelationKernel:
+    """Relation signatures against the open intervals of one graph.
+
+    A value's position is 2i if it equals the i-th of the sorted open
+    endpoints, else 2i-1 with i the index of the first endpoint above it.
+    Positions compare with endpoints' positions exactly as the values compare
+    with the endpoints, so a value costs one bisection and each relation two
+    integer comparisons.
+    """
+
+    def __init__(self, graph: UncertainGraph):
+        self.limits = open_limits(graph)
+        at = {x: 2 * i for i, x in enumerate(self.limits)}
+        # (eid, low position, high position) of every open interval
+        self.open = [
+            (e.eid, at[e.interval.low], at[e.interval.high]) for e in graph.edges if not e.interval.is_trivial
+        ]
+
+    def others(self, eid: int) -> list[tuple[int, int, int]]:
+        """The open intervals of every edge but eid, in ``graph.edges`` order."""
+        return [t for t in self.open if t[0] != eid]
+
+    def position(self, value: Fraction) -> int:
+        i = bisect_left(self.limits, value)
+        return 2 * i if i < len(self.limits) and self.limits[i] == value else 2 * i - 1
+
+    def signature(self, value: Fraction, others: list[tuple[int, int, int]]) -> list[int]:
+        """:func:`relation` of value to each interval of `others`.  A list, not
+        a tuple: freed short tuples stay on CPython's tuple free lists and keep
+        their memory."""
+        p = self.position(value)
+        return [LEFT if p <= lo else RIGHT if p >= hi else INSIDE for _, lo, hi in others]
+
+
+def mismatches(sig_a: list[int], sig_b: list[int]) -> int:
+    """Number of positions where two signatures over the same intervals differ."""
+    return sum(map(ne, sig_a, sig_b))
+
+
 def relation_mismatches(graph: UncertainGraph, eid: int, value_a: Fraction, value_b: Fraction) -> int:
     """Number of other open intervals that separate value_a from value_b."""
-    count = 0
-    for other in graph.edges:
-        if other.eid == eid or other.interval.is_trivial:
-            continue
-        if relation(value_a, other.interval) != relation(value_b, other.interval):
-            count += 1
-    return count
+    kernel = RelationKernel(graph)
+    others = kernel.others(eid)
+    return mismatches(kernel.signature(value_a, others), kernel.signature(value_b, others))
 
 
 def hop_indicator(graph: UncertainGraph, eid: int, other_eid: int) -> int:
@@ -71,15 +120,17 @@ def hop_distance(graph: UncertainGraph) -> ErrorReport:
     """Full per-edge hop report, frozen against the original instance."""
     jo = {e.eid: 0 for e in graph.edges}
     oj = {e.eid: 0 for e in graph.edges}
+    kernel = RelationKernel(graph)
     for e in graph.edges:
         if e.true_value == e.predicted_value:
             continue
-        for other in graph.edges:
-            if other.eid == e.eid or other.interval.is_trivial:
-                continue
-            if relation(e.true_value, other.interval) != relation(e.predicted_value, other.interval):
+        others = kernel.others(e.eid)
+        truth = kernel.signature(e.true_value, others)
+        pred = kernel.signature(e.predicted_value, others)
+        for (other, _, _), a, b in zip(others, truth, pred):
+            if a != b:
                 jo[e.eid] += 1
-                oj[other.eid] += 1
+                oj[other] += 1
     k_h = sum(jo.values())
     k_sharp = sum(1 for e in graph.edges if e.true_value != e.predicted_value)
     return ErrorReport(jo=jo, oj=oj, k_h=k_h, k_sharp=k_sharp)

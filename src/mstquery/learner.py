@@ -4,17 +4,24 @@ The loss of a candidate predicted value for one edge depends only on which
 side of each other open interval's endpoints it falls, so each interval can
 be discretized into the endpoints it contains plus one representative per
 gap.  Training then minimizes the empirical per-edge loss independently.
+
+Losses come from the relation-signature kernel of :mod:`.errormetrics`: per
+edge, one signature per distinct sampled (or mixture) value, weighted by its
+multiplicity, and one per candidate.  A candidate's loss is the weighted sum
+of its signature mismatches, so no relation is derived twice.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errormetrics import relation
+from .errormetrics import RelationKernel, mismatches, open_limits, relation_mismatches
 from .graphcore import ParseError, UncertainGraph, ValidationError, format_rational, parse_rational
 
 
@@ -31,24 +38,22 @@ class CandidateGrid:
 def discretize(graph: UncertainGraph) -> CandidateGrid:
     """Breakpoints are the other open intervals' endpoints strictly inside the
     edge's interval; one midpoint per gap represents its loss class.  Trivial
-    edges keep their single known value."""
+    edges keep their single known value.  An edge's own endpoints are never
+    strictly inside it, so one sorted list of every open endpoint serves all
+    edges."""
+    limits = open_limits(graph)
     grid: dict[int, tuple[Fraction, ...]] = {}
     for e in graph.edges:
+        low, high = e.interval.low, e.interval.high
         if e.interval.is_trivial:
-            grid[e.eid] = (e.interval.low,)
+            grid[e.eid] = (low,)
             continue
-        breakpoints: set[Fraction] = set()
-        for other in graph.edges:
-            if other.eid == e.eid or other.interval.is_trivial:
-                continue
-            for limit in (other.interval.low, other.interval.high):
-                if e.interval.low < limit < e.interval.high:
-                    breakpoints.add(limit)
-        cuts = [e.interval.low] + sorted(breakpoints) + [e.interval.high]
-        values = set(breakpoints)
-        for lo, hi in zip(cuts, cuts[1:]):
-            values.add((lo + hi) / 2)
-        grid[e.eid] = tuple(sorted(values))
+        breakpoints = limits[bisect_right(limits, low):bisect_left(limits, high)]
+        cuts = [low] + breakpoints + [high]
+        values = [(cuts[0] + cuts[1]) / 2]
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            values += [lo, (lo + hi) / 2]
+        grid[e.eid] = tuple(values)
     return CandidateGrid(grid)
 
 
@@ -62,6 +67,9 @@ class RealizationSampler:
 
     def __init__(self, graph: UncertainGraph, mixtures: Mapping[int, tuple[list[Fraction], list[int]]], seed: int = 0):
         self.graph = graph
+        unknown = sorted(set(mixtures) - {e.eid for e in graph.edges})
+        if unknown:
+            raise ValidationError(f"mixtures for unknown edges {unknown}")
         self.mixtures: dict[int, tuple[list[Fraction], list[int]]] = {}
         for e in graph.edges:
             values, weights = mixtures.get(e.eid, ([e.true_value], [1]))
@@ -85,11 +93,21 @@ class RealizationSampler:
             entries = raw["edges"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ParseError(f"malformed distribution document: {exc}") from exc
+        if not isinstance(entries, dict):
+            raise ParseError("malformed distribution document: 'edges' must be an object")
         mixtures = {}
         for key, spec in entries.items():
-            values = [parse_rational(v) for v in spec["values"]]
-            weights = [int(w) for w in spec.get("weights", [1] * len(values))]
-            mixtures[int(key)] = (values, weights)
+            try:
+                values = [parse_rational(v) for v in spec["values"]]
+                weights = spec.get("weights", [1] * len(values))
+                if any(isinstance(w, (bool, float)) for w in weights):
+                    raise TypeError(f"weights must be integers, got {weights}")
+                weights = [int(w) for w in weights]
+                mixtures[int(key)] = (values, weights)
+            except KeyError as exc:
+                raise ParseError(f"edge {key}: mixture lacks {exc}") from exc
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ParseError(f"edge {key}: malformed mixture: {exc}") from exc
         return cls(graph, mixtures, seed=seed)
 
     def sample(self) -> dict[int, Fraction]:
@@ -100,14 +118,12 @@ class RealizationSampler:
         return out
 
 
-def _edge_loss(graph: UncertainGraph, eid: int, true_value: Fraction, candidate: Fraction) -> int:
-    count = 0
-    for other in graph.edges:
-        if other.eid == eid or other.interval.is_trivial:
-            continue
-        if relation(true_value, other.interval) != relation(candidate, other.interval):
-            count += 1
-    return count
+_edge_loss = relation_mismatches
+
+
+def _weighted_loss(weighted: list[tuple[list[int], int]], sig: list[int]) -> int:
+    """Sum of weight times mismatches against sig, over (signature, weight) pairs."""
+    return sum(w * mismatches(s, sig) for s, w in weighted)
 
 
 def erm_train(graph: UncertainGraph, sampler: RealizationSampler, m: int) -> dict[int, Fraction]:
@@ -120,31 +136,39 @@ def erm_train(graph: UncertainGraph, sampler: RealizationSampler, m: int) -> dic
         raise ValueError("need at least one sample")
     grid = discretize(graph)
     samples = [sampler.sample() for _ in range(m)]
+    kernel = RelationKernel(graph)
     learned: dict[int, Fraction] = {}
     for e in graph.edges:
+        others = kernel.others(e.eid)
+        draws = [(kernel.signature(v, others), n) for v, n in Counter(s[e.eid] for s in samples).items()]
         best = None
         best_loss = None
         for candidate in grid.candidates(e.eid):
-            loss = sum(_edge_loss(graph, e.eid, s[e.eid], candidate) for s in samples)
+            loss = _weighted_loss(draws, kernel.signature(candidate, others))
             if best_loss is None or loss < best_loss:
                 best, best_loss = candidate, loss
         learned[e.eid] = best
     return learned
 
 
+def _expected_losses(kernel: RelationKernel, sampler: RealizationSampler, eid: int, candidates) -> list[Fraction]:
+    """Exact expected hop loss of each candidate under eid's mixture."""
+    others = kernel.others(eid)
+    values, weights = sampler.mixtures[eid]
+    mixture = [(kernel.signature(v, others), w) for v, w in zip(values, weights)]
+    total = sum(weights)
+    return [Fraction(_weighted_loss(mixture, kernel.signature(c, others)), total) for c in candidates]
+
+
 def expected_edge_loss(graph: UncertainGraph, sampler: RealizationSampler, eid: int, candidate: Fraction) -> Fraction:
     """Exact expectation of the per-edge hop loss under the sampler's mixture."""
-    values, weights = sampler.mixtures[eid]
-    total = sum(weights)
-    acc = Fraction(0)
-    for v, w in zip(values, weights):
-        acc += Fraction(w, total) * _edge_loss(graph, eid, v, candidate)
-    return acc
+    return _expected_losses(RelationKernel(graph), sampler, eid, [candidate])[0]
 
 
 def expected_hop_loss(graph: UncertainGraph, sampler: RealizationSampler, predictions: Mapping[int, Fraction]) -> Fraction:
+    kernel = RelationKernel(graph)
     return sum(
-        (expected_edge_loss(graph, sampler, e.eid, predictions[e.eid]) for e in graph.edges),
+        (_expected_losses(kernel, sampler, e.eid, [predictions[e.eid]])[0] for e in graph.edges),
         Fraction(0),
     )
 
@@ -152,11 +176,11 @@ def expected_hop_loss(graph: UncertainGraph, sampler: RealizationSampler, predic
 def grid_optimal(graph: UncertainGraph, sampler: RealizationSampler) -> dict[int, Fraction]:
     """Exhaustive per-edge minimizer of the exact expected loss over the grid."""
     grid = discretize(graph)
+    kernel = RelationKernel(graph)
     best: dict[int, Fraction] = {}
     for e in graph.edges:
         candidates = grid.candidates(e.eid)
-        losses = [(expected_edge_loss(graph, sampler, e.eid, c), c) for c in candidates]
-        best[e.eid] = min(losses)[1]
+        best[e.eid] = min(zip(_expected_losses(kernel, sampler, e.eid, candidates), candidates))[1]
     return best
 
 

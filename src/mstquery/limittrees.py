@@ -205,10 +205,12 @@ def _uniqueness_gap(run: QueryRun, index: PathIndex):
     Ties between two point intervals cannot be separated by queries and are
     resolved by edge id, so they do not count as violations.
     """
+    upper = {e: upper_key(run.interval(e)) for e in index.covers}
+    lower = {x: lower_key(run.interval(x)) for x in index.paths}
     for f in sorted(index.paths):
         kf = upper_key(run.interval(f))
         for e in index.paths[f]:
-            ke = upper_key(run.interval(e))
+            ke = upper[e]
             if ke > kf:
                 raise PreconditionViolated("upper limit tree violates the cycle rule")
             if ke == kf and not (run.is_trivial(e) and run.is_trivial(f)):
@@ -216,7 +218,7 @@ def _uniqueness_gap(run: QueryRun, index: PathIndex):
     for l in sorted(index.covers):
         kl = lower_key(run.interval(l))
         for x in sorted(index.covers[l]):
-            kx = lower_key(run.interval(x))
+            kx = lower[x]
             if kx < kl:
                 raise PreconditionViolated("lower limit tree violates the cut rule")
             if kx == kl and not (run.is_trivial(x) and run.is_trivial(l)):

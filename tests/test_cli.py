@@ -188,3 +188,40 @@ def test_missing_instance_file_is_one_error_line(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr == f"error: no such instance file: {missing}\n"
+
+
+def _assert_one_error_line(proc, text):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert text in proc.stderr
+
+
+def test_bad_gamma_is_one_error_line(tmp_path):
+    inst = tmp_path / "inst.json"
+    factory.gen_triangle_chain(1).save(str(inst))
+    proc = _run_cli("run", "--alg", "tradeoff", "--gamma", "x", "--instance", str(inst))
+    _assert_one_error_line(proc, "'x'")
+    proc = _run_cli("run", "--alg", "error-sensitive", "--gamma", "1", "--instance", str(inst))
+    _assert_one_error_line(proc, "at least 2")
+
+
+def test_bad_learn_inputs_are_one_error_line(tmp_path):
+    inst = tmp_path / "inst.json"
+    dist = tmp_path / "dist.json"
+    factory.gen_triangle_chain(1).save(str(inst))
+    dist.write_text(json.dumps({"edges": {"0": {"values": ["1/2"]}}}))
+    proc = _run_cli("learn", "--instance", str(inst), "--dist", str(dist), "--samples", "0")
+    _assert_one_error_line(proc, "--samples")
+    missing = tmp_path / "absent.json"
+    proc = _run_cli("learn", "--instance", str(inst), "--dist", str(missing), "--samples", "3")
+    _assert_one_error_line(proc, f"no such distribution file: {missing}")
+    dist.write_text(json.dumps({"edges": {"0": {"weights": [1]}}}))
+    proc = _run_cli("learn", "--instance", str(inst), "--dist", str(dist), "--samples", "3")
+    _assert_one_error_line(proc, "edge 0")
+
+
+def test_missing_bench_config_is_one_error_line(tmp_path):
+    missing = tmp_path / "absent.json"
+    proc = _run_cli("bench", "--config", str(missing))
+    _assert_one_error_line(proc, f"no such config file: {missing}")

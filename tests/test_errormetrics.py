@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import kernel_case
 from mstquery import factory
-from mstquery.errormetrics import LEFT, INSIDE, RIGHT, hop_distance, hop_indicator, relation
+from mstquery.errormetrics import (
+    LEFT, INSIDE, RIGHT, ErrorReport, hop_distance, hop_indicator, relation, relation_mismatches,
+)
 from mstquery.graphcore import Interval, UncertainEdge, UncertainGraph
 from mstquery.oracle import mandatory_edges, prediction_mandatory_edges
 
@@ -102,3 +106,29 @@ def test_mandatory_symmetric_difference_bounded_by_hops(seed):
     assert len(diff) <= report.k_h
     for e in diff:
         assert report.oj[e] >= 1
+
+
+def _pairwise_hop_distance(graph):
+    """Relation of each wrong edge's truth and prediction against each other
+    open interval, pair by pair."""
+    jo = {e.eid: 0 for e in graph.edges}
+    oj = {e.eid: 0 for e in graph.edges}
+    for e in graph.edges:
+        for other in graph.edges:
+            if other.eid == e.eid or other.interval.is_trivial:
+                continue
+            if relation(e.true_value, other.interval) != relation(e.predicted_value, other.interval):
+                jo[e.eid] += 1
+                oj[other.eid] += 1
+    k_sharp = sum(1 for e in graph.edges if e.true_value != e.predicted_value)
+    return ErrorReport(jo=jo, oj=oj, k_h=sum(jo.values()), k_sharp=k_sharp)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6))
+def test_hop_distance_matches_pairwise_loop(seed):
+    g, _ = kernel_case(seed)
+    reference = _pairwise_hop_distance(g)
+    assert hop_distance(g) == reference
+    for e in g.edges:
+        assert relation_mismatches(g, e.eid, e.true_value, e.predicted_value) == reference.jo[e.eid]

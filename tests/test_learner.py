@@ -2,18 +2,22 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import kernel_case
 from mstquery import factory
-from mstquery.graphcore import Interval, UncertainEdge, UncertainGraph, ValidationError
+from mstquery.graphcore import Interval, ParseError, UncertainEdge, UncertainGraph, ValidationError
 from mstquery.learner import (
     RealizationSampler,
+    _edge_loss,
     discretize,
     erm_train,
     expected_edge_loss,
     expected_hop_loss,
+    grid_optimal,
     predictions_to_json,
 )
-from mstquery.errormetrics import hop_distance
+from mstquery.errormetrics import hop_distance, relation
 
 
 def triangle():
@@ -167,3 +171,106 @@ def test_predictions_serialize():
     learned = erm_train(g, sampler, 5)
     body = json.loads(predictions_to_json(learned))
     assert set(body) == {"0", "1", "2"}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"0": {"weights": [1]}},                       # no values
+        {"0": {"values": ["1/2"], "weights": ["a"]}},  # weight is not an integer
+        {"0": {"values": ["1/2"], "weights": [1.5]}},  # weight is a float
+        {"x": {"values": ["1/2"]}},                    # edge key is not an integer
+        {"0": {"values": ["1/2", "y"]}},               # value is not a rational
+        {"0": ["1/2"]},                                # spec is not an object
+    ],
+)
+def test_sampler_from_json_rejects_malformed_mixture(spec):
+    with pytest.raises(ParseError):
+        RealizationSampler.from_json(triangle(), json.dumps({"edges": spec}))
+
+
+def test_sampler_rejects_mixture_for_unknown_edge():
+    with pytest.raises(ValidationError):
+        RealizationSampler.from_json(triangle(), json.dumps({"edges": {"99": {"values": ["1/2"]}}}))
+
+
+def test_sampler_from_json_rejects_non_object_edges():
+    with pytest.raises(ParseError):
+        RealizationSampler.from_json(triangle(), json.dumps({"edges": ["1/2"]}))
+
+
+# -- the relation-signature kernel against the pairwise loop ------------------
+
+
+def _pairwise_loss(graph, eid, a, b):
+    """Relation of both values against each other open interval, pair by pair."""
+    count = 0
+    for other in graph.edges:
+        if other.eid == eid or other.interval.is_trivial:
+            continue
+        if relation(a, other.interval) != relation(b, other.interval):
+            count += 1
+    return count
+
+
+def _pairwise_grid(graph):
+    grid = {}
+    for e in graph.edges:
+        if e.interval.is_trivial:
+            grid[e.eid] = (e.interval.low,)
+            continue
+        breakpoints = set()
+        for other in graph.edges:
+            if other.eid == e.eid or other.interval.is_trivial:
+                continue
+            for limit in (other.interval.low, other.interval.high):
+                if e.interval.low < limit < e.interval.high:
+                    breakpoints.add(limit)
+        cuts = [e.interval.low] + sorted(breakpoints) + [e.interval.high]
+        grid[e.eid] = tuple(sorted(breakpoints | {(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])}))
+    return grid
+
+
+def _pairwise_erm(graph, sampler, m):
+    grid = _pairwise_grid(graph)
+    samples = [sampler.sample() for _ in range(m)]
+    learned = {}
+    for e in graph.edges:
+        best = best_loss = None
+        for c in grid[e.eid]:
+            loss = sum(_pairwise_loss(graph, e.eid, s[e.eid], c) for s in samples)
+            if best_loss is None or loss < best_loss:
+                best, best_loss = c, loss
+        learned[e.eid] = best
+    return learned
+
+
+def _pairwise_expected(graph, sampler, eid, c):
+    values, weights = sampler.mixtures[eid]
+    total = sum(weights)
+    return sum((Fraction(w, total) * _pairwise_loss(graph, eid, v, c) for v, w in zip(values, weights)), Fraction(0))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6))
+def test_kernel_matches_pairwise_loop(seed):
+    g, mixtures = kernel_case(seed)
+    grid = _pairwise_grid(g)
+    assert discretize(g).per_edge == grid
+    for draws in (1, 3, 6):
+        sampler = RealizationSampler(g, mixtures, seed=seed + draws)
+        reference = RealizationSampler(g, mixtures, seed=seed + draws)
+        assert erm_train(g, sampler, draws) == _pairwise_erm(g, reference, draws)
+        assert sampler.sample() == reference.sample()  # same RNG consumption
+    sampler = RealizationSampler(g, mixtures)
+    optimum = {}
+    for e in g.edges:
+        losses = []
+        for c in grid[e.eid]:
+            expected = _pairwise_expected(g, sampler, e.eid, c)
+            assert expected_edge_loss(g, sampler, e.eid, c) == expected
+            for v in sampler.mixtures[e.eid][0]:
+                assert _edge_loss(g, e.eid, v, c) == _pairwise_loss(g, e.eid, v, c)
+            losses.append((expected, c))
+        optimum[e.eid] = min(losses)[1]
+    assert grid_optimal(g, sampler) == optimum
