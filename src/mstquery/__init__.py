@@ -3,6 +3,7 @@
 from .graphcore import (
     AlreadyRevealed,
     Interval,
+    NoProgress,
     ParseError,
     PreconditionViolated,
     QueryRun,

@@ -40,21 +40,45 @@ def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP)
 
 
+def _family_instance(family, params, seed):
+    """Bench label and instance of one generated family member.  A missing,
+    mistyped or out-of-range parameter raises ConfigError."""
+    get = params.get
+    try:
+        if family == "random":
+            vertices, extra = get("vertices", 5), get("extra_edges", 3)
+            return f"random[{vertices}v+{extra}e,s={seed}]", factory.gen_random(
+                vertices, extra, get("overlap_density", 0.8), get("error_rate", 0), seed
+            )
+        if family == "tradeoff-cycle":
+            beta, adversarial = params["beta"], get("adversarial", False)
+            return f"tradeoff-cycle[beta={beta},adv={adversarial}]", factory.gen_tradeoff_cycle(beta, adversarial)
+        if family == "path-parallel":
+            return f"path-parallel[n={params['n']}]", factory.gen_path_parallel(params["n"])
+        if family == "triangle-chain":
+            return f"triangle-chain[n={params['n']}]", factory.gen_triangle_chain(params["n"])
+        if family == "vc-flip":
+            variant = get("variant", "ex2")
+            return f"vc-flip[n={params['n']},{variant}]", factory.gen_vc_flip(params["n"], variant)
+        if family == "file":
+            path = str(params["path"])
+            return path, load_instance(path)
+    except KeyError as exc:
+        raise ConfigError(f"family {family} needs parameter {exc}") from None
+    except TypeError:
+        raise ConfigError(f"family {family}: a parameter has the wrong type in {params}") from None
+    except ValueError as exc:
+        raise ConfigError(f"family {family}: {exc}") from None
+    raise ConfigError(f"unknown family {family!r}")
+
+
 def _cmd_gen(args) -> int:
-    if args.family == "tradeoff-cycle":
-        graph = factory.gen_tradeoff_cycle(args.beta, args.adversarial)
-    elif args.family == "path-parallel":
-        graph = factory.gen_path_parallel(args.n)
-    elif args.family == "triangle-chain":
-        graph = factory.gen_triangle_chain(args.n)
-    elif args.family == "vc-flip":
-        graph = factory.gen_vc_flip(args.n, args.variant)
-    elif args.family == "random":
-        graph = factory.gen_random(
-            args.vertices, args.extra_edges, args.overlap, args.error_rate, args.seed
-        )
-    else:
-        raise ConfigError(f"unknown family {args.family!r}")
+    params = {
+        "beta": args.beta, "adversarial": args.adversarial, "n": args.n, "variant": args.variant,
+        "vertices": args.vertices, "extra_edges": args.extra_edges,
+        "overlap_density": args.overlap, "error_rate": args.error_rate,
+    }
+    _, graph = _family_instance(args.family, params, args.seed)
     if args.out:
         graph.save(args.out)
     else:
@@ -80,21 +104,24 @@ def _read_text(path: str, what: str) -> str:
         raise ConfigError(f"no such {what} file: {path}") from None
 
 
+def _run_strategy(graph, mode, gamma, seed, oracle_cap, label):
+    """A rational gamma runs through randomized_gamma; an integral gamma and
+    the baseline run directly."""
+    if mode != "baseline" and gamma.denominator != 1:
+        return randomized_gamma(
+            graph, gamma, seed=seed, mode=mode, oracle_cap=oracle_cap, instance_label=label
+        )
+    return run_combined(
+        graph, StrategyConfig(gamma=gamma, mode=mode),
+        oracle_cap=oracle_cap, instance_label=label, seed=seed,
+    )
+
+
 def _cmd_run(args) -> int:
     graph = load_instance(args.instance)
     mode = _MODE_BY_FLAG[args.alg]
     gamma = _parse_gamma(args.gamma, mode)
-    if mode != "baseline" and gamma != int(gamma):
-        outcome = randomized_gamma(
-            graph, gamma, seed=args.seed, mode=mode,
-            oracle_cap=args.oracle_cap, instance_label=args.instance,
-        )
-    else:
-        config = StrategyConfig(gamma=int(gamma) if mode != "baseline" else 2, mode=mode, seed=args.seed)
-        outcome = run_combined(
-            graph, config, oracle_cap=args.oracle_cap,
-            instance_label=args.instance, seed=args.seed,
-        )
+    outcome = _run_strategy(graph, mode, gamma, args.seed, args.oracle_cap, args.instance)
     body = {
         "report": outcome.report.to_dict(),
         "transcript": json.loads(outcome.run.transcript.to_json()),
@@ -161,32 +188,27 @@ def _cmd_learn(args) -> int:
     return 0
 
 
-def _bench_instances(job, oracle_cap):
+def _field(obj, key, default, kind, what):
+    """obj[key] (or default) converted by `kind`; ConfigError if it cannot be."""
+    value = obj.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be {what}, got {value!r}") from None
+
+
+def _objects(value, what):
+    if not isinstance(value, list) or not all(isinstance(x, dict) for x in value):
+        raise ConfigError(f"{what} must be a list of objects, got {value!r}")
+    return value
+
+
+def _bench_instances(job):
     family = job.get("family")
-    params = dict(job.get("params", {}))
-    seeds = job.get("seeds", [0])
-    if family == "random":
-        for seed in seeds:
-            label = f"random[{params.get('vertices', 5)}v+{params.get('extra_edges', 3)}e,s={seed}]"
-            yield label, factory.gen_random(
-                params.get("vertices", 5),
-                params.get("extra_edges", 3),
-                params.get("overlap_density", 0.8),
-                params.get("error_rate", 0),
-                seed,
-            )
-    elif family == "tradeoff-cycle":
-        yield f"tradeoff-cycle[beta={params['beta']},adv={params.get('adversarial', False)}]", factory.gen_tradeoff_cycle(params["beta"], params.get("adversarial", False))
-    elif family == "path-parallel":
-        yield f"path-parallel[n={params['n']}]", factory.gen_path_parallel(params["n"])
-    elif family == "triangle-chain":
-        yield f"triangle-chain[n={params['n']}]", factory.gen_triangle_chain(params["n"])
-    elif family == "vc-flip":
-        yield f"vc-flip[n={params['n']},{params.get('variant', 'ex2')}]", factory.gen_vc_flip(params["n"], params.get("variant", "ex2"))
-    elif family == "file":
-        yield params["path"], load_instance(params["path"])
-    else:
-        raise ConfigError(f"unknown family {family!r}")
+    params = _field(job, "params", {}, dict, "an object")
+    seeds = _field(job, "seeds", [0], list, "a list") if family == "random" else [0]
+    for seed in seeds:
+        yield _family_instance(family, params, seed)
 
 
 def _cmd_bench(args) -> int:
@@ -194,38 +216,28 @@ def _cmd_bench(args) -> int:
         config = json.loads(_read_text(args.config, "config"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid config JSON: {exc}") from None
-    jobs = config.get("jobs", [])
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    jobs = _objects(config.get("jobs", []), "jobs")
     if not jobs:
         raise ConfigError("config lists no jobs")
-    oracle_cap = config.get("oracle_cap", args.oracle_cap)
+    oracle_cap = _field(config, "oracle_cap", args.oracle_cap, int, "an integer")
     rows = []
     all_ok = True
     for job in jobs:
-        strategies = job.get("strategies", [])
+        strategies = _objects(job.get("strategies", []), "strategies")
         if not strategies:
             raise ConfigError("job lists no strategies")
-        for label, graph in _bench_instances(job, oracle_cap):
+        for label, graph in _bench_instances(job):
             for strat in strategies:
                 alg = strat.get("alg")
-                if alg not in _MODE_BY_FLAG:
+                if not isinstance(alg, str) or alg not in _MODE_BY_FLAG:
                     raise ConfigError(f"unknown strategy {alg!r}")
                 mode = _MODE_BY_FLAG[alg]
                 gamma = _parse_gamma(str(strat.get("gamma", 2)), mode)
-                seed = int(strat.get("seed", 0))
+                seed = _field(strat, "seed", 0, int, "an integer")
                 try:
-                    if mode != "baseline" and gamma != int(gamma):
-                        outcome = randomized_gamma(
-                            graph, gamma, seed=seed, mode=mode,
-                            oracle_cap=oracle_cap, instance_label=label,
-                        )
-                    else:
-                        outcome = run_combined(
-                            graph,
-                            StrategyConfig(gamma=int(gamma) if mode != "baseline" else 2, mode=mode, seed=seed),
-                            oracle_cap=oracle_cap,
-                            instance_label=label,
-                            seed=seed,
-                        )
+                    outcome = _run_strategy(graph, mode, gamma, seed, oracle_cap, label)
                 except CapExceeded as exc:
                     rows.append({"instance": label, "strategy": mode, "status": f"skipped: {exc}"})
                     continue

@@ -34,6 +34,34 @@ class PreconditionViolated(RuntimeError):
     """An operation was called on a state that does not meet its contract."""
 
 
+class NoProgress(RuntimeError):
+    """A query loop finished a round that neither revealed nor removed an edge."""
+
+
+def find(parent, x: int) -> int:
+    """Root of x in the union-find forest `parent`, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def kruskal(order: Iterable[int], ends, parent) -> list[int]:
+    """Edges of `order` that join two components of `parent`, in order.
+
+    `ends[eid]` is the endpoint pair of edge eid; `parent` is a union-find
+    forest over the endpoints and is merged along the way.
+    """
+    tree = []
+    for eid in order:
+        a, b = ends[eid]
+        ra, rb = find(parent, a), find(parent, b)
+        if ra != rb:
+            parent[ra] = rb
+            tree.append(eid)
+    return tree
+
+
 def parse_rational(value) -> Fraction:
     """Parse an integer or a bit-exact "p/q" string into a Fraction."""
     if isinstance(value, Fraction):
@@ -167,20 +195,9 @@ class UncertainGraph:
             raise ValidationError("graph is not connected")
 
     def _connected(self) -> bool:
-        if self.vertex_count == 1:
-            return True
-        parent = list(range(self.vertex_count))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in self.edges:
-            parent[find(e.u)] = find(e.v)
-        root = find(0)
-        return all(find(v) == root for v in range(self.vertex_count))
+        ends = [(e.u, e.v) for e in self.edges]
+        tree = kruskal(range(len(ends)), ends, list(range(self.vertex_count)))
+        return len(tree) == self.vertex_count - 1
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -347,18 +364,11 @@ class QueryRun:
 
     # -- structure --------------------------------------------------------
 
-    def _find(self, x: int) -> int:
-        parent = self._parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     def endpoints(self, eid: int) -> tuple[int, int]:
         if eid not in self._state:
             raise UnknownEdge(eid)
         u, v = self._ends[eid]
-        return self._find(u), self._find(v)
+        return find(self._parent, u), find(self._parent, v)
 
     def present_ids(self) -> list[int]:
         return sorted(self._state)
@@ -367,8 +377,7 @@ class QueryRun:
         return eid in self._state
 
     def current_vertices(self) -> set[int]:
-        roots = {self._find(v) for v in range(len(self._parent))}
-        return roots
+        return {find(self._parent, v) for v in range(len(self._parent))}
 
     def interval(self, eid: int) -> Interval:
         try:
@@ -456,3 +465,20 @@ class QueryRun:
         session surface only.
         """
         return self._graph
+
+
+def rounds(run: QueryRun, loop: str):
+    """Drive a query loop one round per iteration.
+
+    Every round that does not leave the loop must reveal or remove an edge,
+    so at most m + 1 rounds run; a round that did neither raises NoProgress
+    instead of spinning.
+    """
+    while True:
+        before = len(run.queried) + len(run.removed)
+        yield
+        if len(run.queried) + len(run.removed) == before:
+            raise NoProgress(
+                f"{loop}: a round revealed and removed nothing "
+                f"({len(run.queried)} queried, {len(run.present_ids())} present)"
+            )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .graphcore import Interval, PreconditionViolated, QueryRun, UnknownEdge
+from .graphcore import Interval, PreconditionViolated, QueryRun, UnknownEdge, kruskal, rounds
 
 
 class WrongSide(ValueError):
@@ -46,24 +46,11 @@ def upper_key(interval: Interval) -> LimitValue:
 
 def _kruskal(run: QueryRun, key_fn: Callable[[Interval], LimitValue]) -> set[int]:
     ids = run.present_ids()
+    ends = {eid: run.endpoints(eid) for eid in ids}
+    parent = {v: v for pair in ends.values() for v in pair}
     order = sorted(ids, key=lambda e: (key_fn(run.interval(e)), e))
-    vertices = {v for eid in ids for v in run.endpoints(eid)}
-    parent = {v: v for v in vertices}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree: set[int] = set()
-    for eid in order:
-        a, b = run.endpoints(eid)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            tree.add(eid)
-    if vertices and len(tree) != len(vertices) - 1:
+    tree = set(kruskal(order, ends, parent))
+    if parent and len(tree) != len(parent) - 1:
         raise PreconditionViolated("graph is disconnected; no spanning tree exists")
     return tree
 
@@ -345,8 +332,7 @@ def ensure_unique_limit_trees(run: QueryRun, reduce: bool = True) -> list[int]:
     contracted/deleted eagerly along the way.  Returns the queried edge ids.
     """
     queried: list[int] = []
-    cap = 4 * (len(run.present_ids()) + 1) ** 2 + 8
-    for _ in range(cap):
+    for _ in rounds(run, "ensure_unique_limit_trees"):
         if reduce:
             reduce_verified(run)
         t_lower = lower_limit_tree(run)
@@ -369,4 +355,3 @@ def ensure_unique_limit_trees(run: QueryRun, reduce: bool = True) -> list[int]:
         _, _, partner = gap
         run.reveal(partner)
         queried.append(partner)
-    raise RuntimeError("ensure_unique_limit_trees exceeded its iteration cap")

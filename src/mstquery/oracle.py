@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Union
 
-from .graphcore import QueryRun, UncertainGraph
+from .graphcore import QueryRun, UncertainGraph, kruskal
 from .limittrees import is_solved
 
 DEFAULT_CAP = 16
@@ -168,24 +168,8 @@ def sampled_tree_validation(
 
 def _tree_is_minimum(run: QueryRun, tree: frozenset[int], weights: Mapping[int, Fraction]) -> bool:
     ids = run.present_ids()
-    order = sorted(ids, key=lambda e: (weights[e], e))
-    vertices = {v for eid in ids for v in run.endpoints(eid)}
-    parent = {v: v for v in vertices}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    best = Fraction(0)
-    count = 0
-    for eid in order:
-        a, b = run.endpoints(eid)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            best += weights[eid]
-            count += 1
+    ends = {eid: run.endpoints(eid) for eid in ids}
+    parent = {v: v for pair in ends.values() for v in pair}
+    best = kruskal(sorted(ids, key=lambda e: (weights[e], e)), ends, parent)
     claimed = sum((weights[e] for e in tree), Fraction(0))
-    return len(tree) == count and claimed == best
+    return len(tree) == len(best) and claimed == sum((weights[e] for e in best), Fraction(0))

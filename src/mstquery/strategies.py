@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errormetrics import hop_distance, relation
-from .graphcore import PreconditionViolated, QueryRun, UncertainGraph
+from .graphcore import PreconditionViolated, QueryRun, UncertainGraph, rounds
 from .limittrees import (
     LimitTrees,
     compute_limit_trees,
@@ -38,7 +38,6 @@ from .oracle import DEFAULT_CAP, opt_brute_force, prediction_mandatory_edges
 class StrategyConfig:
     gamma: Fraction | int = 2
     mode: str = "tradeoff"  # tradeoff | error_sensitive | baseline
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("tradeoff", "error_sensitive", "baseline"):
@@ -167,20 +166,12 @@ def _vc_structure(run: QueryRun, trees: LimitTrees) -> tuple[list[int], list[int
     return left, right, {l: sorted(v) for l, v in adjacency.items()}
 
 
-def build_vc_instance(
-    run: QueryRun,
-    trees: Optional[LimitTrees] = None,
-    check_pred_free: bool = True,
-    seed_pairs: Optional[list[tuple[int, int]]] = None,
-) -> VertexCoverInstance:
+def build_vc_instance(run: QueryRun, trees: Optional[LimitTrees] = None) -> VertexCoverInstance:
     trees = trees if trees is not None else compute_limit_trees(run)
-    if check_pred_free and not instance_pred_mandatory_free(run, trees):
+    if not instance_pred_mandatory_free(run, trees):
         raise PreconditionViolated("instance is not prediction mandatory free")
     left, right, adj = _vc_structure(run, trees)
-    usable_seed = None
-    if seed_pairs:
-        usable_seed = [(l, r) for l, r in seed_pairs if r in adj.get(l, ())]
-    pair = _max_matching(left, adj, usable_seed)
+    pair = _max_matching(left, adj)
     cover = _koenig_cover(left, right, adj, pair)
     return VertexCoverInstance(
         tuple(left), tuple(right), {l: tuple(v) for l, v in adj.items()}, pair, cover
@@ -199,8 +190,7 @@ def run_baseline(run: QueryRun) -> None:
     latter's, the closing edge is mandatory and queried alone, otherwise the
     cycle edge is queried and the closing edge only if still unresolved.
     """
-    cap = 4 * (len(run.present_ids()) + 2) ** 2 + 8
-    for _ in range(cap):
+    for _ in rounds(run, "run_baseline"):
         ensure_unique_limit_trees(run)
         if not run.present_ids():
             return
@@ -220,7 +210,6 @@ def run_baseline(run: QueryRun) -> None:
             ensure_unique_limit_trees(run)
             if run.is_present(f) and not run.is_trivial(f):
                 run.reveal(f)
-    raise RuntimeError("baseline exceeded its iteration cap")
 
 
 # -- phase 1: make the instance prediction mandatory free --------------------
@@ -248,8 +237,7 @@ def make_prediction_mandatory_free(run: QueryRun, gamma: int) -> PhaseLedger:
     ledger = PhaseLedger()
     removed_before = set(run.removed_unqueried)
     queries_before = run.query_count
-    cap = 2 * (len(run.present_ids()) + 2) ** 2 + 8
-    for _ in range(cap):
+    for _ in rounds(run, "make_prediction_mandatory_free"):
         ledger.iterations += 1
         round_pm: list[int] = []
         ensure_unique_limit_trees(run)
@@ -272,8 +260,6 @@ def make_prediction_mandatory_free(run: QueryRun, gamma: int) -> PhaseLedger:
             break
         _resolve_offending_cycle(run, trees, offending, ledger)
         run.transcript.record("restart", tag="phase1")
-    else:
-        raise RuntimeError("preprocessing exceeded its iteration cap")
     ledger.queries = list(run.queried[queries_before:])
     ledger.removed_unqueried = {
         e: k for e, k in run.removed_unqueried.items() if e not in removed_before
@@ -386,9 +372,7 @@ def phase2_tradeoff(run: QueryRun) -> Phase2Report:
     queried edge's matching partner; on the first observed prediction error,
     query the deferred partners and fall back to the baseline."""
     trees = compute_limit_trees(run)
-    if not instance_pred_mandatory_free(run, trees):
-        raise PreconditionViolated("phase 2 requires a prediction-mandatory-free instance")
-    vc = build_vc_instance(run, trees, check_pred_free=False)
+    vc = build_vc_instance(run, trees)
     f_list, l_list = _phase2_lists(run, trees, vc.cover)
     report = Phase2Report()
     for e in f_list + l_list:
@@ -491,14 +475,11 @@ def phase2_error_sensitive(run: QueryRun) -> ErrorSensitiveLedger:
     deferred set.
     """
     trees = compute_limit_trees(run)
-    if not instance_pred_mandatory_free(run, trees):
-        raise PreconditionViolated("phase 2 requires a prediction-mandatory-free instance")
-    vc = build_vc_instance(run, trees, check_pred_free=False)
+    vc = build_vc_instance(run, trees)
     pair = dict(vc.matching)
     cover = vc.cover
     ledger = ErrorSensitiveLedger()
-    outer_cap = 2 * (len(run.present_ids()) + 2) ** 2 + 8
-    for _ in range(outer_cap):
+    for _ in rounds(run, "phase2_error_sensitive"):
         trees = compute_limit_trees(run)
         f_list, l_list = _phase2_lists(run, trees, cover)
         snap_tree = set(trees.tree) & set(run.present_ids())
@@ -520,8 +501,7 @@ def phase2_error_sensitive(run: QueryRun) -> ErrorSensitiveLedger:
                 continue
             # the cover instance changed: retain what survives of the
             # matching, complete it, replay deferred elements that re-enter
-            inner_cap = 2 * (len(run.present_ids()) + 2) ** 2 + 8
-            for _ in range(inner_cap):
+            for _ in rounds(run, "phase2_error_sensitive replay"):
                 trees_now = compute_limit_trees(run)
                 left, right, adj = _vc_structure(run, trees_now)
                 symmetric = sorted({(min(a, b), max(a, b)) for a, b in pair.items()})
@@ -549,16 +529,12 @@ def phase2_error_sensitive(run: QueryRun) -> ErrorSensitiveLedger:
                 _ensure_with_partner_rule(run, pair, ledger)
                 if not replay:
                     break
-            else:
-                raise RuntimeError("replay loop exceeded its iteration cap")
             ledger.restarts += 1
             run.transcript.record("restart", tag="phase2")
             restarted = True
             break
         if not restarted:
             break
-    else:
-        raise RuntimeError("error-sensitive phase exceeded its iteration cap")
     if is_solved(run) is None:
         raise RuntimeError("cover exhausted but instance unsolved")
     return ledger
@@ -748,25 +724,14 @@ def randomized_gamma(
         slack = frac * (1 - frac) / (gamma * ceil * floor)
     outcome = run_combined(
         graph,
-        StrategyConfig(gamma=effective, mode=mode, seed=seed),
+        StrategyConfig(gamma=effective, mode=mode),
         oracle_cap=oracle_cap,
         instance_label=instance_label,
         seed=seed,
     )
+    # run_combined checked the bounds against the effective integral gamma
     outcome.report.gamma = gamma
     outcome.report.gamma_effective = effective
     outcome.report.expected_inverse_gamma = expected_inverse
     outcome.report.rounding_slack = slack
-    # re-evaluate bounds against the effective integral parameter
-    cons, rob, err = _evaluate_bounds(
-        mode,
-        Fraction(effective),
-        outcome.report.queries,
-        outcome.report.opt,
-        outcome.report.k_h,
-        outcome.report.k_sharp,
-    )
-    outcome.report.consistency_ok = cons
-    outcome.report.robustness_ok = rob
-    outcome.report.error_bound_ok = err
     return outcome

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from mstquery import factory
 from mstquery.cli import main
 
@@ -225,3 +227,46 @@ def test_missing_bench_config_is_one_error_line(tmp_path):
     missing = tmp_path / "absent.json"
     proc = _run_cli("bench", "--config", str(missing))
     _assert_one_error_line(proc, f"no such config file: {missing}")
+
+
+_TRIANGLE_JOB = {"family": "triangle-chain", "params": {"n": 1}, "strategies": [{"alg": "baseline"}]}
+
+
+@pytest.mark.parametrize(
+    "config, text",
+    [
+        ([_TRIANGLE_JOB], "config must be a JSON object"),
+        ({"jobs": "x"}, "jobs must be a list of objects"),
+        ({"jobs": [dict(_TRIANGLE_JOB, strategies=[{"alg": "baseline", "seed": "x"}])]}, "seed must be an integer"),
+        ({"jobs": [dict(_TRIANGLE_JOB, params={})]}, "triangle-chain needs parameter 'n'"),
+        ({"jobs": [dict(_TRIANGLE_JOB, family="random", params={"vertices": "a"})]}, "wrong type"),
+        ({"jobs": [dict(_TRIANGLE_JOB, params={"n": 0})]}, "n must be at least 1"),
+    ],
+)
+def test_malformed_bench_config_is_one_error_line(tmp_path, config, text):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps(config))
+    _assert_one_error_line(_run_cli("bench", "--config", str(cfg)), text)
+
+
+def test_invalid_gen_parameters_are_one_error_line():
+    _assert_one_error_line(_run_cli("gen", "--family", "triangle-chain", "--n", "0"), "n must be at least 1")
+    _assert_one_error_line(_run_cli("gen", "--family", "tradeoff-cycle", "--beta", "1"), "beta must be at least 2")
+
+
+def test_bench_rational_gamma_matches_run(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    cfg = tmp_path / "bench.json"
+    factory.gen_triangle_chain(2).save(str(inst))
+    strategies = [{"alg": "error-sensitive", "gamma": "5/2", "seed": seed} for seed in (0, 1)]
+    cfg.write_text(json.dumps({"jobs": [{"family": "triangle-chain", "params": {"n": 2}, "strategies": strategies}]}))
+    assert main(["bench", "--config", str(cfg)]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert {row["gamma_effective"] for row in rows} == {2, 3}
+    for row, strat in zip(rows, strategies):
+        assert main(["run", "--alg", "error-sensitive", "--gamma", "5/2", "--seed", str(strat["seed"]), "--instance", str(inst)]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert row.pop("status") == "ok"
+        for key in ("runtime_ms", "instance"):
+            del row[key], report[key]
+        assert row == report

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import kernel_case
+from cases import kernel_case
 from mstquery import factory
 from mstquery.errormetrics import (
     LEFT, INSIDE, RIGHT, ErrorReport, hop_distance, hop_indicator, relation, relation_mismatches,

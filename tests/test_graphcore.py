@@ -7,13 +7,16 @@ from mstquery import factory
 from mstquery.graphcore import (
     AlreadyRevealed,
     Interval,
+    NoProgress,
     ParseError,
     QueryRun,
     UncertainEdge,
     UncertainGraph,
     UnknownEdge,
     ValidationError,
+    kruskal,
     load_instance,
+    rounds,
 )
 from mstquery.limittrees import is_solved
 
@@ -57,6 +60,23 @@ def test_disconnected_rejected():
     edges = [make_edge(0, 0, 1, 0, 2, 1, 1), make_edge(1, 2, 3, 0, 2, 1, 1)]
     with pytest.raises(ValidationError):
         UncertainGraph(4, edges)
+
+
+def test_isolated_vertex_rejected():
+    with pytest.raises(ValidationError, match="not connected"):
+        UncertainGraph(3, [make_edge(0, 0, 1, 0, 2, 1, 1)])
+
+
+def test_single_vertex_without_edges_accepted():
+    g = UncertainGraph(1, [])
+    assert len(g) == 0 and g.vertex_count == 1
+
+
+def test_kruskal_keeps_edges_that_join_components():
+    ends = {0: (0, 1), 1: (1, 2), 2: (0, 2), 3: (2, 3)}
+    parent = list(range(4))
+    assert kruskal([2, 0, 1, 3], ends, parent) == [2, 0, 3]
+    assert kruskal([1], ends, parent) == []
 
 
 def test_sparse_edge_ids_rejected():
@@ -166,3 +186,28 @@ def test_trivial_edge_counts_as_revealed():
     assert trivial
     with pytest.raises(AlreadyRevealed):
         run.reveal(trivial[0])
+
+
+def test_rounds_raises_on_a_round_that_changes_nothing():
+    run = QueryRun(factory.demo_mandatory_cycle())
+    pending = [0, 1]
+    with pytest.raises(NoProgress, match=r"^demo: .*\(2 queried, 4 present\)$"):
+        for _ in rounds(run, "demo"):
+            if pending:
+                run.reveal(pending.pop(0))
+    assert run.queried == [0, 1]
+
+
+def test_rounds_run_while_each_round_reveals_or_removes():
+    run = QueryRun(factory.demo_mandatory_cycle())
+    count = 0
+    for _ in rounds(run, "demo"):
+        count += 1
+        if count == 1:
+            run.delete(3)
+            continue
+        open_ids = run.non_trivial_ids()
+        if not open_ids:
+            break
+        run.reveal(open_ids[0])
+    assert count == 5 and run.queried == [0, 1, 2]

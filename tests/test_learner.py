@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import kernel_case
+from cases import kernel_case
 from mstquery import factory
 from mstquery.graphcore import Interval, ParseError, UncertainEdge, UncertainGraph, ValidationError
 from mstquery.learner import (

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,7 @@ from mstquery.graphcore import QueryRun
 from mstquery.limittrees import is_solved
 from mstquery.oracle import (
     CapExceeded,
+    _tree_is_minimum,
     is_feasible,
     mandatory_edges,
     opt_brute_force,
@@ -117,3 +119,12 @@ def test_feasibility_on_live_session_fork():
     verdict = is_feasible(run, [1], "truth")
     assert verdict.feasible
     assert run.query_count == 1 and is_solved(run) is None
+
+
+def test_tree_is_minimum_rejects_heavier_and_wrong_size_sets():
+    run = QueryRun(factory.demo_mandatory_cycle())
+    weights = {0: Fraction(1), 1: Fraction(2), 2: Fraction(3), 3: Fraction(6)}
+    assert _tree_is_minimum(run, frozenset({0, 1, 2}), weights)
+    assert not _tree_is_minimum(run, frozenset({0, 1, 3}), weights)
+    # same total weight as the minimum tree, but one edge, not three
+    assert not _tree_is_minimum(run, frozenset({3}), weights)

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from mstquery import factory
-from mstquery.graphcore import Interval, PreconditionViolated, QueryRun, UncertainEdge, UncertainGraph
+from mstquery.graphcore import (
+    Interval, NoProgress, PreconditionViolated, QueryRun, UncertainEdge, UncertainGraph,
+)
 from mstquery.errormetrics import hop_distance
 from mstquery.limittrees import compute_limit_trees, ensure_unique_limit_trees, is_solved
 from mstquery.oracle import (
@@ -50,6 +52,17 @@ def test_baseline_pays_double_on_intersecting_pair():
     run = QueryRun(g)
     run_baseline(run)
     assert run.query_count == 2
+
+
+def test_loops_without_progress_raise(monkeypatch):
+    g = factory.demo_mandatory_cycle()
+    run = QueryRun(g)
+    run.reveal(0)  # the lower and upper limit trees now differ in edge 1
+    monkeypatch.setattr(QueryRun, "reveal", lambda self, eid: self._values[eid])
+    with pytest.raises(NoProgress, match="^ensure_unique_limit_trees: "):
+        ensure_unique_limit_trees(run)
+    with pytest.raises(NoProgress, match="^run_baseline: "):
+        run_baseline(QueryRun(g))
 
 
 @pytest.mark.parametrize("seed", range(60))
