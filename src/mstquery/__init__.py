@@ -3,6 +3,7 @@
 from .graphcore import (
     AlreadyRevealed,
     Interval,
+    LimitValue,
     NoProgress,
     ParseError,
     PreconditionViolated,
@@ -16,7 +17,6 @@ from .graphcore import (
 )
 from .limittrees import (
     LimitTrees,
-    LimitValue,
     WrongSide,
     compute_limit_trees,
     ensure_unique_limit_trees,

@@ -34,10 +34,17 @@ CSV_COLUMNS = [
 ]
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--format", choices=["csv", "json"], default="json")
-    parser.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP)
+_SHARED_FLAGS = {
+    "--seed": {"type": int, "default": 0},
+    "--format": {"choices": ["csv", "json"], "default": "json"},
+    "--oracle-cap": {"type": int, "default": DEFAULT_CAP},
+}
+
+
+def _shared(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Register the shared flags a subcommand reads, and no others."""
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def _family_instance(family, params, seed):
@@ -281,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extra-edges", type=int, default=3)
     p.add_argument("--overlap", type=float, default=0.8)
     p.add_argument("--error-rate", type=float, default=0.0)
-    _common(p)
+    _shared(p, "--seed")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("run", help="run one strategy on an instance")
@@ -289,19 +296,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", default="2")
     p.add_argument("--instance", required=True)
     p.add_argument("--report")
-    _common(p)
+    _shared(p, "--seed", "--oracle-cap")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("opt", help="brute-force verification optimum")
     p.add_argument("--instance", required=True)
     p.add_argument("--values", choices=["truth", "pred"], default="truth")
     p.add_argument("--all", action="store_true")
-    _common(p)
+    _shared(p, "--oracle-cap")
     p.set_defaults(func=_cmd_opt)
 
     p = sub.add_parser("error", help="hop-distance report")
     p.add_argument("--instance", required=True)
-    _common(p)
+    _shared(p, "--format")
     p.set_defaults(func=_cmd_error)
 
     p = sub.add_parser("learn", help="train predictions by empirical risk minimization")
@@ -309,13 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--out")
-    _common(p)
+    _shared(p, "--seed")
     p.set_defaults(func=_cmd_learn)
 
     p = sub.add_parser("bench", help="run a benchmark config and check every bound")
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="basename for .csv/.json report files")
-    _common(p)
+    _shared(p, "--format", "--oracle-cap")
     p.set_defaults(func=_cmd_bench)
 
     return parser

@@ -11,7 +11,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 
 class ParseError(ValueError):
@@ -82,6 +82,13 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+class LimitValue(NamedTuple):
+    """Exact weight plus infinitesimal offset; tuple order is the total order."""
+
+    base: Fraction
+    eps: int
+
+
 @dataclass(frozen=True)
 class Interval:
     """Open interval (low, high), or the point {low} when low == high."""
@@ -121,20 +128,12 @@ class Interval:
     def contained_in(self, other: "Interval") -> bool:
         return other.low <= self.low and self.high <= other.high
 
-    # For an unknown value in this interval: the largest/smallest weight it
-    # can be forced arbitrarily close to.  Point intervals yield the value.
-    def sup_star(self) -> Fraction:
-        return self.high
-
-    def inf_star(self) -> Fraction:
-        return self.low
-
     # Lexicographic (base, eps) keys realizing the L+eps / U-eps perturbations.
-    def lower_key(self) -> tuple[Fraction, int]:
-        return (self.low, 0) if self.is_trivial else (self.low, 1)
+    def lower_key(self) -> LimitValue:
+        return LimitValue(self.low, 0 if self.is_trivial else 1)
 
-    def upper_key(self) -> tuple[Fraction, int]:
-        return (self.high, 0) if self.is_trivial else (self.high, -1)
+    def upper_key(self) -> LimitValue:
+        return LimitValue(self.high, 0 if self.is_trivial else -1)
 
 
 @dataclass(frozen=True)
@@ -207,14 +206,6 @@ class UncertainGraph:
             raise UnknownEdge(eid)
         return self.edges[eid]
 
-    @property
-    def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {v: [] for v in range(self.vertex_count)}
-        for e in self.edges:
-            adj[e.u].append(e.eid)
-            adj[e.v].append(e.eid)
-        return adj
-
     def non_trivial_ids(self) -> list[int]:
         return [e.eid for e in self.edges if not e.interval.is_trivial]
 
@@ -258,7 +249,7 @@ class UncertainGraph:
     def from_dict(data: dict) -> "UncertainGraph":
         try:
             vertices = int(data["vertices"])
-            raw_edges = data["edges"]
+            raw_edges = list(data["edges"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed instance document: {exc}") from exc
         edges = []
@@ -281,7 +272,9 @@ class UncertainGraph:
                         predicted_value=parse_rational(raw["pred"]),
                     )
                 )
-            except (KeyError, TypeError) as exc:
+            except (ParseError, ValidationError):
+                raise
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"malformed edge record {raw!r}") from exc
         return UncertainGraph(vertices, edges)
 

@@ -17,31 +17,17 @@ leaves it minus l, so one tree and one index serve every move of the call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .graphcore import Interval, PreconditionViolated, QueryRun, UnknownEdge, kruskal, rounds
+from .graphcore import Interval, LimitValue, PreconditionViolated, QueryRun, UnknownEdge, kruskal, rounds
 
 
 class WrongSide(ValueError):
     """cycle_of called on a tree edge, or cut_of on a non-tree edge."""
 
 
-class LimitValue(NamedTuple):
-    """Exact weight plus infinitesimal offset; tuple order is the total order."""
-
-    base: Fraction
-    eps: int
-
-
-def lower_key(interval: Interval) -> LimitValue:
-    base, eps = interval.lower_key()
-    return LimitValue(base, eps)
-
-
-def upper_key(interval: Interval) -> LimitValue:
-    base, eps = interval.upper_key()
-    return LimitValue(base, eps)
+lower_key = Interval.lower_key
+upper_key = Interval.upper_key
 
 
 def _kruskal(run: QueryRun, key_fn: Callable[[Interval], LimitValue]) -> set[int]:
@@ -242,8 +228,8 @@ def is_solved(run: QueryRun) -> Optional[set[int]]:
     """Verified spanning tree of the current instance, or None.
 
     A tree T is verified when every non-tree edge f dominates its cycle:
-    sup*(e) <= inf*(f) for every cycle edge e, where sup*/inf* are the
-    endpoint (or known value) of the respective interval.  Equality is
+    high(e) <= low(f) for every cycle edge e, where high/low are the upper
+    and lower endpoint (or known value) of the interval.  Equality is
     admitted because open intervals exclude their endpoints.  Checking the
     lower limit tree alone is complete: any verified tree differs from it
     only by swaps of equal known values.
@@ -253,10 +239,10 @@ def is_solved(run: QueryRun) -> Optional[set[int]]:
     for f in run.present_ids():
         if f in tree:
             continue
-        inf_f = run.interval(f).inf_star()
+        low_f = run.interval(f).low
         a, b = run.endpoints(f)
         for e in _tree_path(adj, a, b):
-            if run.interval(e).sup_star() > inf_f:
+            if run.interval(e).high > low_f:
                 return None
     return tree
 
@@ -280,14 +266,14 @@ def reduce_once(run: QueryRun) -> bool:
     for f in run.present_ids():
         if f in tree:
             continue
-        inf_f = run.interval(f).inf_star()
+        low_f = run.interval(f).low
         a, b = run.endpoints(f)
-        if all(run.interval(e).sup_star() <= inf_f for e in _tree_path(adj, a, b)):
+        if all(run.interval(e).high <= low_f for e in _tree_path(adj, a, b)):
             run.delete(f)
             return True
     for l in sorted(tree):
-        sup_l = run.interval(l).sup_star()
-        if all(run.interval(x).inf_star() >= sup_l for x in tree_cut(run, tree, l) if x != l):
+        high_l = run.interval(l).high
+        if all(run.interval(x).low >= high_l for x in tree_cut(run, tree, l) if x != l):
             run.contract(l)
             return True
     return False
@@ -302,14 +288,14 @@ def reduce_verified(run: QueryRun) -> int:
     non-tree edge goes first, in id order.  Contracting tree edge l leaves
     the tree minus l and every other cover as it was, so the contractible
     tree edges follow in id order.  Neither move enables one of the other
-    kind: a dominated edge has inf* >= sup* of every edge on its path, so
+    kind: a dominated edge has low >= high of every edge on its path, so
     it never blocked a contraction, and an edge whose path held a
-    contractible l has inf* >= sup*(l), so l never blocked its domination.
+    contractible l has low >= high(l), so l never blocked its domination.
     """
     tree = lower_limit_tree(run)
     paths, covers = _path_index(run, tree)
-    low = {e: run.interval(e).inf_star() for e in run.present_ids()}
-    high = {e: run.interval(e).sup_star() for e in run.present_ids()}
+    low = {e: run.interval(e).low for e in run.present_ids()}
+    high = {e: run.interval(e).high for e in run.present_ids()}
     count = 0
     for f in sorted(paths):
         if all(high[e] <= low[f] for e in paths[f]):

@@ -69,9 +69,9 @@ def cycle_pred_mandatory_free(run: QueryRun, trees: LimitTrees, f: int) -> bool:
     for e in trees.cycle_of(f):
         if e == f:
             continue
-        if f_pred < run.interval(e).sup_star():
+        if f_pred < run.interval(e).high:
             return False
-        if _pred_or_value(run, e) > f_iv.inf_star():
+        if _pred_or_value(run, e) > f_iv.low:
             return False
     return True
 
@@ -220,11 +220,9 @@ class PhaseLedger:
     """Accounting of one preprocessing run."""
 
     queries: list[int] = field(default_factory=list)
-    last_iteration_queries: list[int] = field(default_factory=list)
     removed_unqueried: dict[int, str] = field(default_factory=dict)
     case_partners: dict[int, int] = field(default_factory=dict)
     case_groups: list[list[int]] = field(default_factory=list)
-    iterations: int = 0
 
 
 def make_prediction_mandatory_free(run: QueryRun, gamma: int) -> PhaseLedger:
@@ -238,18 +236,13 @@ def make_prediction_mandatory_free(run: QueryRun, gamma: int) -> PhaseLedger:
     removed_before = set(run.removed_unqueried)
     queries_before = run.query_count
     for _ in rounds(run, "make_prediction_mandatory_free"):
-        ledger.iterations += 1
-        round_pm: list[int] = []
         ensure_unique_limit_trees(run)
-        while len(round_pm) < gamma - 2:
+        for _ in range(gamma - 2):
             pending = prediction_mandatory_edges(run)
             if not pending:
                 break
-            eid = min(pending)
-            run.reveal(eid)
-            round_pm.append(eid)
+            run.reveal(min(pending))
             ensure_unique_limit_trees(run)
-        ledger.last_iteration_queries = round_pm
         trees = compute_limit_trees(run)
         offending = None
         for f in trees.nontree_order:
@@ -407,8 +400,7 @@ class ErrorSensitiveLedger:
     pair_at_query: dict[int, int] = field(default_factory=dict)  # partner when listed
     support: list[int] = field(default_factory=list)  # uniqueness + partner-rule queries
     replay: list[int] = field(default_factory=list)  # deferred-set replay queries
-    deferred: list[int] = field(default_factory=list)  # W, in entry order
-    deferred_entry: dict[int, int] = field(default_factory=dict)  # eid -> tick
+    deferred_entry: dict[int, int] = field(default_factory=dict)  # W, in entry order: eid -> tick
     retained: list[tuple[int, frozenset[int]]] = field(default_factory=list)  # (tick, h-bar endpoints)
     restarts: int = 0
     _tick: int = 0
@@ -482,8 +474,7 @@ def phase2_error_sensitive(run: QueryRun) -> ErrorSensitiveLedger:
     for _ in rounds(run, "phase2_error_sensitive"):
         trees = compute_limit_trees(run)
         f_list, l_list = _phase2_lists(run, trees, cover)
-        snap_tree = set(trees.tree) & set(run.present_ids())
-        snap_nontree = set(run.present_ids()) - snap_tree
+        snap_tree, snap_nontree = set(trees.tree), set(trees.cycles)
         restarted = False
         for e in f_list + l_list:
             if run.is_present(e) and not run.is_trivial(e):
@@ -494,7 +485,6 @@ def phase2_error_sensitive(run: QueryRun) -> ErrorSensitiveLedger:
                 ledger.listed.append(e)
                 ledger.pair_at_query[e] = partner
                 if partner not in ledger.deferred_entry:
-                    ledger.deferred.append(partner)
                     ledger.deferred_entry[partner] = ledger.tick()
             _ensure_with_partner_rule(run, pair, ledger)
             if not _membership_flip(run, snap_tree, snap_nontree):
@@ -502,27 +492,19 @@ def phase2_error_sensitive(run: QueryRun) -> ErrorSensitiveLedger:
             # the cover instance changed: retain what survives of the
             # matching, complete it, replay deferred elements that re-enter
             for _ in rounds(run, "phase2_error_sensitive replay"):
-                trees_now = compute_limit_trees(run)
-                left, right, adj = _vc_structure(run, trees_now)
-                symmetric = sorted({(min(a, b), max(a, b)) for a, b in pair.items()})
-                retained = [
-                    (l, r)
-                    for l, r in _orient_pairs(run, trees_now, symmetric)
-                    if r in adj.get(l, ())
-                ]
+                left, right, adj = _vc_structure(run, compute_limit_trees(run))
+                retained = [(l, r) for l, r in sorted(pair.items()) if r in adj.get(l, ())]
                 ledger.retained.append(
                     (ledger.tick(), frozenset(x for lr in retained for x in lr))
                 )
                 pair = _max_matching(left, adj, retained)
                 cover = _koenig_cover(left, right, adj, pair)
-                deferred_set = set(ledger.deferred)
-                partners_of_deferred = {pair[x] for x in deferred_set if x in pair}
-                cover_and_partners = set(cover) | {pair[c] for c in cover if c in pair}
-                replay = sorted(
-                    e
-                    for e in cover_and_partners & (deferred_set | partners_of_deferred)
-                    if run.is_present(e) and not run.is_trivial(e)
-                )
+                # replay deferred elements in the cover or matched to it: a
+                # Koenig cover holds one endpoint of every matching edge, so
+                # these are the matched deferred elements and their partners,
+                # all present and open (a set: two can be matched together)
+                matched = {x for x in ledger.deferred_entry if x in pair}
+                replay = sorted(matched | {pair[x] for x in matched})
                 for r in replay:
                     run.reveal(r)
                     ledger.replay.append(r)
@@ -538,22 +520,6 @@ def phase2_error_sensitive(run: QueryRun) -> ErrorSensitiveLedger:
     if is_solved(run) is None:
         raise RuntimeError("cover exhausted but instance unsolved")
     return ledger
-
-
-def _orient_pairs(run: QueryRun, trees: LimitTrees, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Orient symmetric pairs as (tree side, non-tree side) for the current
-    trees, dropping pairs with a missing or trivial endpoint."""
-    out = []
-    for a, b in pairs:
-        if not (run.is_present(a) and run.is_present(b)):
-            continue
-        if run.is_trivial(a) or run.is_trivial(b):
-            continue
-        if a in trees.tree and b not in trees.tree:
-            out.append((a, b))
-        elif b in trees.tree and a not in trees.tree:
-            out.append((b, a))
-    return out
 
 
 # -- combined runners ----------------------------------------------------------

@@ -270,3 +270,23 @@ def test_bench_rational_gamma_matches_run(tmp_path, capsys):
         for key in ("runtime_ms", "instance"):
             del row[key], report[key]
         assert row == report
+
+
+def test_instance_with_non_list_edges_is_one_error_line(tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"vertices": 2, "edges": 5}))
+    _assert_one_error_line(_run_cli("opt", "--instance", str(inst)), "malformed instance document")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--alg", "tradeoff", "--instance", "inst.json", "--format", "csv"],
+        ["opt", "--instance", "inst.json", "--seed", "1"],
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -91,6 +91,34 @@ def test_malformed_json_rejected():
         load_instance(json.dumps({"vertices": 2}))
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda doc: doc.update(edges=5),
+        lambda doc: doc["edges"][0].update(id="a"),
+        lambda doc: doc["edges"][0].update(u=[0]),
+        lambda doc: doc["edges"][0].update(interval=3),
+    ],
+    ids=["edges-not-a-list", "id-not-an-integer", "endpoint-a-list", "interval-not-an-object"],
+)
+def test_malformed_instance_document_is_a_parse_error(change):
+    doc = factory.demo_hop_cycle().to_dict()
+    change(doc)
+    with pytest.raises(ParseError):
+        UncertainGraph.from_dict(doc)
+
+
+def test_invalid_values_in_a_document_keep_their_error():
+    doc = factory.demo_hop_cycle().to_dict()
+    doc["edges"][0]["pred"] = "x"
+    with pytest.raises(ParseError, match="not a rational: 'x'"):
+        UncertainGraph.from_dict(doc)
+    doc = factory.demo_hop_cycle().to_dict()
+    doc["edges"][0]["interval"] = {"L": "2", "U": "1"}
+    with pytest.raises(ValidationError, match="L < U"):
+        UncertainGraph.from_dict(doc)
+
+
 def test_trivial_edge_requires_matching_values():
     iv = Interval.point(3)
     with pytest.raises(ValidationError):

@@ -16,6 +16,8 @@ from mstquery.oracle import (
 )
 from mstquery.strategies import (
     StrategyConfig,
+    _koenig_cover,
+    _max_matching,
     build_vc_instance,
     make_prediction_mandatory_free,
     phase2_error_sensitive,
@@ -277,6 +279,44 @@ def test_koenig_duality_on_random_pred_free(seed):
     for l, rights in vc.adjacency.items():
         for r in rights:
             assert l in vc.cover or r in vc.cover
+
+
+def random_bipartite(rng):
+    """Left ids 0..a-1, right ids 100.., each pair adjacent with a drawn
+    probability; adjacency lists are ascending, as _vc_structure builds them."""
+    left = list(range(rng.randint(1, 7)))
+    right = [100 + i for i in range(rng.randint(1, 7))]
+    density = rng.random()
+    adjacency = {l: [r for r in right if rng.random() < density] for l in left}
+    return left, right, adjacency
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_koenig_cover_is_the_matched_set_split_once(seed):
+    """The invariant the error-sensitive replay reads its set from: every
+    cover vertex is matched and every matched pair has exactly one endpoint
+    in the cover, so the cover and its partners are the matched set."""
+    rng = random.Random(seed)
+    left, right, adjacency = random_bipartite(rng)
+    seed_pairs = []
+    if seed % 2:
+        # a valid partial matching, as retained pairs are
+        taken = set()
+        for l in left:
+            free = [r for r in adjacency[l] if r not in taken]
+            if free and rng.random() < 0.5:
+                seed_pairs.append((l, rng.choice(free)))
+                taken.add(seed_pairs[-1][1])
+    pair = _max_matching(left, adjacency, seed_pairs)
+    cover = _koenig_cover(left, right, adjacency, pair)
+    pairs = {(l, pair[l]) for l in left if l in pair}
+    assert all(pair[r] == l for l, r in pairs)
+    assert all(r in adjacency[l] for l, r in pairs)
+    assert all(l in cover or r in cover for l in left for r in adjacency[l])
+    assert len(cover) == len(pairs)
+    assert all(x in pair for x in cover)
+    assert all((l in cover) != (r in cover) for l, r in pairs)
+    assert set(cover) | {pair[c] for c in cover} == set(pair)
 
 
 def test_vc_requires_pred_free():
