@@ -76,6 +76,14 @@ def parse_rational(value) -> Fraction:
     raise ParseError(f"not a rational: {value!r}")
 
 
+def _parse_integer(value, field: str) -> int:
+    """An integer field of an instance document; a float or a bool is
+    rejected, not truncated."""
+    if isinstance(value, (bool, float)):
+        raise ParseError(f"field {field!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
@@ -248,7 +256,7 @@ class UncertainGraph:
     @staticmethod
     def from_dict(data: dict) -> "UncertainGraph":
         try:
-            vertices = int(data["vertices"])
+            vertices = _parse_integer(data["vertices"], "vertices")
             raw_edges = list(data["edges"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed instance document: {exc}") from exc
@@ -264,9 +272,9 @@ class UncertainGraph:
                     )
                 edges.append(
                     UncertainEdge(
-                        eid=int(raw["id"]),
-                        u=int(raw["u"]),
-                        v=int(raw["v"]),
+                        eid=_parse_integer(raw["id"], "id"),
+                        u=_parse_integer(raw["u"], "u"),
+                        v=_parse_integer(raw["v"], "v"),
                         interval=interval,
                         true_value=parse_rational(raw["true"]),
                         predicted_value=parse_rational(raw["pred"]),

@@ -11,7 +11,8 @@ tree path of every non-tree edge, and for every tree edge the non-tree edges
 whose path covers it.  A tree edge's cut is that edge plus its covering
 edges.  Verified reduction runs one Kruskal per call: deleting a non-tree
 edge leaves the lower limit tree unchanged, and contracting tree edge l
-leaves it minus l, so one tree and one index serve every move of the call.
+leaves it minus l, so one tree and one index serve every move of the call,
+and the tree it leaves behind is the next round's lower limit tree.
 """
 
 from __future__ import annotations
@@ -279,8 +280,8 @@ def reduce_once(run: QueryRun) -> bool:
     return False
 
 
-def reduce_verified(run: QueryRun) -> int:
-    """Remove every verified edge; returns the number of moves.
+def reduce_verified(run: QueryRun) -> set[int]:
+    """Remove every verified edge; returns the lower limit tree left behind.
 
     Makes exactly the moves of calling :func:`reduce_once` until it returns
     False, from one Kruskal and one path index.  Deleting a non-tree edge
@@ -291,21 +292,22 @@ def reduce_verified(run: QueryRun) -> int:
     kind: a dominated edge has low >= high of every edge on its path, so
     it never blocked a contraction, and an edge whose path held a
     contractible l has low >= high(l), so l never blocked its domination.
+    The lower limit tree of the reduced minor is therefore the Kruskal tree
+    minus the contracted edges.
     """
     tree = lower_limit_tree(run)
     paths, covers = _path_index(run, tree)
     low = {e: run.interval(e).low for e in run.present_ids()}
     high = {e: run.interval(e).high for e in run.present_ids()}
-    count = 0
     for f in sorted(paths):
         if all(high[e] <= low[f] for e in paths[f]):
             run.delete(f)
-            count += 1
+    contracted = set()
     for l in sorted(tree):
         if all(low[x] >= high[l] for x in covers[l]):
             run.contract(l)
-            count += 1
-    return count
+            contracted.add(l)
+    return tree - contracted
 
 
 def ensure_unique_limit_trees(run: QueryRun, reduce: bool = True) -> list[int]:
@@ -319,9 +321,7 @@ def ensure_unique_limit_trees(run: QueryRun, reduce: bool = True) -> list[int]:
     """
     queried: list[int] = []
     for _ in rounds(run, "ensure_unique_limit_trees"):
-        if reduce:
-            reduce_verified(run)
-        t_lower = lower_limit_tree(run)
+        t_lower = reduce_verified(run) if reduce else lower_limit_tree(run)
         t_upper = upper_limit_tree(run)
         if t_lower != t_upper:
             diff = sorted(e for e in t_lower - t_upper if not run.is_trivial(e))

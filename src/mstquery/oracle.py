@@ -3,7 +3,8 @@
 A query set is feasible when, after revealing it, one spanning tree is
 provably minimum for every realization of the remaining intervals.  The
 optimum is found by exhaustive subset enumeration seeded with the mandatory
-edges; a configurable cap keeps runtime bounded at desk scale.
+edges; a configurable cap keeps runtime bounded at desk scale.  Mandatory
+detection takes one MST and its path index per call.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Optional, Union
 
 from .graphcore import QueryRun, UncertainGraph, kruskal
-from .limittrees import is_solved
+from .limittrees import _path_index, is_solved
 
 DEFAULT_CAP = 16
 
@@ -40,16 +41,19 @@ class OptResult:
 GraphLike = Union[UncertainGraph, QueryRun]
 
 
-def _as_run(graph: GraphLike, value_source: str) -> QueryRun:
+def _value_table(graph: GraphLike, value_source: str) -> dict[int, Fraction]:
     if value_source not in ("truth", "predictions"):
         raise ValueError(f"unknown value source {value_source!r}")
+    base = graph if isinstance(graph, UncertainGraph) else graph.graph_readonly()
+    return base.true_values() if value_source == "truth" else base.predicted_values()
+
+
+def _as_run(graph: GraphLike, value_source: str) -> QueryRun:
+    values = _value_table(graph, value_source)
     if isinstance(graph, UncertainGraph):
-        values = graph.true_values() if value_source == "truth" else graph.predicted_values()
         return QueryRun(graph, values=values)
     # fork of a live session: already-revealed values stay fixed; future
     # reveals draw from the chosen source
-    base = graph.graph_readonly()
-    values = base.true_values() if value_source == "truth" else base.predicted_values()
     return graph.fork(values=values)
 
 
@@ -66,17 +70,48 @@ def is_feasible(graph: GraphLike, query_set: Iterable[int], value_source: str = 
 
 def mandatory_edges(graph: GraphLike, value_source: str = "truth") -> set[int]:
     """Edges in every feasible query set: revealing everything else under the
-    chosen value table must leave the instance unsolved."""
-    run = _as_run(graph, value_source)
-    candidates = run.non_trivial_ids()
+    chosen value table must leave the instance unsolved.
+
+    With every other edge revealed, each present edge has a weight w (its
+    known value, or the table's value) and only e is open.  Let theta_e be
+    the bottleneck weight between e's endpoints in the graph without e
+    (infinite for a bridge).  The instance is then solved iff
+    theta_e <= L_e (a tree without e verifies: e closes a cycle of weights
+    at most its low end) or theta_e >= U_e (a tree with e verifies: every
+    cycle through e closes with a weight at least its high end).  Since
+    :func:`is_solved` admits high <= low, e is mandatory iff
+    L_e < theta_e < U_e.
+
+    One MST T0 over w gives every threshold, in two cases.  For e outside
+    T0, T0 is an MST of the graph without e, so theta_e is the largest w on
+    e's tree path.  For e in T0, swapping e for its minimum cover f (the
+    lightest non-tree edge whose path holds e) gives an MST of the graph
+    without e, in which f's cycle joins e's endpoints; f is the heaviest
+    edge on that cycle, so theta_e is w_f.
+    """
+    table = _value_table(graph, value_source)
+    run = graph if isinstance(graph, QueryRun) else QueryRun(graph)
+    ids = run.present_ids()
+    w, open_ids = {}, []
+    for e in ids:
+        iv = run.interval(e)
+        if iv.is_trivial:
+            w[e] = iv.low
+        else:
+            w[e] = table[e]
+            open_ids.append(e)
+    paths, covers = _path_index(run, set(_min_tree(run, w)))
     mandatory = set()
-    for eid in candidates:
-        scratch = run.fork()
-        for other in candidates:
-            if other != eid:
-                scratch.reveal(other)
-        if is_solved(scratch) is None:
-            mandatory.add(eid)
+    for e in open_ids:
+        if e in paths:
+            theta = max(w[x] for x in paths[e])
+        elif covers[e]:
+            theta = min(w[x] for x in covers[e])
+        else:
+            continue  # a bridge: theta is infinite
+        iv = run.interval(e)
+        if iv.low < theta < iv.high:
+            mandatory.add(e)
     return mandatory
 
 
@@ -108,7 +143,8 @@ def opt_brute_force(
     base = run.fork()
     for eid in seed:
         base.reveal(eid)
-    rest = [e for e in candidates if e not in set(seed)]
+    seeded = set(seed)
+    rest = [e for e in candidates if e not in seeded]
 
     for extra in range(len(rest) + 1):
         found: list[frozenset[int]] = []
@@ -163,10 +199,16 @@ def sampled_tree_validation(
     return True
 
 
-def _tree_is_minimum(run: QueryRun, tree: frozenset[int], weights: Mapping[int, Fraction]) -> bool:
+def _min_tree(run: QueryRun, weights: Mapping[int, Fraction]) -> list[int]:
+    """Kruskal over the present edges by (weight, edge id)."""
     ids = run.present_ids()
     ends = {eid: run.endpoints(eid) for eid in ids}
     parent = {v: v for pair in ends.values() for v in pair}
-    best = kruskal(sorted(ids, key=lambda e: (weights[e], e)), ends, parent)
+    # ids ascend, so a stable sort by weight breaks ties by id
+    return kruskal(sorted(ids, key=weights.__getitem__), ends, parent)
+
+
+def _tree_is_minimum(run: QueryRun, tree: frozenset[int], weights: Mapping[int, Fraction]) -> bool:
+    best = _min_tree(run, weights)
     claimed = sum((weights[e] for e in tree), Fraction(0))
     return len(tree) == len(best) and claimed == sum((weights[e] for e in best), Fraction(0))

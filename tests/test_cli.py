@@ -278,6 +278,14 @@ def test_instance_with_non_list_edges_is_one_error_line(tmp_path):
     _assert_one_error_line(_run_cli("opt", "--instance", str(inst)), "malformed instance document")
 
 
+def test_instance_with_a_float_edge_id_is_one_error_line(tmp_path):
+    doc = factory.demo_hop_cycle().to_dict()
+    doc["edges"][1]["id"] = 1.9
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    _assert_one_error_line(_run_cli("opt", "--instance", str(inst)), "'id' must be an integer, got 1.9")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -108,6 +108,20 @@ def test_malformed_instance_document_is_a_parse_error(change):
         UncertainGraph.from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("vertices", 4.5), ("vertices", 4.0), ("vertices", True), ("id", 1.9), ("id", 0.0), ("id", False), ("u", 0.5), ("v", True)],
+)
+def test_non_integral_numbers_are_a_parse_error_naming_the_field(field, value):
+    doc = factory.demo_hop_cycle().to_dict()
+    if field == "vertices":
+        doc["vertices"] = value
+    else:
+        doc["edges"][0][field] = value
+    with pytest.raises(ParseError, match=f"'{field}' must be an integer"):
+        UncertainGraph.from_dict(doc)
+
+
 def test_invalid_values_in_a_document_keep_their_error():
     doc = factory.demo_hop_cycle().to_dict()
     doc["edges"][0]["pred"] = "x"

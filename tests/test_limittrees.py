@@ -322,11 +322,11 @@ STRATEGY_CELLS = (
 
 
 def reduce_by_single_steps(run):
-    """Reference for reduce_verified: reduce_once until nothing changes."""
-    count = 0
+    """Reference for reduce_verified: reduce_once until nothing changes,
+    then the lower limit tree of what is left."""
     while limittrees.reduce_once(run):
-        count += 1
-    return count
+        pass
+    return lower_limit_tree(run)
 
 
 def strategy_trace(graph, mode, gamma):
@@ -369,6 +369,25 @@ def test_reduce_verified_matches_single_steps(corpus_by_rate, monkeypatch):
     reference = [strategy_trace(g, mode, gamma) for g in instances for mode, gamma in STRATEGY_CELLS]
     for got, want in zip(indexed, reference):
         assert got == want
+
+
+def test_reduce_verified_returns_the_lower_limit_tree(corpus_by_rate, monkeypatch):
+    indexed = limittrees.reduce_verified
+    contracting_calls = 0
+
+    def checked(run):
+        before = len(run.contracted_ids())
+        tree = indexed(run)
+        assert tree == lower_limit_tree(run)
+        nonlocal contracting_calls
+        contracting_calls += len(run.contracted_ids()) > before
+        return tree
+
+    monkeypatch.setattr(limittrees, "reduce_verified", checked)
+    for g in equivalence_instances(corpus_by_rate):
+        for mode, gamma in STRATEGY_CELLS:
+            strategy_trace(g, mode, gamma)
+    assert contracting_calls > 1000
 
 
 @pytest.mark.parametrize("reduce", (False, True))

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from mstquery import factory
-from mstquery.graphcore import QueryRun
+from cases import ERROR_RATES, build_corpus, kernel_case
+from mstquery import factory, oracle
+from mstquery.graphcore import Interval, QueryRun, UncertainEdge, UncertainGraph
 from mstquery.limittrees import is_solved
 from mstquery.oracle import (
     CapExceeded,
@@ -15,7 +16,7 @@ from mstquery.oracle import (
     prediction_mandatory_edges,
     sampled_tree_validation,
 )
-from mstquery.strategies import instance_pred_mandatory_free
+from mstquery.strategies import StrategyConfig, instance_pred_mandatory_free, run_combined
 
 
 def test_demo_cycle_feasibility():
@@ -128,3 +129,76 @@ def test_tree_is_minimum_rejects_heavier_and_wrong_size_sets():
     assert not _tree_is_minimum(run, frozenset({0, 1, 3}), weights)
     # same total weight as the minimum tree, but one edge, not three
     assert not _tree_is_minimum(run, frozenset({3}), weights)
+
+
+# -- one-MST mandatory detection against the fork-per-edge reference ---------
+
+
+def fork_per_edge_mandatory(graph, value_source):
+    """Reference: an open edge is mandatory iff revealing every other open
+    edge under the value table leaves the instance unsolved."""
+    run = oracle._as_run(graph, value_source)
+    candidates = run.non_trivial_ids()
+    mandatory = set()
+    for eid in candidates:
+        scratch = run.fork()
+        for other in candidates:
+            if other != eid:
+                scratch.reveal(other)
+        if is_solved(scratch) is None:
+            mandatory.add(eid)
+    return mandatory
+
+
+def with_bridges(graph):
+    """`graph` plus a pendant path of two open bridges and one known bridge,
+    each a copy of an open edge's interval and values, or of its value."""
+    n = graph.vertex_count
+    model = next(e for e in graph.edges if not e.interval.is_trivial)
+    m = len(graph.edges)
+    point = Interval.point(model.true_value)
+    extra = [
+        UncertainEdge(m, 0, n, model.interval, model.true_value, model.predicted_value),
+        UncertainEdge(m + 1, n, n + 1, model.interval, model.predicted_value, model.true_value),
+        UncertainEdge(m + 2, model.u, n + 2, point, model.true_value, model.true_value),
+    ]
+    return UncertainGraph(n + 3, list(graph.edges) + extra)
+
+
+def differential_graphs():
+    corpus = [g for rate in ERROR_RATES for g in build_corpus(rate, 120)]
+    kernel = [kernel_case(seed)[0] for seed in range(150)]
+    bridged = [with_bridges(g) for g in corpus[::6] + kernel[::3]]
+    return corpus + kernel + bridged
+
+
+@pytest.mark.parametrize("value_source", ("truth", "predictions"))
+def test_mandatory_edges_match_fork_per_edge_on_graphs(value_source):
+    graphs = differential_graphs()
+    mandatory_total = 0
+    for g in graphs:
+        got = mandatory_edges(g, value_source)
+        assert got == fork_per_edge_mandatory(g, value_source)
+        mandatory_total += len(got)
+    assert mandatory_total > len(graphs) // 2
+
+
+def test_mandatory_edges_match_fork_per_edge_on_live_runs(monkeypatch):
+    one_mst = oracle.mandatory_edges
+    minors = []
+
+    def checked(graph, value_source="truth"):
+        got = one_mst(graph, value_source)
+        assert got == fork_per_edge_mandatory(graph, value_source)
+        if isinstance(graph, QueryRun) and graph.contracted_ids():
+            minors.append(len(got))
+        return got
+
+    monkeypatch.setattr(oracle, "mandatory_edges", checked)
+    graphs = [g for rate in ERROR_RATES for g in build_corpus(rate, 60)]
+    graphs += [factory.gen_random(8, 6, 1.0, rate, seed=40 + i) for i, rate in enumerate(ERROR_RATES)]
+    for g in graphs:
+        for mode in ("tradeoff", "error_sensitive"):
+            for gamma in (3, 4):
+                run_combined(g, StrategyConfig(gamma=gamma, mode=mode))
+    assert len(minors) > 500 and sum(minors) > 500
