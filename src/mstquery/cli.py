@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import factory, learner
 from .errormetrics import hop_distance
-from .graphcore import ParseError, PreconditionViolated, ValidationError, load_instance
+from .graphcore import ParseError, PreconditionViolated, ValidationError, load_instance, read_text
 from .oracle import DEFAULT_CAP, CapExceeded, opt_brute_force
 from .strategies import StrategyConfig, randomized_gamma, run_combined
 
@@ -87,7 +87,7 @@ def _cmd_gen(args) -> int:
     }
     _, graph = _family_instance(args.family, params, args.seed)
     if args.out:
-        graph.save(args.out)
+        _write_text(args.out, graph.to_json() + "\n", "instance")
     else:
         print(graph.to_json())
     return 0
@@ -103,12 +103,13 @@ def _parse_gamma(text: str, mode: str) -> Fraction:
     return gamma
 
 
-def _read_text(path: str, what: str) -> str:
+def _write_text(path: str, text: str, what: str) -> None:
+    """Write an output file; a path that cannot be written is a ConfigError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except FileNotFoundError:
-        raise ConfigError(f"no such {what} file: {path}") from None
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what} file {path}: {exc.strerror or exc}") from None
 
 
 def _run_strategy(graph, mode, gamma, seed, oracle_cap, label):
@@ -135,8 +136,7 @@ def _cmd_run(args) -> int:
     }
     text = json.dumps(body, indent=2)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_text(args.report, text + "\n", "report")
     print(text)
     return 0 if outcome.report.bounds_hold() else 1
 
@@ -185,12 +185,11 @@ def _cmd_learn(args) -> int:
     if args.samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     graph = load_instance(args.instance)
-    sampler = learner.RealizationSampler.from_json(graph, _read_text(args.dist, "distribution"), seed=args.seed)
+    sampler = learner.RealizationSampler.from_json(graph, read_text(args.dist, "distribution"), seed=args.seed)
     learned = learner.erm_train(graph, sampler, args.samples)
     text = learner.predictions_to_json(learned)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_text(args.out, text + "\n", "predictions")
     print(text)
     return 0
 
@@ -220,7 +219,7 @@ def _bench_instances(job):
 
 def _cmd_bench(args) -> int:
     try:
-        config = json.loads(_read_text(args.config, "config"))
+        config = json.loads(read_text(args.config, "config"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid config JSON: {exc}") from None
     if not isinstance(config, dict):
@@ -266,10 +265,8 @@ def _write_bench_output(rows, args) -> None:
         writer.writerow({k: row.get(k, "") for k in CSV_COLUMNS})
     csv_text = buf.getvalue()
     if args.out:
-        with open(args.out + ".json", "w", encoding="utf-8") as fh:
-            fh.write(json_text + "\n")
-        with open(args.out + ".csv", "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        _write_text(args.out + ".json", json_text + "\n", "bench report")
+        _write_text(args.out + ".csv", csv_text, "bench report")
     sys.stdout.write(csv_text if args.format == "csv" else json_text + "\n")
 
 

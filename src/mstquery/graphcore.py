@@ -3,14 +3,22 @@
 Every edge carries an open uncertainty interval (or a trivially known point
 value), a hidden true weight, and an untrusted predicted weight.  All weights
 are `fractions.Fraction`; no comparison in the core ever touches a float.
+
+The query core compares integers instead: each value an instance holds is
+replaced by its rank among the distinct values (:class:`Ranking`).  The rank
+map is strictly increasing, so two values compare exactly as their ranks
+do, ties included: the integer comparison is the exact one.  A
+:class:`QueryRun` keeps the ranks of each edge's current interval ends next
+to the intervals themselves.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 
@@ -144,6 +152,36 @@ class Interval:
         return LimitValue(self.high, 0 if self.is_trivial else -1)
 
 
+class Ranking(NamedTuple):
+    """Order-preserving integer codes of a set of exact values.
+
+    `rank` maps each distinct value to its position in ascending order, so
+    a < b iff rank[a] < rank[b], and a == b iff rank[a] == rank[b].  `lo`,
+    `hi` and `pred` hold, by edge id, the ranks of each edge's interval
+    ends and prediction.
+    """
+
+    rank: dict[Fraction, int]
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    pred: tuple[int, ...]
+
+
+def rank_values(edges: tuple[UncertainEdge, ...], extra: Iterable[Fraction] = ()) -> Ranking:
+    """Ranking over every interval end, truth and prediction of `edges`
+    (ordered by edge id) and the values of `extra`."""
+    pool = {x for e in edges for x in (e.interval.low, e.interval.high, e.true_value, e.predicted_value)}
+    pool.update(extra)
+    distinct = sorted(pool)
+    rank = dict(zip(distinct, range(len(distinct))))
+    return Ranking(
+        rank,
+        tuple(rank[e.interval.low] for e in edges),
+        tuple(rank[e.interval.high] for e in edges),
+        tuple(rank[e.predicted_value] for e in edges),
+    )
+
+
 @dataclass(frozen=True)
 class UncertainEdge:
     eid: int
@@ -223,6 +261,12 @@ class UncertainGraph:
     def predicted_values(self) -> dict[int, Fraction]:
         return {e.eid: e.predicted_value for e in self.edges}
 
+    @cached_property
+    def ranking(self) -> Ranking:
+        """Ranks of the instance's values, computed on first use and shared
+        by every session over it."""
+        return rank_values(self.edges)
+
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -287,14 +331,25 @@ class UncertainGraph:
         return UncertainGraph(vertices, edges)
 
 
+def read_text(path: str, what: str) -> str:
+    """Contents of a UTF-8 text file.  A file that is missing, unreadable,
+    a directory or not UTF-8 raises ParseError naming the `what` file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise ParseError(f"no such {what} file: {path}") from None
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} file {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{what} file {path} is not UTF-8 text") from None
+
+
 def load_instance(path_or_text: str) -> UncertainGraph:
     """Load an instance from a JSON file path or a JSON string."""
     text = path_or_text
     if not path_or_text.lstrip().startswith("{"):
-        if not os.path.exists(path_or_text):
-            raise ParseError(f"no such instance file: {path_or_text}")
-        with open(path_or_text, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_text(path_or_text, "instance")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -350,12 +405,26 @@ class QueryRun:
     values leave the session only through :meth:`reveal`.  A session can be
     built with an alternative value table (e.g. the predictions) so oracle
     code can replay hypothetical reveals on a scratch copy.
+
+    Next to each present edge's interval the session keeps, indexed by edge
+    id, the integer ranks `lo[e]` and `hi[e]` of its ends (equal once the
+    value is known) and `pred[e]` of its prediction, under the rank map
+    `rank`.  The map covers every value of the graph and of the value
+    table, so a reveal is ranked too; forks share it.  These lists are
+    read-only outside the session.
     """
 
     def __init__(self, graph: UncertainGraph, values: Optional[Mapping[int, Fraction]] = None):
         self._graph = graph
         self._values: dict[int, Fraction] = dict(values) if values is not None else graph.true_values()
         self._state: dict[int, Interval] = {e.eid: e.interval for e in graph.edges}
+        ranking = graph.ranking
+        self.rank: dict[Fraction, int] = ranking.rank
+        self.pred: tuple[int, ...] = ranking.pred
+        self.lo: list[int] = list(ranking.lo)
+        self.hi: list[int] = list(ranking.hi)
+        if values is not None:
+            self._rank_table()
         self._ends: dict[int, tuple[int, int]] = {e.eid: (e.u, e.v) for e in graph.edges}
         self._parent = list(range(graph.vertex_count))
         self.queried: list[int] = []
@@ -392,10 +461,25 @@ class QueryRun:
         return self._graph.edge(eid).predicted_value
 
     def is_trivial(self, eid: int) -> bool:
-        return self.interval(eid).is_trivial
+        if eid not in self._state:
+            raise UnknownEdge(eid)
+        return self.lo[eid] == self.hi[eid]
+
+    def intersects(self, a: int, b: int) -> bool:
+        """:meth:`Interval.intersects` of the current intervals of edges a
+        and b, on their ranks."""
+        lo, hi = self.lo, self.hi
+        if lo[a] == hi[a]:
+            if lo[b] == hi[b]:
+                return lo[a] == lo[b]
+            return lo[b] < lo[a] < hi[b]
+        if lo[b] == hi[b]:
+            return lo[a] < lo[b] < hi[a]
+        return max(lo[a], lo[b]) < min(hi[a], hi[b])
 
     def non_trivial_ids(self) -> list[int]:
-        return sorted(e for e, iv in self._state.items() if not iv.is_trivial)
+        lo, hi = self.lo, self.hi
+        return sorted(e for e in self._state if lo[e] != hi[e])
 
     @property
     def query_count(self) -> int:
@@ -404,11 +488,11 @@ class QueryRun:
     # -- moves -------------------------------------------------------------
 
     def reveal(self, eid: int) -> Fraction:
-        iv = self.interval(eid)
-        if iv.is_trivial:
+        if self.is_trivial(eid):
             raise AlreadyRevealed(eid)
         value = self._values[eid]
         self._state[eid] = Interval.point(value)
+        self.lo[eid] = self.hi[eid] = self.rank[value]
         self.queried.append(eid)
         self.transcript.record("reveal", edge=eid)
         return value
@@ -435,7 +519,8 @@ class QueryRun:
     def _remove(self, eid: int, kind: str) -> None:
         # only reveal turns an interval into a point, so an edge still open
         # is one that was never queried and was not trivial to begin with
-        if not self._state.pop(eid).is_trivial:
+        del self._state[eid]
+        if self.lo[eid] != self.hi[eid]:
             self.removed_unqueried[eid] = kind
         self.removed[eid] = kind
         self.transcript.record("contract" if kind == "contracted" else "delete", edge=eid)
@@ -446,11 +531,18 @@ class QueryRun:
     # -- forking (oracle scratch copies) ------------------------------------
 
     def fork(self, values: Optional[Mapping[int, Fraction]] = None) -> "QueryRun":
-        """Copy of the current state; optionally with a different value table."""
+        """Copy of the current state; optionally with a different value table.
+
+        The fork shares the rank map, unless the new table holds a value
+        outside it; then the fork ranks everything over the union."""
         clone = QueryRun.__new__(QueryRun)
         clone._graph = self._graph
         clone._values = dict(values) if values is not None else dict(self._values)
         clone._state = dict(self._state)
+        clone.rank, clone.pred = self.rank, self.pred
+        clone.lo, clone.hi = list(self.lo), list(self.hi)
+        if values is not None:
+            clone._rank_table()
         clone._ends = self._ends
         clone._parent = list(self._parent)
         clone.queried = list(self.queried)
@@ -458,6 +550,18 @@ class QueryRun:
         clone.removed_unqueried = dict(self.removed_unqueried)
         clone.transcript = Transcript()
         return clone
+
+    def _rank_table(self) -> None:
+        """Make the rank map cover the value table: when the table holds a
+        value outside it, rank the union and recompute every rank."""
+        if all(v in self.rank for v in self._values.values()):
+            return
+        edges = self._graph.edges
+        ranking = rank_values(edges, chain(self.rank, self._values.values()))
+        self.rank, self.pred = ranking.rank, ranking.pred
+        intervals = [self._state.get(e.eid, e.interval) for e in edges]
+        self.lo = [self.rank[iv.low] for iv in intervals]
+        self.hi = [self.rank[iv.high] for iv in intervals]
 
     def graph_readonly(self) -> UncertainGraph:
         """The underlying instance, for oracle and reporting code.

@@ -6,6 +6,15 @@ lexicographic pairs (base, eps) with eps in {-1, 0, +1}, so the perturbation
 never needs a concrete epsilon.  Kruskal with (key, edge id) ordering makes
 every tree deterministic.
 
+Every comparison here runs on the session's integer ranks of the exact
+values (:class:`~mstquery.graphcore.Ranking`), never on the values: a key
+(base, eps) is the single int 3*rank(base) + eps, that is 3*lo+1 for L+eps,
+3*hi-1 for U-eps and 3*r for a known value r.  The ranks preserve order and
+ties, and eps only breaks ties between equal bases, so the ints order
+exactly as the pairs do; a low or high end compares as its rank.  The
+`Interval` keys :func:`lower_key`/:func:`upper_key` stay the exact
+definition that the tests hold the ints to.
+
 Cycles and cuts come from one path index per tree (:func:`_path_index`): the
 tree path of every non-tree edge, and for every tree edge the non-tree edges
 whose path covers it.  A tree edge's cut is that edge plus its covering
@@ -18,9 +27,9 @@ and the tree it leaves behind is the next round's lower limit tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .graphcore import Interval, LimitValue, PreconditionViolated, QueryRun, UnknownEdge, kruskal, rounds
+from .graphcore import Interval, PreconditionViolated, QueryRun, UnknownEdge, kruskal, rounds
 
 
 class WrongSide(ValueError):
@@ -31,23 +40,35 @@ lower_key = Interval.lower_key
 upper_key = Interval.upper_key
 
 
-def _kruskal(run: QueryRun, key_fn: Callable[[Interval], LimitValue]) -> set[int]:
+def lower_keys(run: QueryRun) -> list[int]:
+    """:func:`lower_key` of every edge's current interval, by edge id, as
+    one int: 3*lo+1 for an open interval, 3*lo for a known value."""
+    return [3 * a + (a != b) for a, b in zip(run.lo, run.hi)]
+
+
+def upper_keys(run: QueryRun) -> list[int]:
+    """:func:`upper_key` of every edge's current interval, by edge id, as
+    one int: 3*hi-1 for an open interval, 3*hi for a known value."""
+    return [3 * b - (a != b) for a, b in zip(run.lo, run.hi)]
+
+
+def _kruskal(run: QueryRun, keys: list[int]) -> set[int]:
     ids = run.present_ids()
     ends = {eid: run.endpoints(eid) for eid in ids}
     parent = {v: v for pair in ends.values() for v in pair}
-    order = sorted(ids, key=lambda e: (key_fn(run.interval(e)), e))
-    tree = set(kruskal(order, ends, parent))
+    # ids ascend, so a stable sort by key breaks ties by id
+    tree = set(kruskal(sorted(ids, key=keys.__getitem__), ends, parent))
     if parent and len(tree) != len(parent) - 1:
         raise PreconditionViolated("graph is disconnected; no spanning tree exists")
     return tree
 
 
 def lower_limit_tree(run: QueryRun) -> set[int]:
-    return _kruskal(run, lower_key)
+    return _kruskal(run, lower_keys(run))
 
 
 def upper_limit_tree(run: QueryRun) -> set[int]:
-    return _kruskal(run, upper_key)
+    return _kruskal(run, upper_keys(run))
 
 
 def _tree_adjacency(run: QueryRun, tree: set[int]) -> dict[int, list[tuple[int, int]]]:
@@ -179,23 +200,23 @@ def _uniqueness_gap(run: QueryRun, index: PathIndex):
     Ties between two point intervals cannot be separated by queries and are
     resolved by edge id, so they do not count as violations.
     """
-    upper = {e: upper_key(run.interval(e)) for e in index.covers}
-    lower = {x: lower_key(run.interval(x)) for x in index.paths}
+    lo, hi = run.lo, run.hi
+    upper, lower = upper_keys(run), lower_keys(run)
     for f in sorted(index.paths):
-        kf = upper_key(run.interval(f))
+        kf = upper[f]
         for e in index.paths[f]:
             ke = upper[e]
             if ke > kf:
                 raise PreconditionViolated("upper limit tree violates the cycle rule")
-            if ke == kf and not (run.is_trivial(e) and run.is_trivial(f)):
+            if ke == kf and not (lo[e] == hi[e] and lo[f] == hi[f]):
                 return ("upper", f, e)
     for l in sorted(index.covers):
-        kl = lower_key(run.interval(l))
+        kl = lower[l]
         for x in sorted(index.covers[l]):
             kx = lower[x]
             if kx < kl:
                 raise PreconditionViolated("lower limit tree violates the cut rule")
-            if kx == kl and not (run.is_trivial(x) and run.is_trivial(l)):
+            if kx == kl and not (lo[x] == hi[x] and lo[l] == hi[l]):
                 return ("lower", l, x)
     return None
 
@@ -206,11 +227,20 @@ def limit_trees_unique(run: QueryRun) -> bool:
     return t_lower == t_upper and _uniqueness_gap(run, _path_index(run, t_lower)) is None
 
 
+def _normal_form(run: QueryRun, tree: set[int], index: PathIndex) -> LimitTrees:
+    lower = lower_keys(run)
+    nontree = sorted(index.paths, key=lambda e: (lower[e], e))
+    cycles = {f: [f] + index.paths[f] for f in nontree}
+    cuts = {l: sorted(index.covers[l] | {l}) for l in sorted(tree)}
+    return LimitTrees(tree=tree, nontree_order=nontree, cycles=cycles, cuts=cuts)
+
+
 def compute_limit_trees(run: QueryRun) -> LimitTrees:
     """Cycle/cut structure of the current instance.
 
     Requires unique coinciding limit trees (establish with
-    :func:`ensure_unique_limit_trees` first).
+    :func:`ensure_unique_limit_trees` first, or call
+    :func:`unique_limit_trees`, which does both).
     """
     t_lower = lower_limit_tree(run)
     t_upper = upper_limit_tree(run)
@@ -219,10 +249,7 @@ def compute_limit_trees(run: QueryRun) -> LimitTrees:
     index = _path_index(run, t_lower)
     if _uniqueness_gap(run, index) is not None:
         raise PreconditionViolated("limit trees are not unique; preprocessing required")
-    nontree = sorted(index.paths, key=lambda e: (lower_key(run.interval(e)), e))
-    cycles = {f: [f] + index.paths[f] for f in nontree}
-    cuts = {l: sorted(index.covers[l] | {l}) for l in sorted(t_lower)}
-    return LimitTrees(tree=t_lower, nontree_order=nontree, cycles=cycles, cuts=cuts)
+    return _normal_form(run, t_lower, index)
 
 
 def is_solved(run: QueryRun) -> Optional[set[int]]:
@@ -237,13 +264,13 @@ def is_solved(run: QueryRun) -> Optional[set[int]]:
     """
     tree = lower_limit_tree(run)
     adj = _tree_adjacency(run, tree)
+    lo, hi = run.lo, run.hi
     for f in run.present_ids():
         if f in tree:
             continue
-        low_f = run.interval(f).low
         a, b = run.endpoints(f)
         for e in _tree_path(adj, a, b):
-            if run.interval(e).high > low_f:
+            if hi[e] > lo[f]:
                 return None
     return tree
 
@@ -264,17 +291,16 @@ def reduce_once(run: QueryRun) -> bool:
     Returns True if the minor changed."""
     tree = lower_limit_tree(run)
     adj = _tree_adjacency(run, tree)
+    lo, hi = run.lo, run.hi
     for f in run.present_ids():
         if f in tree:
             continue
-        low_f = run.interval(f).low
         a, b = run.endpoints(f)
-        if all(run.interval(e).high <= low_f for e in _tree_path(adj, a, b)):
+        if all(hi[e] <= lo[f] for e in _tree_path(adj, a, b)):
             run.delete(f)
             return True
     for l in sorted(tree):
-        high_l = run.interval(l).high
-        if all(run.interval(x).low >= high_l for x in tree_cut(run, tree, l) if x != l):
+        if all(lo[x] >= hi[l] for x in tree_cut(run, tree, l) if x != l):
             run.contract(l)
             return True
     return False
@@ -297,14 +323,14 @@ def reduce_verified(run: QueryRun) -> set[int]:
     """
     tree = lower_limit_tree(run)
     paths, covers = _path_index(run, tree)
-    low = {e: run.interval(e).low for e in run.present_ids()}
-    high = {e: run.interval(e).high for e in run.present_ids()}
+    # deletions and contractions change no interval, so the ranks hold
+    lo, hi = run.lo, run.hi
     for f in sorted(paths):
-        if all(high[e] <= low[f] for e in paths[f]):
+        if all(hi[e] <= lo[f] for e in paths[f]):
             run.delete(f)
     contracted = set()
     for l in sorted(tree):
-        if all(low[x] >= high[l] for x in covers[l]):
+        if all(lo[x] >= hi[l] for x in covers[l]):
             run.contract(l)
             contracted.add(l)
     return tree - contracted
@@ -319,7 +345,21 @@ def ensure_unique_limit_trees(run: QueryRun, reduce: bool = True) -> list[int]:
     tied non-tree edge), to a fixpoint.  With reduce=True, verified edges are
     contracted/deleted eagerly along the way.  Returns the queried edge ids.
     """
-    queried: list[int] = []
+    before = run.query_count
+    _certify(run, reduce)
+    return run.queried[before:]
+
+
+def unique_limit_trees(run: QueryRun) -> LimitTrees:
+    """:func:`ensure_unique_limit_trees` with reduction, then the limit
+    trees of the result, built from the tree and path index that its final
+    round certified; equal to :func:`compute_limit_trees` afterwards."""
+    return _normal_form(run, *_certify(run, True))
+
+
+def _certify(run: QueryRun, reduce: bool) -> tuple[set[int], PathIndex]:
+    """The rounds of :func:`ensure_unique_limit_trees`; returns the unique
+    limit tree and its path index."""
     for _ in rounds(run, "ensure_unique_limit_trees"):
         t_lower = reduce_verified(run) if reduce else lower_limit_tree(run)
         t_upper = upper_limit_tree(run)
@@ -330,14 +370,13 @@ def ensure_unique_limit_trees(run: QueryRun, reduce: bool = True) -> list[int]:
                     "limit trees differ only in trivial edges; cannot requery"
                 )
             run.reveal(diff[0])
-            queried.append(diff[0])
             continue
-        gap = _uniqueness_gap(run, _path_index(run, t_lower))
+        index = _path_index(run, t_lower)
+        gap = _uniqueness_gap(run, index)
         if gap is None:
-            return queried
+            return t_lower, index
         # upper-side tie: swapping the tied tree edge out of the upper tree
         # yields a tree pair whose difference is exactly that edge, so it is
         # mandatory; lower-side tie: symmetrically the tied cut edge is.
         _, _, partner = gap
         run.reveal(partner)
-        queried.append(partner)

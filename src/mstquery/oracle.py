@@ -88,17 +88,19 @@ def mandatory_edges(graph: GraphLike, value_source: str = "truth") -> set[int]:
     lightest non-tree edge whose path holds e) gives an MST of the graph
     without e, in which f's cycle joins e's endpoints; f is the heaviest
     edge on that cycle, so theta_e is w_f.
+
+    Weights, thresholds and ends are compared as the session's ranks, which
+    order exactly as the values do.
     """
     table = _value_table(graph, value_source)
     run = graph if isinstance(graph, QueryRun) else QueryRun(graph)
-    ids = run.present_ids()
+    lo, hi, rank = run.lo, run.hi, run.rank
     w, open_ids = {}, []
-    for e in ids:
-        iv = run.interval(e)
-        if iv.is_trivial:
-            w[e] = iv.low
+    for e in run.present_ids():
+        if lo[e] == hi[e]:
+            w[e] = lo[e]
         else:
-            w[e] = table[e]
+            w[e] = rank[table[e]]
             open_ids.append(e)
     paths, covers = _path_index(run, set(_min_tree(run, w)))
     mandatory = set()
@@ -109,8 +111,7 @@ def mandatory_edges(graph: GraphLike, value_source: str = "truth") -> set[int]:
             theta = min(w[x] for x in covers[e])
         else:
             continue  # a bridge: theta is infinite
-        iv = run.interval(e)
-        if iv.low < theta < iv.high:
+        if lo[e] < theta < hi[e]:
             mandatory.add(e)
     return mandatory
 
@@ -199,7 +200,7 @@ def sampled_tree_validation(
     return True
 
 
-def _min_tree(run: QueryRun, weights: Mapping[int, Fraction]) -> list[int]:
+def _min_tree(run: QueryRun, weights: Mapping[int, Union[Fraction, int]]) -> list[int]:
     """Kruskal over the present edges by (weight, edge id)."""
     ids = run.present_ids()
     ends = {eid: run.endpoints(eid) for eid in ids}

@@ -27,8 +27,9 @@ from .limittrees import (
     compute_limit_trees,
     ensure_unique_limit_trees,
     is_solved,
-    lower_key,
+    lower_keys,
     lower_limit_tree,
+    unique_limit_trees,
     verified_tree_of_original,
 )
 from .oracle import DEFAULT_CAP, opt_brute_force, prediction_mandatory_edges
@@ -63,15 +64,16 @@ def _pred_or_value(run: QueryRun, eid: int) -> Fraction:
 
 def cycle_pred_mandatory_free(run: QueryRun, trees: LimitTrees, f: int) -> bool:
     """Cycle condition: the closing edge is predicted to dominate every cycle
-    edge, and every cycle edge is predicted to stay below the closing edge."""
-    f_iv = run.interval(f)
-    f_pred = _pred_or_value(run, f)
+    edge, and every cycle edge is predicted to stay below the closing edge.
+    Compared on ranks: a known value, else the prediction."""
+    lo, hi, pred = run.lo, run.hi, run.pred
+    f_pred = lo[f] if lo[f] == hi[f] else pred[f]
     for e in trees.cycle_of(f):
         if e == f:
             continue
-        if f_pred < run.interval(e).high:
+        if f_pred < hi[e]:
             return False
-        if _pred_or_value(run, e) > f_iv.low:
+        if (lo[e] if lo[e] == hi[e] else pred[e]) > lo[f]:
             return False
     return True
 
@@ -159,9 +161,8 @@ def _vc_structure(run: QueryRun, trees: LimitTrees) -> tuple[list[int], list[int
     right = [f for f in sorted(trees.nontree_order) if not run.is_trivial(f)]
     adjacency: dict[int, list[int]] = {l: [] for l in left}
     for f in right:
-        f_iv = run.interval(f)
         for e in trees.cycle_of(f):
-            if e != f and not run.is_trivial(e) and run.interval(e).intersects(f_iv):
+            if e != f and not run.is_trivial(e) and run.intersects(e, f):
                 adjacency[e].append(f)
     return left, right, {l: sorted(v) for l, v in adjacency.items()}
 
@@ -191,19 +192,15 @@ def run_baseline(run: QueryRun) -> None:
     cycle edge is queried and the closing edge only if still unresolved.
     """
     for _ in rounds(run, "run_baseline"):
-        ensure_unique_limit_trees(run)
+        trees = unique_limit_trees(run)
         if not run.present_ids():
             return
-        trees = compute_limit_trees(run)
         f = trees.nontree_order[0]
-        f_iv = run.interval(f)
-        candidates = [
-            e for e in trees.cycle_of(f) if e != f and run.interval(e).intersects(f_iv)
-        ]
+        candidates = [e for e in trees.cycle_of(f) if e != f and run.intersects(e, f)]
         if not candidates:
             raise RuntimeError("verified-maximal edge survived reduction")
-        l = min(candidates, key=lambda e: (-run.interval(e).high, e))
-        if run.interval(l).contained_in(f_iv):
+        l = min(candidates, key=lambda e: (-run.hi[e], e))
+        if run.interval(l).contained_in(run.interval(f)):
             run.reveal(f)
         else:
             run.reveal(l)
@@ -236,14 +233,13 @@ def make_prediction_mandatory_free(run: QueryRun, gamma: int) -> PhaseLedger:
     removed_before = set(run.removed_unqueried)
     queries_before = run.query_count
     for _ in rounds(run, "make_prediction_mandatory_free"):
-        ensure_unique_limit_trees(run)
+        trees = unique_limit_trees(run)
         for _ in range(gamma - 2):
             pending = prediction_mandatory_edges(run)
             if not pending:
                 break
             run.reveal(min(pending))
-            ensure_unique_limit_trees(run)
-        trees = compute_limit_trees(run)
+            trees = unique_limit_trees(run)
         offending = None
         for f in trees.nontree_order:
             if not cycle_pred_mandatory_free(run, trees, f):
@@ -324,13 +320,14 @@ def _resolve_offending_cycle(run: QueryRun, trees: LimitTrees, f: int, ledger: P
 
 
 def _phase2_lists(run: QueryRun, trees: LimitTrees, cover: frozenset[int]) -> tuple[list[int], list[int]]:
+    lower, hi = lower_keys(run), run.hi
     f_list = sorted(
         (e for e in cover if e not in trees.tree),
-        key=lambda e: (lower_key(run.interval(e)), e),
+        key=lambda e: (lower[e], e),
     )
     l_list = sorted(
         (e for e in cover if e in trees.tree),
-        key=lambda e: (-run.interval(e).high, e),
+        key=lambda e: (-hi[e], e),
     )
     return f_list, l_list
 

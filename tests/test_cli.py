@@ -298,3 +298,28 @@ def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["gen", "--family", "triangle-chain", "--n", "1", "--out", "{absent}/x.json"], "cannot write instance file"),
+        (["run", "--alg", "baseline", "--instance", "{inst}", "--report", "{absent}/r.json"], "cannot write report file"),
+        (["learn", "--instance", "{inst}", "--dist", "{dist}", "--samples", "1", "--out", "{absent}/p.json"], "cannot write predictions file"),
+        (["bench", "--config", "{config}", "--out", "{absent}/b"], "cannot write bench report file"),
+        (["opt", "--instance", "{dir}"], "cannot read instance file"),
+        (["learn", "--instance", "{inst}", "--dist", "{dir}", "--samples", "1"], "cannot read distribution file"),
+        (["bench", "--config", "{dir}"], "cannot read config file"),
+        (["opt", "--instance", "{binary}"], "is not UTF-8 text"),
+    ],
+)
+def test_unusable_file_paths_are_one_error_line(tmp_path, argv, text):
+    paths = {
+        "absent": tmp_path / "absent", "dir": tmp_path, "inst": tmp_path / "inst.json",
+        "dist": tmp_path / "dist.json", "config": tmp_path / "bench.json", "binary": tmp_path / "inst.bin",
+    }
+    factory.gen_triangle_chain(1).save(str(paths["inst"]))
+    paths["dist"].write_text(json.dumps({"edges": {"1": {"values": ["3/2"]}}}))
+    paths["config"].write_text(json.dumps({"jobs": [_TRIANGLE_JOB]}))
+    paths["binary"].write_bytes(b"\xff\xfe\x00")
+    _assert_one_error_line(_run_cli(*(arg.format(**paths) for arg in argv)), text)

@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from mstquery import factory, limittrees
+from cases import ERROR_RATES, build_corpus, kernel_case
+from mstquery import factory, limittrees, strategies
 from mstquery.graphcore import Interval, QueryRun, UncertainEdge, UncertainGraph
 from mstquery.limittrees import (
     WrongSide,
@@ -12,19 +13,24 @@ from mstquery.limittrees import (
     is_solved,
     limit_trees_unique,
     lower_key,
+    lower_keys,
     lower_limit_tree,
     tree_cut,
     tree_cycle,
+    unique_limit_trees,
     upper_key,
+    upper_keys,
     upper_limit_tree,
     verified_tree_of_original,
 )
 from mstquery.oracle import is_feasible, mandatory_edges
 from mstquery.strategies import (
+    StrategyConfig,
     make_prediction_mandatory_free,
     phase2_error_sensitive,
     phase2_tradeoff,
     run_baseline,
+    run_combined,
 )
 
 
@@ -405,3 +411,121 @@ def test_limit_tree_cycles_and_cuts_match_per_edge_scans(corpus_by_rate, reduce)
         assert set(trees.cuts) == trees.tree
         for l, cut in trees.cuts.items():
             assert cut == tree_cut(run, trees.tree, l)
+
+
+# -- integer ranks against the exact values ----------------------------------
+
+
+def sign(a, b):
+    return (a > b) - (a < b)
+
+
+def assert_ranks_match_values(run, table):
+    """Every comparison the core makes on ranks has the sign of the same
+    comparison on the exact values, for every ordered pair of present
+    edges: the limit keys against each other, the low and high ends, and a
+    prediction (or known value) and the run's value-table entry against an
+    end."""
+    lo, hi, pred, rank = run.lo, run.hi, run.pred, run.rank
+    lower, upper = lower_keys(run), upper_keys(run)
+    ids = run.present_ids()
+    iv = {e: run.interval(e) for e in ids}
+    exact_lower = {e: lower_key(iv[e]) for e in ids}
+    exact_upper = {e: upper_key(iv[e]) for e in ids}
+    points = {}  # edge -> (rank, exact value) of its ends, prediction and table entry
+    for e in ids:
+        assert (lo[e] == hi[e]) == iv[e].is_trivial == run.is_trivial(e)
+        if iv[e].is_trivial:
+            assert lower[e] == upper[e] == 3 * lo[e]
+            guess = (lo[e], iv[e].low)
+        else:
+            guess = (pred[e], run.predicted(e))
+        value = table[e]
+        points[e] = ((lo[e], iv[e].low), (hi[e], iv[e].high), guess, (rank[value], value))
+    for e in ids:
+        for f in ids:
+            assert sign(lower[e], lower[f]) == sign(exact_lower[e], exact_lower[f])
+            assert sign(upper[e], upper[f]) == sign(exact_upper[e], exact_upper[f])
+            assert sign(lower[e], upper[f]) == sign(exact_lower[e], exact_upper[f])
+            for mine, exact in points[e]:
+                assert sign(mine, lo[f]) == sign(exact, iv[f].low)
+                assert sign(mine, hi[f]) == sign(exact, iv[f].high)
+            assert run.intersects(e, f) == iv[e].intersects(iv[f])
+
+
+def rank_graphs():
+    graphs = [g for rate in ERROR_RATES for g in build_corpus(rate, 60)]
+    return graphs + [kernel_case(seed)[0] for seed in range(150)]
+
+
+def test_ranks_match_values_on_graphs():
+    for g in rank_graphs():
+        for values in (g.true_values(), g.predicted_values()):
+            run = QueryRun(g, values)
+            assert run.rank is g.ranking.rank
+            assert_ranks_match_values(run, values)
+            for eid in run.non_trivial_ids():
+                run.reveal(eid)
+            assert_ranks_match_values(run, values)
+
+
+def test_ranks_match_values_after_every_reveal_of_live_runs(monkeypatch):
+    checked = []
+
+    class CheckedRun(QueryRun):
+        """The session run_combined drives; the oracle's sessions and forks
+        stay plain."""
+
+        def reveal(self, eid):
+            value = super().reveal(eid)
+            assert_ranks_match_values(self, self.graph_readonly().true_values())
+            checked.append(eid)
+            return value
+
+    monkeypatch.setattr(strategies, "QueryRun", CheckedRun)
+    for g in rank_graphs():
+        for mode in ("tradeoff", "error_sensitive"):
+            for gamma in (2, 3):
+                run_combined(g, StrategyConfig(gamma=gamma, mode=mode))
+    assert len(checked) > 4000
+
+
+def test_a_value_table_outside_the_graph_is_ranked_over_the_union():
+    for seed in range(40):
+        g, _ = kernel_case(seed)
+        # midpoints of an open interval's low end and its truth: values the
+        # graph mostly does not hold
+        values = {
+            e.eid: e.true_value if e.interval.is_trivial else (e.interval.low + e.true_value) / 2
+            for e in g.edges
+        }
+        outside = set(values.values()) - set(g.ranking.rank)
+        assert outside
+        run = QueryRun(g, values)
+        assert set(run.rank) == set(g.ranking.rank) | outside
+        assert_ranks_match_values(run, values)
+        same = run.fork()
+        assert same.rank is run.rank
+        ids = run.non_trivial_ids()
+        for eid in ids[: len(ids) // 2]:
+            run.reveal(eid)
+            assert_ranks_match_values(run, values)
+        # a fork onto yet other values keeps the revealed ones ranked
+        shifted = {
+            e.eid: e.true_value if e.interval.is_trivial else (values[e.eid] + e.interval.high) / 2
+            for e in g.edges
+        }
+        assert set(shifted.values()) - set(run.rank)
+        fork = run.fork(shifted)
+        assert fork.rank is not run.rank
+        assert_ranks_match_values(fork, shifted)
+        for eid in fork.non_trivial_ids():
+            fork.reveal(eid)
+            assert_ranks_match_values(fork, shifted)
+
+
+def test_unique_limit_trees_equal_compute_limit_trees(corpus_by_rate):
+    for g in [g for rate in sorted(corpus_by_rate) for g in corpus_by_rate[rate][:60]]:
+        run = QueryRun(g)
+        trees = unique_limit_trees(run)
+        assert trees == compute_limit_trees(run)
