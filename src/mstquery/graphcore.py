@@ -9,7 +9,14 @@ replaced by its rank among the distinct values (:class:`Ranking`).  The rank
 map is strictly increasing, so two values compare exactly as their ranks
 do, ties included: the integer comparison is the exact one.  A
 :class:`QueryRun` keeps the ranks of each edge's current interval ends next
-to the intervals themselves.
+to the intervals themselves, and each edge's two limit keys as ints.
+
+A session also keeps its minor instead of deriving it on every read: an
+endpoint table (edge id -> current endpoint pair) and, per vertex, the set
+of its present edges.  Contraction relabels only the absorbed vertex's
+edges, so it costs that vertex's degree, not a scan of every edge; it
+gives every vertex the name, and deletes the same self-loops in the same
+order, as a union-find over the original vertices would.
 """
 
 from __future__ import annotations
@@ -410,8 +417,18 @@ class QueryRun:
     id, the integer ranks `lo[e]` and `hi[e]` of its ends (equal once the
     value is known) and `pred[e]` of its prediction, under the rank map
     `rank`.  The map covers every value of the graph and of the value
-    table, so a reveal is ranked too; forks share it.  These lists are
-    read-only outside the session.
+    table, so a reveal is ranked too; forks share it.  It also keeps each
+    edge's two limit keys as ints, `lower[e]` = 3*lo+1 and `upper[e]` =
+    3*hi-1 for an open interval and both 3*r for a known value r; only
+    :meth:`reveal` and a re-ranking change them.
+
+    The minor is kept, not derived: `ends[e]` is the current endpoint pair
+    of edge e, and every vertex of the minor holds the set of its present
+    edges' ids.  Contracting edge (u, v) relabels u to v on u's edges only,
+    which names every vertex as a union-find with u merged under v would,
+    and deletes the edges that became self-loops (the parallels of the
+    contracted edge, exactly the ones a scan of every present edge finds)
+    in ascending id order.  These lists are read-only outside the session.
     """
 
     def __init__(self, graph: UncertainGraph, values: Optional[Mapping[int, Fraction]] = None):
@@ -423,10 +440,16 @@ class QueryRun:
         self.pred: tuple[int, ...] = ranking.pred
         self.lo: list[int] = list(ranking.lo)
         self.hi: list[int] = list(ranking.hi)
+        self._key_all()
         if values is not None:
             self._rank_table()
-        self._ends: dict[int, tuple[int, int]] = {e.eid: (e.u, e.v) for e in graph.edges}
-        self._parent = list(range(graph.vertex_count))
+        self.ends: list[tuple[int, int]] = [(e.u, e.v) for e in graph.edges]
+        self.vertex_count = graph.vertex_count  # of the current minor
+        # vertex -> ids of its present edges; None once the vertex is absorbed
+        self._incident: list[Optional[set[int]]] = [set() for _ in range(graph.vertex_count)]
+        for e in graph.edges:
+            self._incident[e.u].add(e.eid)
+            self._incident[e.v].add(e.eid)
         self.queried: list[int] = []
         self.removed: dict[int, str] = {}  # eid -> "deleted" | "contracted"
         self.removed_unqueried: dict[int, str] = {}
@@ -437,8 +460,7 @@ class QueryRun:
     def endpoints(self, eid: int) -> tuple[int, int]:
         if eid not in self._state:
             raise UnknownEdge(eid)
-        u, v = self._ends[eid]
-        return find(self._parent, u), find(self._parent, v)
+        return self.ends[eid]
 
     def present_ids(self) -> list[int]:
         return sorted(self._state)
@@ -447,7 +469,7 @@ class QueryRun:
         return eid in self._state
 
     def current_vertices(self) -> set[int]:
-        return {find(self._parent, v) for v in range(len(self._parent))}
+        return {v for v, edges in enumerate(self._incident) if edges is not None}
 
     def interval(self, eid: int) -> Interval:
         try:
@@ -492,7 +514,8 @@ class QueryRun:
             raise AlreadyRevealed(eid)
         value = self._values[eid]
         self._state[eid] = Interval.point(value)
-        self.lo[eid] = self.hi[eid] = self.rank[value]
+        r = self.lo[eid] = self.hi[eid] = self.rank[value]
+        self.lower[eid] = self.upper[eid] = 3 * r
         self.queried.append(eid)
         self.transcript.record("reveal", edge=eid)
         return value
@@ -500,16 +523,25 @@ class QueryRun:
     def contract(self, eid: int) -> None:
         if eid not in self._state:
             raise UnknownEdge(eid)
-        ru, rv = self.endpoints(eid)
+        ru, rv = self.ends[eid]
         if ru == rv:
             raise ValidationError(f"edge {eid} is a self-loop; cannot contract")
         self._remove(eid, "contracted")
-        self._parent[ru] = rv
-        # parallel partners of the contracted edge become self-loops
-        for other in list(self._state):
-            a, b = self.endpoints(other)
+        self.vertex_count -= 1
+        ends, kept = self.ends, self._incident[rv]
+        absorbed, self._incident[ru] = self._incident[ru], None
+        loops = []
+        for other in absorbed:
+            a, b = ends[other]
+            a, b = ends[other] = (rv, b) if a == ru else (a, rv)
             if a == b:
-                self._remove(other, "deleted")
+                loops.append(other)
+            else:
+                kept.add(other)
+        # the self-loops are the contracted edge's parallels; a scan of
+        # every present edge would delete them in ascending id order
+        for other in sorted(loops):
+            self._remove(other, "deleted")
 
     def delete(self, eid: int) -> None:
         if eid not in self._state:
@@ -517,9 +549,12 @@ class QueryRun:
         self._remove(eid, "deleted")
 
     def _remove(self, eid: int, kind: str) -> None:
+        del self._state[eid]
+        a, b = self.ends[eid]
+        self._incident[a].discard(eid)
+        self._incident[b].discard(eid)
         # only reveal turns an interval into a point, so an edge still open
         # is one that was never queried and was not trivial to begin with
-        del self._state[eid]
         if self.lo[eid] != self.hi[eid]:
             self.removed_unqueried[eid] = kind
         self.removed[eid] = kind
@@ -534,26 +569,35 @@ class QueryRun:
         """Copy of the current state; optionally with a different value table.
 
         The fork shares the rank map, unless the new table holds a value
-        outside it; then the fork ranks everything over the union."""
+        outside it; then the fork ranks everything over the union.  It
+        copies the ranks, keys, endpoint table and incidence sets, so a
+        move on either side leaves the other as it was."""
         clone = QueryRun.__new__(QueryRun)
         clone._graph = self._graph
         clone._values = dict(values) if values is not None else dict(self._values)
         clone._state = dict(self._state)
         clone.rank, clone.pred = self.rank, self.pred
         clone.lo, clone.hi = list(self.lo), list(self.hi)
+        clone.lower, clone.upper = list(self.lower), list(self.upper)
         if values is not None:
             clone._rank_table()
-        clone._ends = self._ends
-        clone._parent = list(self._parent)
+        clone.ends = list(self.ends)
+        clone.vertex_count = self.vertex_count
+        clone._incident = [None if edges is None else set(edges) for edges in self._incident]
         clone.queried = list(self.queried)
         clone.removed = dict(self.removed)
         clone.removed_unqueried = dict(self.removed_unqueried)
         clone.transcript = Transcript()
         return clone
 
+    def _key_all(self) -> None:
+        lo, hi = self.lo, self.hi
+        self.lower: list[int] = [3 * a + (a != b) for a, b in zip(lo, hi)]
+        self.upper: list[int] = [3 * b - (a != b) for a, b in zip(lo, hi)]
+
     def _rank_table(self) -> None:
         """Make the rank map cover the value table: when the table holds a
-        value outside it, rank the union and recompute every rank."""
+        value outside it, rank the union and recompute every rank and key."""
         if all(v in self.rank for v in self._values.values()):
             return
         edges = self._graph.edges
@@ -562,6 +606,7 @@ class QueryRun:
         intervals = [self._state.get(e.eid, e.interval) for e in edges]
         self.lo = [self.rank[iv.low] for iv in intervals]
         self.hi = [self.rank[iv.high] for iv in intervals]
+        self._key_all()
 
     def graph_readonly(self) -> UncertainGraph:
         """The underlying instance, for oracle and reporting code.

@@ -12,8 +12,10 @@ values (:class:`~mstquery.graphcore.Ranking`), never on the values: a key
 3*hi-1 for U-eps and 3*r for a known value r.  The ranks preserve order and
 ties, and eps only breaks ties between equal bases, so the ints order
 exactly as the pairs do; a low or high end compares as its rank.  The
-`Interval` keys :func:`lower_key`/:func:`upper_key` stay the exact
-definition that the tests hold the ints to.
+session stores these keys and the endpoint table, so Kruskal reads both
+without building a per-call map.  The `Interval` keys
+:func:`lower_key`/:func:`upper_key` stay the exact definition that the
+tests hold the ints to.
 
 Cycles and cuts come from one path index per tree (:func:`_path_index`): the
 tree path of every non-tree edge, and for every tree edge the non-tree edges
@@ -42,23 +44,24 @@ upper_key = Interval.upper_key
 
 def lower_keys(run: QueryRun) -> list[int]:
     """:func:`lower_key` of every edge's current interval, by edge id, as
-    one int: 3*lo+1 for an open interval, 3*lo for a known value."""
-    return [3 * a + (a != b) for a, b in zip(run.lo, run.hi)]
+    one int: 3*lo+1 for an open interval, 3*lo for a known value.  The
+    session's stored list; read-only."""
+    return run.lower
 
 
 def upper_keys(run: QueryRun) -> list[int]:
     """:func:`upper_key` of every edge's current interval, by edge id, as
-    one int: 3*hi-1 for an open interval, 3*hi for a known value."""
-    return [3 * b - (a != b) for a, b in zip(run.lo, run.hi)]
+    one int: 3*hi-1 for an open interval, 3*hi for a known value.  The
+    session's stored list; read-only."""
+    return run.upper
 
 
 def _kruskal(run: QueryRun, keys: list[int]) -> set[int]:
     ids = run.present_ids()
-    ends = {eid: run.endpoints(eid) for eid in ids}
-    parent = {v: v for pair in ends.values() for v in pair}
+    parent = list(range(run.graph_readonly().vertex_count))
     # ids ascend, so a stable sort by key breaks ties by id
-    tree = set(kruskal(sorted(ids, key=keys.__getitem__), ends, parent))
-    if parent and len(tree) != len(parent) - 1:
+    tree = set(kruskal(sorted(ids, key=keys.__getitem__), run.ends, parent))
+    if ids and len(tree) != run.vertex_count - 1:
         raise PreconditionViolated("graph is disconnected; no spanning tree exists")
     return tree
 
@@ -73,8 +76,9 @@ def upper_limit_tree(run: QueryRun) -> set[int]:
 
 def _tree_adjacency(run: QueryRun, tree: set[int]) -> dict[int, list[tuple[int, int]]]:
     adj: dict[int, list[tuple[int, int]]] = {}
+    ends = run.ends
     for eid in tree:
-        a, b = run.endpoints(eid)
+        a, b = ends[eid]
         adj.setdefault(a, []).append((b, eid))
         adj.setdefault(b, []).append((a, eid))
     return adj
@@ -120,8 +124,9 @@ def tree_cut(run: QueryRun, tree: set[int], eid: int) -> list[int]:
                 side.add(nbr)
                 stack.append(nbr)
     cut = []
+    ends = run.ends
     for other in run.present_ids():
-        x, y = run.endpoints(other)
+        x, y = ends[other]
         if (x in side) != (y in side):
             cut.append(other)
     return cut
@@ -151,10 +156,11 @@ def _path_index(run: QueryRun, tree: set[int]) -> PathIndex:
                 stack.append(nbr)
     paths: dict[int, list[int]] = {}
     covers: dict[int, set[int]] = {l: set() for l in tree}
+    ends = run.ends
     for f in run.present_ids():
         if f in tree:
             continue
-        a, b = run.endpoints(f)
+        a, b = ends[f]
         from_b: list[int] = []
         from_a: list[int] = []
         while a != b:
@@ -264,11 +270,11 @@ def is_solved(run: QueryRun) -> Optional[set[int]]:
     """
     tree = lower_limit_tree(run)
     adj = _tree_adjacency(run, tree)
-    lo, hi = run.lo, run.hi
+    lo, hi, ends = run.lo, run.hi, run.ends
     for f in run.present_ids():
         if f in tree:
             continue
-        a, b = run.endpoints(f)
+        a, b = ends[f]
         for e in _tree_path(adj, a, b):
             if hi[e] > lo[f]:
                 return None
@@ -291,11 +297,11 @@ def reduce_once(run: QueryRun) -> bool:
     Returns True if the minor changed."""
     tree = lower_limit_tree(run)
     adj = _tree_adjacency(run, tree)
-    lo, hi = run.lo, run.hi
+    lo, hi, ends = run.lo, run.hi, run.ends
     for f in run.present_ids():
         if f in tree:
             continue
-        a, b = run.endpoints(f)
+        a, b = ends[f]
         if all(hi[e] <= lo[f] for e in _tree_path(adj, a, b)):
             run.delete(f)
             return True

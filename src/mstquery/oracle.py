@@ -202,11 +202,9 @@ def sampled_tree_validation(
 
 def _min_tree(run: QueryRun, weights: Mapping[int, Union[Fraction, int]]) -> list[int]:
     """Kruskal over the present edges by (weight, edge id)."""
-    ids = run.present_ids()
-    ends = {eid: run.endpoints(eid) for eid in ids}
-    parent = {v: v for pair in ends.values() for v in pair}
+    parent = list(range(run.graph_readonly().vertex_count))
     # ids ascend, so a stable sort by weight breaks ties by id
-    return kruskal(sorted(ids, key=weights.__getitem__), ends, parent)
+    return kruskal(sorted(run.present_ids(), key=weights.__getitem__), run.ends, parent)
 
 
 def _tree_is_minimum(run: QueryRun, tree: frozenset[int], weights: Mapping[int, Fraction]) -> bool:

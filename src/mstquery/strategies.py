@@ -436,19 +436,26 @@ def _ensure_with_partner_rule(run: QueryRun, pair: dict[int, int], ledger: Error
                 progress = True
 
 
-def _membership_flip(run: QueryRun, snap_tree: set[int], snap_nontree: set[int]) -> bool:
+def _membership_flip(run: QueryRun, snap_tree: set[int]) -> bool:
+    """Whether the tree membership of an edge changed since `snap_tree`,
+    the limit tree when every present edge was in it or outside it.
+
+    Checking the snapshot tree alone is complete.  Let the minor have n0
+    vertices at the snapshot and C contractions since, C_tree of them of
+    snapshot tree edges; each contraction removes one vertex, so the
+    current tree has n0-1-C edges.  If no snapshot tree edge was deleted
+    and each present one is still in the tree, the present snapshot tree
+    edges, n0-1-C_tree of them, all lie in the current tree; so
+    C_tree >= C, hence C_tree = C: no snapshot non-tree edge was
+    contracted, and the current tree is exactly the present snapshot
+    tree, which leaves every present snapshot non-tree edge outside it.
+    """
     tree_now = lower_limit_tree(run)
     for e in snap_tree:
         if run.is_present(e):
             if e not in tree_now:
                 return True
         elif run.removed.get(e) == "deleted":
-            return True
-    for e in snap_nontree:
-        if run.is_present(e):
-            if e in tree_now:
-                return True
-        elif run.removed.get(e) == "contracted":
             return True
     return False
 
@@ -471,7 +478,7 @@ def phase2_error_sensitive(run: QueryRun) -> ErrorSensitiveLedger:
     for _ in rounds(run, "phase2_error_sensitive"):
         trees = compute_limit_trees(run)
         f_list, l_list = _phase2_lists(run, trees, cover)
-        snap_tree, snap_nontree = set(trees.tree), set(trees.cycles)
+        snap_tree = set(trees.tree)
         restarted = False
         for e in f_list + l_list:
             if run.is_present(e) and not run.is_trivial(e):
@@ -484,7 +491,7 @@ def phase2_error_sensitive(run: QueryRun) -> ErrorSensitiveLedger:
                 if partner not in ledger.deferred_entry:
                     ledger.deferred_entry[partner] = ledger.tick()
             _ensure_with_partner_rule(run, pair, ledger)
-            if not _membership_flip(run, snap_tree, snap_nontree):
+            if not _membership_flip(run, snap_tree):
                 continue
             # the cover instance changed: retain what survives of the
             # matching, complete it, replay deferred elements that re-enter
