@@ -176,16 +176,29 @@ class Ranking(NamedTuple):
 
 def rank_values(edges: tuple[UncertainEdge, ...], extra: Iterable[Fraction] = ()) -> Ranking:
     """Ranking over every interval end, truth and prediction of `edges`
-    (ordered by edge id) and the values of `extra`."""
-    pool = {x for e in edges for x in (e.interval.low, e.interval.high, e.true_value, e.predicted_value)}
-    pool.update(extra)
-    distinct = sorted(pool)
-    rank = dict(zip(distinct, range(len(distinct))))
+    (ordered by edge id) and the values of `extra`.
+
+    The pool and the per-edge lookups key on (numerator, denominator)
+    pairs, which name each value once (a Fraction is kept in lowest terms)
+    and hash far cheaper than a Fraction; each distinct value is hashed as
+    a Fraction once, into `rank`."""
+    pool: dict[tuple[int, int], Fraction] = {}
+    for e in edges:
+        for x in (e.interval.low, e.interval.high, e.true_value, e.predicted_value):
+            pool[x.numerator, x.denominator] = x
+    for x in extra:
+        pool[x.numerator, x.denominator] = x
+    distinct = sorted(pool.values())
+    code = {(x.numerator, x.denominator): i for i, x in enumerate(distinct)}
+
+    def ranks(values: Iterable[Fraction]) -> tuple[int, ...]:
+        return tuple(code[x.numerator, x.denominator] for x in values)
+
     return Ranking(
-        rank,
-        tuple(rank[e.interval.low] for e in edges),
-        tuple(rank[e.interval.high] for e in edges),
-        tuple(rank[e.predicted_value] for e in edges),
+        dict(zip(distinct, range(len(distinct)))),
+        ranks(e.interval.low for e in edges),
+        ranks(e.interval.high for e in edges),
+        ranks(e.predicted_value for e in edges),
     )
 
 
@@ -571,7 +584,8 @@ class QueryRun:
         The fork shares the rank map, unless the new table holds a value
         outside it; then the fork ranks everything over the union.  It
         copies the ranks, keys, endpoint table and incidence sets, so a
-        move on either side leaves the other as it was."""
+        move on either side leaves the other as it was.  It starts a new
+        transcript and holds no limit trees (see :mod:`.limittrees`)."""
         clone = QueryRun.__new__(QueryRun)
         clone._graph = self._graph
         clone._values = dict(values) if values is not None else dict(self._values)

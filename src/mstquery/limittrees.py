@@ -20,10 +20,40 @@ tests hold the ints to.
 Cycles and cuts come from one path index per tree (:func:`_path_index`): the
 tree path of every non-tree edge, and for every tree edge the non-tree edges
 whose path covers it.  A tree edge's cut is that edge plus its covering
-edges.  Verified reduction runs one Kruskal per call: deleting a non-tree
-edge leaves the lower limit tree unchanged, and contracting tree edge l
-leaves it minus l, so one tree and one index serve every move of the call,
-and the tree it leaves behind is the next round's lower limit tree.
+edges.
+
+The session holds its limit trees between reads: the lower limit tree, its
+path index and the upper limit tree, valid at a length of the session's
+transcript.  The transcript is a complete log of the moves, since
+:meth:`~mstquery.graphcore.QueryRun.reveal`, ``contract`` and ``delete``
+each record one event per edge they change (a contraction also records the
+deletion of every self-loop it leaves), and nothing else changes a key or
+the minor.  Before a read, the moves recorded since are applied to the held
+trees, each in O(its path or cover) time:
+
+- deleting a non-tree edge leaves the tree; its path goes, and its id
+  leaves the covers;
+- contracting a tree edge l leaves the tree minus l, and removes l from
+  every path that held it, keeping the order of the rest;
+- a reveal changes one edge's keys.  Under the total order (key, edge id)
+  the MST is unique, and it stays the MST exactly when the cut rule holds
+  for every tree edge against its covers; only the pairs with the revealed
+  edge e can change.  So the tree stands unless e is a tree edge with a
+  cover now below it, or a non-tree edge with a path edge now above it,
+  and one key change moves at most one edge in or out.
+
+Any other move (a swap, deleting a tree edge, contracting a non-tree edge,
+or a reveal the held index cannot judge) drops the held tree, and the next
+read rebuilds it with Kruskal and :func:`_path_index`.  Readers get copies;
+the held sets and index stay private to this module.  The keys a held tree
+was built on change only by a reveal, so a session must never be re-ranked
+after its construction or :meth:`~mstquery.graphcore.QueryRun.fork`; a fork
+gets a new transcript and starts with nothing held.
+
+Verified reduction moves on the held tree and index: deleting a non-tree
+edge changes neither the tree nor another edge's path, and contracting tree
+edge l leaves it minus l, so one tree and one index serve every move of a
+call, and what the moves leave is the next round's lower limit tree.
 """
 
 from __future__ import annotations
@@ -67,11 +97,11 @@ def _kruskal(run: QueryRun, keys: list[int]) -> set[int]:
 
 
 def lower_limit_tree(run: QueryRun) -> set[int]:
-    return _kruskal(run, lower_keys(run))
+    return set(_held_lower(run).lower)
 
 
 def upper_limit_tree(run: QueryRun) -> set[int]:
-    return _kruskal(run, upper_keys(run))
+    return set(_held_upper(run))
 
 
 def _tree_adjacency(run: QueryRun, tree: set[int]) -> dict[int, list[tuple[int, int]]]:
@@ -178,6 +208,98 @@ def _path_index(run: QueryRun, tree: set[int]) -> PathIndex:
 
 
 @dataclass
+class _Held:
+    """The limit trees a session holds, valid after its first `at`
+    transcript events; a tree that a move may have changed is None."""
+
+    at: int
+    lower: Optional[set[int]] = None
+    index: Optional[PathIndex] = None   # of `lower`; None when not built
+    upper: Optional[set[int]] = None
+
+
+def _stays(tree: set[int], index: PathIndex, keys: list[int], e: int) -> bool:
+    """Whether `tree`, the minimum spanning tree under `keys` before the key
+    of edge e changed, still is one: every cover of e is above it (e in the
+    tree), or every edge on e's path is below it (e outside), in the order
+    (key, edge id)."""
+    k = keys[e]
+    if e in tree:
+        return all(keys[x] > k or keys[x] == k and x > e for x in index.covers[e])
+    return all(keys[x] < k or keys[x] == k and x < e for x in index.paths[e])
+
+
+def _synced(run: QueryRun) -> Optional[_Held]:
+    """The session's held limit trees with every move recorded since
+    applied, or None if it holds none."""
+    held: Optional[_Held] = getattr(run, "_limit_trees", None)
+    if held is None:
+        return None
+    events = run.transcript.events
+    for ev in events[held.at:]:
+        e, kind = ev.edge, ev.kind
+        lower, index, upper = held.lower, held.index, held.upper
+        if kind == "reveal":
+            # the index serves the upper tree too while the two coincide
+            if upper is not None and not (
+                index is not None and upper == lower and _stays(upper, index, run.upper, e)
+            ):
+                held.upper = None
+            if lower is not None and not (index is not None and _stays(lower, index, run.lower, e)):
+                held.lower = held.index = None
+        elif kind == "delete":
+            if upper is not None and e in upper:
+                held.upper = None
+            if lower is not None:
+                if e in lower:
+                    held.lower = held.index = None
+                elif index is not None:
+                    for l in index.paths.pop(e):
+                        index.covers[l].discard(e)
+        elif kind == "contract":
+            if upper is not None:
+                if e in upper:
+                    upper.discard(e)
+                else:
+                    held.upper = None
+            if lower is not None:
+                if e not in lower:
+                    held.lower = held.index = None
+                else:
+                    lower.discard(e)
+                    if index is not None:
+                        for f in index.covers.pop(e):
+                            index.paths[f].remove(e)
+    held.at = len(events)
+    return held
+
+
+def _held(run: QueryRun) -> _Held:
+    held = _synced(run)
+    if held is None:
+        held = run._limit_trees = _Held(len(run.transcript.events))
+    return held
+
+
+def _held_lower(run: QueryRun, indexed: bool = False) -> _Held:
+    """The held state with the lower limit tree built, and its path index
+    too if `indexed`."""
+    held = _held(run)
+    if held.lower is None:
+        held.lower = _kruskal(run, lower_keys(run))
+    if indexed and held.index is None:
+        held.index = _path_index(run, held.lower)
+    return held
+
+
+def _held_upper(run: QueryRun) -> set[int]:
+    held = _held(run)
+    if held.upper is None:
+        held.upper = _kruskal(run, upper_keys(run))
+    return held.upper
+
+
+@dataclass
 class LimitTrees:
     """Normal form of an instance with unique coinciding limit trees."""
 
@@ -228,9 +350,10 @@ def _uniqueness_gap(run: QueryRun, index: PathIndex):
 
 
 def limit_trees_unique(run: QueryRun) -> bool:
-    t_lower = lower_limit_tree(run)
-    t_upper = upper_limit_tree(run)
-    return t_lower == t_upper and _uniqueness_gap(run, _path_index(run, t_lower)) is None
+    held = _held_lower(run)
+    if held.lower != _held_upper(run):
+        return False
+    return _uniqueness_gap(run, _held_lower(run, indexed=True).index) is None
 
 
 def _normal_form(run: QueryRun, tree: set[int], index: PathIndex) -> LimitTrees:
@@ -248,14 +371,13 @@ def compute_limit_trees(run: QueryRun) -> LimitTrees:
     :func:`ensure_unique_limit_trees` first, or call
     :func:`unique_limit_trees`, which does both).
     """
-    t_lower = lower_limit_tree(run)
-    t_upper = upper_limit_tree(run)
-    if t_lower != t_upper:
+    held = _held_lower(run)
+    if held.lower != _held_upper(run):
         raise PreconditionViolated("limit trees differ; preprocessing required")
-    index = _path_index(run, t_lower)
+    index = _held_lower(run, indexed=True).index
     if _uniqueness_gap(run, index) is not None:
         raise PreconditionViolated("limit trees are not unique; preprocessing required")
-    return _normal_form(run, t_lower, index)
+    return _normal_form(run, set(held.lower), index)
 
 
 def is_solved(run: QueryRun) -> Optional[set[int]]:
@@ -267,8 +389,15 @@ def is_solved(run: QueryRun) -> Optional[set[int]]:
     admitted because open intervals exclude their endpoints.  Checking the
     lower limit tree alone is complete: any verified tree differs from it
     only by swaps of equal known values.
+
+    Reads the held lower limit tree when the session holds one; otherwise
+    runs Kruskal and holds nothing, so a fresh fork costs one Kruskal.
     """
-    tree = lower_limit_tree(run)
+    held = _synced(run)
+    if held is None or held.lower is None:
+        tree = _kruskal(run, lower_keys(run))
+    else:
+        tree = set(held.lower)
     adj = _tree_adjacency(run, tree)
     lo, hi, ends = run.lo, run.hi, run.ends
     for f in run.present_ids():
@@ -316,30 +445,31 @@ def reduce_verified(run: QueryRun) -> set[int]:
     """Remove every verified edge; returns the lower limit tree left behind.
 
     Makes exactly the moves of calling :func:`reduce_once` until it returns
-    False, from one Kruskal and one path index.  Deleting a non-tree edge
-    changes neither the tree nor another edge's path, so every dominated
-    non-tree edge goes first, in id order.  Contracting tree edge l leaves
+    False, from the held lower limit tree and its path index (one Kruskal
+    and one index build when the session holds neither).  Deleting a
+    non-tree edge changes neither the tree nor another edge's path, so every
+    dominated non-tree edge goes first, in id order.  Contracting tree edge l leaves
     the tree minus l and every other cover as it was, so the contractible
     tree edges follow in id order.  Neither move enables one of the other
     kind: a dominated edge has low >= high of every edge on its path, so
     it never blocked a contraction, and an edge whose path held a
     contractible l has low >= high(l), so l never blocked its domination.
-    The lower limit tree of the reduced minor is therefore the Kruskal tree
-    minus the contracted edges.
+    The lower limit tree of the reduced minor is therefore the held tree
+    minus the contracted edges, which the held state applies on the next
+    read.
     """
-    tree = lower_limit_tree(run)
-    paths, covers = _path_index(run, tree)
-    # deletions and contractions change no interval, so the ranks hold
+    held = _held_lower(run, indexed=True)
+    tree, (paths, covers) = held.lower, held.index
+    # deletions and contractions change no interval, so the ranks hold, and
+    # both lists are fixed before the first move changes the held state
     lo, hi = run.lo, run.hi
-    for f in sorted(paths):
-        if all(hi[e] <= lo[f] for e in paths[f]):
-            run.delete(f)
-    contracted = set()
-    for l in sorted(tree):
-        if all(lo[x] >= hi[l] for x in covers[l]):
-            run.contract(l)
-            contracted.add(l)
-    return tree - contracted
+    dominated = [f for f in sorted(paths) if all(hi[e] <= lo[f] for e in paths[f])]
+    contractible = [l for l in sorted(tree) if all(lo[x] >= hi[l] for x in covers[l])]
+    for f in dominated:
+        run.delete(f)
+    for l in contractible:
+        run.contract(l)
+    return set(_held_lower(run).lower)
 
 
 def ensure_unique_limit_trees(run: QueryRun, reduce: bool = True) -> list[int]:
@@ -365,7 +495,7 @@ def unique_limit_trees(run: QueryRun) -> LimitTrees:
 
 def _certify(run: QueryRun, reduce: bool) -> tuple[set[int], PathIndex]:
     """The rounds of :func:`ensure_unique_limit_trees`; returns the unique
-    limit tree and its path index."""
+    limit tree and the held path index, which callers must not keep."""
     for _ in rounds(run, "ensure_unique_limit_trees"):
         t_lower = reduce_verified(run) if reduce else lower_limit_tree(run)
         t_upper = upper_limit_tree(run)
@@ -377,7 +507,7 @@ def _certify(run: QueryRun, reduce: bool) -> tuple[set[int], PathIndex]:
                 )
             run.reveal(diff[0])
             continue
-        index = _path_index(run, t_lower)
+        index = _held_lower(run, indexed=True).index
         gap = _uniqueness_gap(run, index)
         if gap is None:
             return t_lower, index

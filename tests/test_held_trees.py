@@ -1,0 +1,308 @@
+"""The limit trees a session holds between reads, against a rebuild.
+
+`limittrees` keeps each session's lower limit tree, its path index and its
+upper limit tree, and applies every recorded move to them before a read.
+These tests hold that state to the from-scratch reference, `_kruskal` over
+the session's keys and `_path_index` over the lower tree, after every move
+of live strategy runs, at every read, after moves that must drop the held
+state, across forks, and against callers that keep or change a tree they
+were handed.
+"""
+
+from collections import Counter
+
+from cases import ERROR_RATES, build_corpus, kernel_case
+from mstquery import factory, limittrees, strategies
+from mstquery.graphcore import QueryRun
+from mstquery.limittrees import (
+    _kruskal,
+    _path_index,
+    _synced,
+    compute_limit_trees,
+    ensure_unique_limit_trees,
+    is_solved,
+    lower_limit_tree,
+    reduce_verified,
+    unique_limit_trees,
+    upper_limit_tree,
+)
+from mstquery.strategies import StrategyConfig, run_combined
+
+
+def assert_held_matches_a_rebuild(run, seen=None):
+    """Every part the session holds equals its from-scratch reference: the
+    lower tree, each path in order, each cover, and the upper tree."""
+    held = _synced(run)
+    if held is None:
+        return
+    if held.lower is not None:
+        lower = _kruskal(run, run.lower)
+        assert held.lower == lower
+        if held.index is not None:
+            reference = _path_index(run, lower)
+            assert held.index.paths == reference.paths
+            assert held.index.covers == reference.covers
+            if seen is not None:
+                seen["index"] += 1
+    if held.upper is not None:
+        assert held.upper == _kruskal(run, run.upper)
+        if seen is not None:
+            seen["upper"] += 1
+
+
+def live_graphs():
+    graphs = [g for rate in ERROR_RATES for g in build_corpus(rate, 60)]
+    graphs += [kernel_case(seed)[0] for seed in range(120)]
+    graphs += [factory.gen_path_parallel(n) for n in (4, 8)]
+    graphs += [factory.gen_vc_flip(n, variant) for n in (4, 8) for variant in ("ex1", "ex2")]
+    graphs += [factory.gen_triangle_chain(n) for n in (2, 4)]
+    return graphs
+
+
+def large_graphs():
+    """Graphs past the brute-force optimum's cap."""
+    graphs = [factory.gen_path_parallel(16), factory.gen_vc_flip(16, "ex2"), factory.gen_triangle_chain(16)]
+    return graphs + [factory.gen_random(40, 40, 0.9, 0.3, seed=5), factory.gen_random(60, 60, 0.95, 0.5, seed=6)]
+
+
+CONFIGS = [StrategyConfig(mode="baseline")] + [
+    StrategyConfig(gamma=gamma, mode=mode) for mode in ("tradeoff", "error_sensitive") for gamma in (2, 3)
+]
+
+
+def run_strategy(g, config):
+    """The strategy part of run_combined, without the brute-force optimum."""
+    run = strategies.QueryRun(g)
+    if config.mode == "baseline":
+        strategies.run_baseline(run)
+    else:
+        strategies.make_prediction_mandatory_free(run, config.gamma)
+        phase2 = strategies.phase2_tradeoff if config.mode == "tradeoff" else strategies.phase2_error_sensitive
+        phase2(run)
+    ensure_unique_limit_trees(run)
+
+
+def run_live(graphs, large):
+    for g in graphs:
+        for config in CONFIGS:
+            run_combined(g, config)
+    for g in large:
+        for config in CONFIGS:
+            run_strategy(g, config)
+
+
+class CheckedRun(QueryRun):
+    """A session that checks its held limit trees after every move."""
+
+    seen = Counter()
+
+    def _check(self, kind):
+        held = _synced(self)
+        if held is not None:
+            # a tree still held after a reveal went through the cover or
+            # path rule rather than a rebuild
+            if kind == "reveal" and held.index is not None:
+                CheckedRun.seen["lower kept by a reveal"] += 1
+                if held.upper is not None:
+                    CheckedRun.seen["upper kept by a reveal"] += 1
+        assert_held_matches_a_rebuild(self, CheckedRun.seen)
+        CheckedRun.seen[kind] += 1
+
+    def reveal(self, eid):
+        value = super().reveal(eid)
+        self._check("reveal")
+        return value
+
+    def delete(self, eid):
+        super().delete(eid)
+        self._check("delete")
+
+    def contract(self, eid):
+        super().contract(eid)
+        self._check("contract")
+
+
+def test_held_trees_match_a_rebuild_after_every_move_of_live_runs(monkeypatch):
+    monkeypatch.setattr(strategies, "QueryRun", CheckedRun)
+    CheckedRun.seen = Counter()
+    run_live(live_graphs(), large_graphs())
+    seen = CheckedRun.seen
+    assert seen["reveal"] + seen["delete"] + seen["contract"] > 20000
+    assert seen["lower kept by a reveal"] > 2000 and seen["upper kept by a reveal"] > 1000
+    assert seen["index"] > 15000 and seen["upper"] > 3500
+
+
+def test_held_trees_match_a_rebuild_at_every_read_of_live_runs(monkeypatch):
+    # no check between moves here: each read applies every move since the
+    # last one at once, as a plain session does
+    synced = limittrees._synced
+    seen = Counter()
+
+    def checked(run):
+        held = synced(run)
+        if held is not None:
+            assert_held_matches_a_rebuild(run, seen)
+        return held
+
+    monkeypatch.setattr(limittrees, "_synced", checked)
+    run_live(live_graphs()[::2], large_graphs()[::2])
+    assert seen["index"] > 20000 and seen["upper"] > 15000
+
+
+# -- moves that must drop the held state ---------------------------------------
+
+
+def held_session(g):
+    """A session holding both limit trees and the lower tree's index, with
+    no edge removed."""
+    run = QueryRun(g)
+    ensure_unique_limit_trees(run, reduce=False)
+    upper_limit_tree(run)
+    held = _synced(run)
+    assert held.lower is not None and held.index is not None and held.upper is not None
+    return run, held
+
+
+def test_contracting_a_non_tree_edge_rebuilds_the_trees():
+    contracted = 0
+    for seed in range(60):
+        g, _ = kernel_case(seed)
+        run, held = held_session(g)
+        nontree = sorted(held.index.paths)
+        if not nontree:
+            continue
+        f = nontree[0]
+        in_upper = f in held.upper
+        run.contract(f)
+        held = _synced(run)
+        assert held.lower is None and held.index is None
+        assert (held.upper is None) != in_upper
+        assert lower_limit_tree(run) == _kruskal(run, run.lower)
+        assert upper_limit_tree(run) == _kruskal(run, run.upper)
+        ensure_unique_limit_trees(run, reduce=False)
+        assert_held_matches_a_rebuild(run)
+        contracted += 1
+    assert contracted > 40
+
+
+def test_deleting_a_tree_edge_rebuilds_the_trees():
+    deleted = 0
+    for seed in range(60):
+        g, _ = kernel_case(seed)
+        run, held = held_session(g)
+        # a tree edge with a cover is on a cycle, so the graph stays connected
+        covered = sorted(l for l, covers in held.index.covers.items() if covers)
+        if not covered:
+            continue
+        l = covered[0]
+        in_upper = l in held.upper
+        run.delete(l)
+        held = _synced(run)
+        assert held.lower is None and held.index is None
+        assert (held.upper is None) == in_upper
+        assert lower_limit_tree(run) == _kruskal(run, run.lower)
+        assert upper_limit_tree(run) == _kruskal(run, run.upper)
+        ensure_unique_limit_trees(run, reduce=False)
+        assert_held_matches_a_rebuild(run)
+        deleted += 1
+    assert deleted > 40
+
+
+# -- forks -------------------------------------------------------------------
+
+
+def snapshot(run):
+    held = _synced(run)
+    return (
+        set(held.lower),
+        {f: list(path) for f, path in held.index.paths.items()},
+        {l: set(covers) for l, covers in held.index.covers.items()},
+        set(held.upper),
+    )
+
+
+def churn(run):
+    """Reveal every open edge and contract the tree down to one vertex,
+    reading and checking the held trees after each move."""
+    for eid in run.non_trivial_ids():
+        if run.is_trivial(eid):
+            continue
+        run.reveal(eid)
+        ensure_unique_limit_trees(run, reduce=False)
+        upper_limit_tree(run)
+        assert_held_matches_a_rebuild(run)
+    while run.vertex_count > 1:
+        run.contract(min(lower_limit_tree(run)))
+        upper_limit_tree(run)
+        assert_held_matches_a_rebuild(run)
+
+
+def test_moves_in_a_fork_leave_the_held_trees_of_the_parent_correct():
+    for seed in range(40):
+        g, _ = kernel_case(seed)
+        parent, _ = held_session(g)
+        ids = parent.non_trivial_ids()
+        for eid in ids[: len(ids) // 2]:
+            parent.reveal(eid)
+        ensure_unique_limit_trees(parent, reduce=False)
+        upper_limit_tree(parent)
+        before = snapshot(parent)
+        # midpoints of an open interval's low end and its truth: a fork onto
+        # them ranks the union afresh
+        outside = {
+            e.eid: e.true_value if e.interval.is_trivial else (e.interval.low + e.true_value) / 2
+            for e in g.edges
+        }
+        for values in (None, g.predicted_values(), outside):
+            fork = parent.fork(values)
+            assert _synced(fork) is None
+            churn(fork)
+            assert snapshot(parent) == before
+            assert_held_matches_a_rebuild(parent)
+        # and the other way round: the parent's moves leave a fork's trees
+        fork = parent.fork()
+        ensure_unique_limit_trees(fork, reduce=False)
+        upper_limit_tree(fork)
+        kept = snapshot(fork)
+        churn(parent)
+        assert snapshot(fork) == kept
+        assert_held_matches_a_rebuild(fork)
+
+
+# -- trees handed to callers ---------------------------------------------------
+
+
+def test_returned_trees_are_copies_of_the_held_state():
+    checked = 0
+    graphs = [g for rate in ERROR_RATES for g in build_corpus(rate, 40)]
+    graphs += [kernel_case(seed)[0] for seed in range(60)]
+    for g in graphs:
+        run = QueryRun(g)
+        kept = []  # (tree a caller was handed, its contents then)
+        while True:
+            handed = [
+                unique_limit_trees(run).tree,
+                compute_limit_trees(run).tree,
+                lower_limit_tree(run),
+                upper_limit_tree(run),
+                reduce_verified(run),
+            ]
+            solved = is_solved(run)
+            if solved is not None:
+                handed.append(solved)
+            # the moves since the last round change nothing a caller holds
+            for tree, contents in kept:
+                assert tree == contents
+                checked += 1
+            kept += [(tree, set(tree)) for tree in handed]
+            # a caller that changes what it was handed changes nothing held
+            changed = [lower_limit_tree(run), upper_limit_tree(run), compute_limit_trees(run).tree]
+            for tree in changed + ([is_solved(run)] if solved is not None else []):
+                tree.clear()
+                tree.add(-1)
+            assert_held_matches_a_rebuild(run)
+            open_ids = run.non_trivial_ids()
+            if not open_ids:
+                break
+            run.reveal(open_ids[len(open_ids) // 2])
+    assert checked > 1200
