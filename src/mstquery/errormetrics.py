@@ -11,7 +11,8 @@ Every relation-mismatch count goes through one kernel,
 relation to every other open interval, in ``graph.edges`` order; two values
 disagree on e's relations exactly where their signatures differ.  Callers
 compute one signature per (edge, distinct value) and compare signatures,
-instead of re-deriving relations for every pair of values.
+instead of re-deriving relations for every pair of values.  The kernel
+compares positions read from the graph's ranking, not the values.
 """
 
 from __future__ import annotations
@@ -38,42 +39,33 @@ def relation(value: Fraction, interval: Interval) -> int:
     return INSIDE
 
 
-def open_limits(graph: UncertainGraph) -> list[Fraction]:
-    """Sorted distinct endpoints of the graph's open intervals."""
-    return sorted({x for e in graph.edges if not e.interval.is_trivial for x in (e.interval.low, e.interval.high)})
-
-
 class RelationKernel:
     """Relation signatures against the open intervals of one graph.
 
-    A value's position is 2i if it equals the i-th of the sorted open
-    endpoints, else 2i-1 with i the index of the first endpoint above it.
-    Positions compare with endpoints' positions exactly as the values compare
-    with the endpoints, so a value costs one bisection and each relation two
-    integer comparisons.
+    Positions come from the graph's ranking: a ranked value sits at 2*rank,
+    so every open end does too, and any other value at 2i-1, with i the
+    index of the first ranked value above it.  Positions compare with the
+    ends' positions exactly as the values compare with the ends, so each
+    relation costs two integer comparisons.
     """
 
     def __init__(self, graph: UncertainGraph):
-        self.limits = open_limits(graph)
-        at = {x: 2 * i for i, x in enumerate(self.limits)}
+        self.ranking = ranking = graph.ranking
         # (eid, low position, high position) of every open interval
         self.open = [
-            (e.eid, at[e.interval.low], at[e.interval.high]) for e in graph.edges if not e.interval.is_trivial
+            (e.eid, 2 * lo, 2 * hi) for e, lo, hi in zip(graph.edges, ranking.lo, ranking.hi) if lo != hi
         ]
 
     def others(self, eid: int) -> list[tuple[int, int, int]]:
         """The open intervals of every edge but eid, in ``graph.edges`` order."""
         return [t for t in self.open if t[0] != eid]
 
-    def position(self, value: Fraction) -> int:
-        i = bisect_left(self.limits, value)
-        return 2 * i if i < len(self.limits) and self.limits[i] == value else 2 * i - 1
-
     def signature(self, value: Fraction, others: list[tuple[int, int, int]]) -> list[int]:
         """:func:`relation` of value to each interval of `others`.  A list, not
         a tuple: freed short tuples stay on CPython's tuple free lists and keep
         their memory."""
-        p = self.position(value)
+        r = self.ranking.rank.get(value)
+        p = 2 * r if r is not None else 2 * bisect_left(self.ranking.values, value) - 1
         return [LEFT if p <= lo else RIGHT if p >= hi else INSIDE for _, lo, hi in others]
 
 

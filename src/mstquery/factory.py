@@ -4,6 +4,7 @@ prediction error."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -177,6 +178,9 @@ def gen_random(
     truths, then an error_rate fraction of edges gets its prediction
     resampled inside the interval.
     """
+    for name, x in (("overlap_density", overlap_density), ("error_rate", error_rate)):
+        if isinstance(x, float) and not math.isfinite(x):
+            raise InvalidParams(f"{name} must be finite, got {x}")
     density = Fraction(overlap_density).limit_denominator(1000) if not isinstance(overlap_density, Fraction) else overlap_density
     err = Fraction(error_rate).limit_denominator(1000) if not isinstance(error_rate, Fraction) else error_rate
     if vertices < 2:

@@ -148,9 +148,6 @@ class Interval:
             return self.contains(other.low)
         return max(self.low, other.low) < min(self.high, other.high)
 
-    def contained_in(self, other: "Interval") -> bool:
-        return other.low <= self.low and self.high <= other.high
-
     # Lexicographic (base, eps) keys realizing the L+eps / U-eps perturbations.
     def lower_key(self) -> LimitValue:
         return LimitValue(self.low, 0 if self.is_trivial else 1)
@@ -162,13 +159,14 @@ class Interval:
 class Ranking(NamedTuple):
     """Order-preserving integer codes of a set of exact values.
 
-    `rank` maps each distinct value to its position in ascending order, so
-    a < b iff rank[a] < rank[b], and a == b iff rank[a] == rank[b].  `lo`,
-    `hi` and `pred` hold, by edge id, the ranks of each edge's interval
-    ends and prediction.
+    `values` holds the distinct values in ascending order and `rank` maps
+    each to its index there, so a < b iff rank[a] < rank[b], a == b iff
+    rank[a] == rank[b], and values[rank[a]] is a.  `lo`, `hi` and `pred`
+    hold, by edge id, the ranks of each edge's interval ends and prediction.
     """
 
     rank: dict[Fraction, int]
+    values: tuple[Fraction, ...]
     lo: tuple[int, ...]
     hi: tuple[int, ...]
     pred: tuple[int, ...]
@@ -188,7 +186,7 @@ def rank_values(edges: tuple[UncertainEdge, ...], extra: Iterable[Fraction] = ()
             pool[x.numerator, x.denominator] = x
     for x in extra:
         pool[x.numerator, x.denominator] = x
-    distinct = sorted(pool.values())
+    distinct = tuple(sorted(pool.values()))
     code = {(x.numerator, x.denominator): i for i, x in enumerate(distinct)}
 
     def ranks(values: Iterable[Fraction]) -> tuple[int, ...]:
@@ -196,6 +194,7 @@ def rank_values(edges: tuple[UncertainEdge, ...], extra: Iterable[Fraction] = ()
 
     return Ranking(
         dict(zip(distinct, range(len(distinct)))),
+        distinct,
         ranks(e.interval.low for e in edges),
         ranks(e.interval.high for e in edges),
         ranks(e.predicted_value for e in edges),

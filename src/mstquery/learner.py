@@ -3,7 +3,9 @@
 The loss of a candidate predicted value for one edge depends only on which
 side of each other open interval's endpoints it falls, so each interval can
 be discretized into the endpoints it contains plus one representative per
-gap.  Training then minimizes the empirical per-edge loss independently.
+gap.  The grid finds the endpoints by their ranks in the graph's ranking;
+only the midpoints are computed on values.  Training then minimizes the
+empirical per-edge loss independently.
 
 Losses come from the relation-signature kernel of :mod:`.errormetrics`: per
 edge, one signature per distinct sampled (or mixture) value, weighted by its
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errormetrics import RelationKernel, mismatches, open_limits, relation_mismatches
+from .errormetrics import RelationKernel, mismatches, relation_mismatches
 from .graphcore import ParseError, UncertainGraph, ValidationError, format_rational, parse_rational
 
 
@@ -38,21 +40,20 @@ class CandidateGrid:
 def discretize(graph: UncertainGraph) -> CandidateGrid:
     """Breakpoints are the other open intervals' endpoints strictly inside the
     edge's interval; one midpoint per gap represents its loss class.  Trivial
-    edges keep their single known value.  An edge's own endpoints are never
-    strictly inside it, so one sorted list of every open endpoint serves all
-    edges."""
-    limits = open_limits(graph)
+    edges keep their single known value.  An open edge's own ends are open
+    endpoints too, so its cuts are the open endpoints' ranks from lo to hi,
+    mapped back to their values."""
+    ranking = graph.ranking
+    ends = sorted({r for lo, hi in zip(ranking.lo, ranking.hi) if lo != hi for r in (lo, hi)})
     grid: dict[int, tuple[Fraction, ...]] = {}
-    for e in graph.edges:
-        low, high = e.interval.low, e.interval.high
-        if e.interval.is_trivial:
-            grid[e.eid] = (low,)
+    for e, lo, hi in zip(graph.edges, ranking.lo, ranking.hi):
+        if lo == hi:
+            grid[e.eid] = (e.interval.low,)
             continue
-        breakpoints = limits[bisect_right(limits, low):bisect_left(limits, high)]
-        cuts = [low] + breakpoints + [high]
+        cuts = [ranking.values[r] for r in ends[bisect_left(ends, lo):bisect_right(ends, hi)]]
         values = [(cuts[0] + cuts[1]) / 2]
-        for lo, hi in zip(cuts[1:], cuts[2:]):
-            values += [lo, (lo + hi) / 2]
+        for a, b in zip(cuts[1:], cuts[2:]):
+            values += [a, (a + b) / 2]
         grid[e.eid] = tuple(values)
     return CandidateGrid(grid)
 
@@ -98,8 +99,13 @@ class RealizationSampler:
         mixtures = {}
         for key, spec in entries.items():
             try:
-                values = [parse_rational(v) for v in spec["values"]]
+                values = spec["values"]
+                if not isinstance(values, list):
+                    raise TypeError(f"values must be a list, got {values!r}")
                 weights = spec.get("weights", [1] * len(values))
+                if not isinstance(weights, list):
+                    raise TypeError(f"weights must be a list, got {weights!r}")
+                values = [parse_rational(v) for v in values]
                 if any(isinstance(w, (bool, float)) for w in weights):
                     raise TypeError(f"weights must be integers, got {weights}")
                 weights = [int(w) for w in weights]

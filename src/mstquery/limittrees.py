@@ -86,7 +86,8 @@ def upper_keys(run: QueryRun) -> list[int]:
     return run.upper
 
 
-def _kruskal(run: QueryRun, keys: list[int]) -> set[int]:
+def _kruskal(run: QueryRun, keys) -> set[int]:
+    """Minimum spanning tree of the present edges by (keys[eid], edge id)."""
     ids = run.present_ids()
     parent = list(range(run.graph_readonly().vertex_count))
     # ids ascend, so a stable sort by key breaks ties by id

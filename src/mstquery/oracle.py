@@ -15,8 +15,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Union
 
-from .graphcore import QueryRun, UncertainGraph, kruskal
-from .limittrees import _path_index, is_solved
+from .graphcore import QueryRun, UncertainGraph
+from .limittrees import _kruskal, _path_index, is_solved
 
 DEFAULT_CAP = 16
 
@@ -102,7 +102,7 @@ def mandatory_edges(graph: GraphLike, value_source: str = "truth") -> set[int]:
         else:
             w[e] = rank[table[e]]
             open_ids.append(e)
-    paths, covers = _path_index(run, set(_min_tree(run, w)))
+    paths, covers = _path_index(run, _kruskal(run, w))
     mandatory = set()
     for e in open_ids:
         if e in paths:
@@ -200,14 +200,7 @@ def sampled_tree_validation(
     return True
 
 
-def _min_tree(run: QueryRun, weights: Mapping[int, Union[Fraction, int]]) -> list[int]:
-    """Kruskal over the present edges by (weight, edge id)."""
-    parent = list(range(run.graph_readonly().vertex_count))
-    # ids ascend, so a stable sort by weight breaks ties by id
-    return kruskal(sorted(run.present_ids(), key=weights.__getitem__), run.ends, parent)
-
-
 def _tree_is_minimum(run: QueryRun, tree: frozenset[int], weights: Mapping[int, Fraction]) -> bool:
-    best = _min_tree(run, weights)
+    best = _kruskal(run, weights)
     claimed = sum((weights[e] for e in tree), Fraction(0))
     return len(tree) == len(best) and claimed == sum((weights[e] for e in best), Fraction(0))

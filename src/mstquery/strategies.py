@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errormetrics import hop_distance, relation
-from .graphcore import PreconditionViolated, QueryRun, UncertainGraph, rounds
+from .errormetrics import hop_distance
+from .graphcore import Interval, PreconditionViolated, QueryRun, UncertainGraph, rounds
 from .limittrees import (
     LimitTrees,
     compute_limit_trees,
@@ -57,23 +57,24 @@ class StrategyConfig:
 # -- prediction-mandatory-free characterization ----------------------------
 
 
-def _pred_or_value(run: QueryRun, eid: int) -> Fraction:
-    iv = run.interval(eid)
-    return iv.low if iv.is_trivial else run.predicted(eid)
+def _pred_rank(run: QueryRun, eid: int) -> int:
+    """Rank of the edge's known value, else of its prediction."""
+    r = run.lo[eid]
+    return r if r == run.hi[eid] else run.pred[eid]
 
 
 def cycle_pred_mandatory_free(run: QueryRun, trees: LimitTrees, f: int) -> bool:
     """Cycle condition: the closing edge is predicted to dominate every cycle
     edge, and every cycle edge is predicted to stay below the closing edge.
     Compared on ranks: a known value, else the prediction."""
-    lo, hi, pred = run.lo, run.hi, run.pred
-    f_pred = lo[f] if lo[f] == hi[f] else pred[f]
+    lo, hi = run.lo, run.hi
+    f_pred = _pred_rank(run, f)
     for e in trees.cycle_of(f):
         if e == f:
             continue
         if f_pred < hi[e]:
             return False
-        if (lo[e] if lo[e] == hi[e] else pred[e]) > lo[f]:
+        if _pred_rank(run, e) > lo[f]:
             return False
     return True
 
@@ -200,7 +201,7 @@ def run_baseline(run: QueryRun) -> None:
         if not candidates:
             raise RuntimeError("verified-maximal edge survived reduction")
         l = min(candidates, key=lambda e: (-run.hi[e], e))
-        if run.interval(l).contained_in(run.interval(f)):
+        if run.lo[f] <= run.lo[l] and run.hi[l] <= run.hi[f]:
             run.reveal(f)
         else:
             run.reveal(l)
@@ -257,59 +258,64 @@ def make_prediction_mandatory_free(run: QueryRun, gamma: int) -> PhaseLedger:
 
 
 def _resolve_offending_cycle(run: QueryRun, trees: LimitTrees, f: int, ledger: PhaseLedger) -> None:
-    snap = {e: run.interval(e) for e in run.present_ids()}
-    f_pred = _pred_or_value(run, f)
+    # ranks before this call's reveals; an Interval of ranks compares as one of values
+    lo, hi = list(run.lo), list(run.hi)
+
+    def snap(eid: int) -> Interval:
+        return Interval(lo[eid], hi[eid])
+
+    f_pred = _pred_rank(run, f)
     cycle_rest = [e for e in trees.cycle_of(f) if e != f]
-    l = min(cycle_rest, key=lambda e: (-snap[e].high, e))
+    l = min(cycle_rest, key=lambda e: (-hi[e], e))
     group: list[int] = []
     ledger.case_groups.append(group)
 
-    def reveal(eid: int) -> Fraction:
+    def reveal(eid: int) -> int:
         group.append(eid)
-        return run.reveal(eid)
+        return run.rank[run.reveal(eid)]
 
-    def reveal_pair(a: int, b: int) -> dict[int, Fraction]:
+    def reveal_pair(a: int, b: int) -> dict[int, int]:
         return {eid: reveal(eid) for eid in sorted((a, b))}
 
-    if snap[l].contains(f_pred) and snap[f].contains(_pred_or_value(run, l)):
+    if snap(l).contains(f_pred) and snap(f).contains(_pred_rank(run, l)):
         # both predicted inside each other: the pair is a strengthened witness
         reveal_pair(f, l)
         return
 
-    if snap[l].contains(f_pred):
+    if snap(l).contains(f_pred):
         others = [e for e in cycle_rest if e != l]
-        if any(snap[e].intersects(snap[f]) for e in others):
-            third = min(others, key=lambda e: (-snap[e].high, e))
+        if any(snap(e).intersects(snap(f)) for e in others):
+            third = min(others, key=lambda e: (-hi[e], e))
             values = reveal_pair(f, l)
             blockers = [x for x in trees.cut_of(l) if x != l]
-            if snap[l].contains(values[f]) and all(
-                not snap[x].contains(values[l]) for x in blockers
+            if snap(l).contains(values[f]) and all(
+                not snap(x).contains(values[l]) for x in blockers
             ):
                 reveal(third)
         else:
             w_l = reveal(l)
-            if snap[f].contains(w_l):
+            if snap(f).contains(w_l):
                 reveal(f)
             else:
                 # the closing edge is now provably maximal: deletable unqueried
                 ledger.case_partners[l] = f
         return
 
-    inside = [e for e in cycle_rest if snap[f].contains(_pred_or_value(run, e))]
+    inside = [e for e in cycle_rest if snap(f).contains(_pred_rank(run, e))]
     if not inside:
         raise RuntimeError("offending cycle matches no case")
-    lp = min(inside, key=lambda e: (-snap[e].high, e))
+    lp = min(inside, key=lambda e: (-hi[e], e))
     cut_rest = [x for x in trees.cut_of(lp) if x not in (f, lp)]
-    if any(snap[x].intersects(snap[lp]) for x in cut_rest):
-        third = min(cut_rest, key=lambda x: (snap[x].low, x))
+    if any(snap(x).intersects(snap(lp)) for x in cut_rest):
+        third = min(cut_rest, key=lambda x: (lo[x], x))
         values = reveal_pair(f, lp)
-        if snap[third].contains(values[lp]) and all(
-            not snap[e].contains(values[f]) for e in cycle_rest
+        if snap(third).contains(values[lp]) and all(
+            not snap(e).contains(values[f]) for e in cycle_rest
         ):
             reveal(third)
     else:
         w_f = reveal(f)
-        if snap[lp].contains(w_f):
+        if snap(lp).contains(w_f):
             reveal(lp)
         else:
             # the tree edge is now provably minimal: contractible unqueried
@@ -334,19 +340,13 @@ def _phase2_lists(run: QueryRun, trees: LimitTrees, cover: frozenset[int]) -> tu
 
 def _observed_error(run: QueryRun, eid: int, value: Fraction) -> bool:
     """Any relation of the revealed value to a currently open interval that
-    differs from the predicted relation."""
-    pred = run.predicted(eid)
-    if value == pred:
-        return False
-    for other in run.present_ids():
-        if other == eid:
-            continue
-        iv = run.interval(other)
-        if iv.is_trivial:
-            continue
-        if relation(value, iv) != relation(pred, iv):
-            return True
-    return False
+    differs from the predicted relation: on ranks, an open (lo, hi) whose lo
+    or hi separates the value's rank from the prediction's."""
+    a, b = sorted((run.rank[value], run.pred[eid]))
+    lo, hi = run.lo, run.hi
+    return a != b and any(
+        lo[x] != hi[x] and (a <= lo[x] < b or a < hi[x] <= b) for x in run.present_ids() if x != eid
+    )
 
 
 @dataclass

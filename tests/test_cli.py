@@ -323,3 +323,24 @@ def test_unusable_file_paths_are_one_error_line(tmp_path, argv, text):
     paths["config"].write_text(json.dumps({"jobs": [_TRIANGLE_JOB]}))
     paths["binary"].write_bytes(b"\xff\xfe\x00")
     _assert_one_error_line(_run_cli(*(arg.format(**paths) for arg in argv)), text)
+
+
+def test_string_mixture_values_are_one_error_line(tmp_path):
+    inst = tmp_path / "inst.json"
+    dist = tmp_path / "dist.json"
+    factory.gen_tradeoff_cycle(2, False).save(str(inst))
+    for spec in ({"values": "2", "weights": "3"}, {"values": "25"}):
+        dist.write_text(json.dumps({"edges": {"0": spec}}))
+        proc = _run_cli("learn", "--instance", str(inst), "--dist", str(dist), "--samples", "3")
+        _assert_one_error_line(proc, "edge 0: malformed mixture: values must be a list")
+
+
+def test_non_finite_random_parameters_are_one_error_line(tmp_path):
+    for flag in ("--overlap", "--error-rate"):
+        proc = _run_cli("gen", "--family", "random", f"{flag}=inf")
+        _assert_one_error_line(proc, "must be finite, got inf")
+    cfg = tmp_path / "bench.json"
+    for key in ("overlap_density", "error_rate"):
+        # 1e999 is read as infinity
+        cfg.write_text('{"jobs": [{"family": "random", "params": {"%s": 1e999}, "strategies": [{"alg": "baseline"}]}]}' % key)
+        _assert_one_error_line(_run_cli("bench", "--config", str(cfg)), f"{key} must be finite, got inf")

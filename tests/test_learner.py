@@ -274,3 +274,17 @@ def test_kernel_matches_pairwise_loop(seed):
             losses.append((expected, c))
         optimum[e.eid] = min(losses)[1]
     assert grid_optimal(g, sampler) == optimum
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"0": {"values": "2", "weights": "3"}},  # a string is not a list of values
+        {"0": {"values": "25"}},
+        {"0": {"values": ["1/2"], "weights": "1"}},
+        {"0": {"values": {"1/2": 1}}},
+    ],
+)
+def test_sampler_from_json_requires_lists(spec):
+    with pytest.raises(ParseError, match="edge 0"):
+        RealizationSampler.from_json(triangle(), json.dumps({"edges": spec}))

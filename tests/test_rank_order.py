@@ -1,0 +1,114 @@
+"""The rank forms of the hop kernel, the candidate grid and the strategies'
+observed-error check, held to their definitions on the values."""
+
+from bisect import bisect_left, bisect_right
+
+from cases import kernel_case
+from mstquery.errormetrics import RelationKernel, relation
+from mstquery.graphcore import QueryRun
+from mstquery.learner import discretize
+from mstquery.strategies import _observed_error
+
+SEEDS = range(150)
+
+
+def open_ends(g):
+    return {x for e in g.edges if not e.interval.is_trivial for x in (e.interval.low, e.interval.high)}
+
+
+def observed_error_on_values(run, eid, value):
+    """Any relation of the revealed value to a currently open interval that
+    differs from the predicted relation, compared on the values."""
+    pred = run.predicted(eid)
+    if value == pred:
+        return False
+    for other in run.present_ids():
+        if other == eid:
+            continue
+        iv = run.interval(other)
+        if iv.is_trivial:
+            continue
+        if relation(value, iv) != relation(pred, iv):
+            return True
+    return False
+
+
+def grid_on_values(g):
+    """The candidate grid computed from a sorted list of the open ends."""
+    limits = sorted(open_ends(g))
+    grid = {}
+    for e in g.edges:
+        low, high = e.interval.low, e.interval.high
+        if e.interval.is_trivial:
+            grid[e.eid] = (low,)
+            continue
+        cuts = [low] + limits[bisect_right(limits, low):bisect_left(limits, high)] + [high]
+        values = [(cuts[0] + cuts[1]) / 2]
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            values += [lo, (lo + hi) / 2]
+        grid[e.eid] = tuple(values)
+    return grid
+
+
+def test_observed_error_matches_relations_after_reveals_on_other_ends():
+    outcomes = {True: 0, False: 0}
+    on_ends = 0
+    for seed in SEEDS:
+        g, mixtures = kernel_case(seed)
+        ends = open_ends(g)
+        # reveal mixture values, which kernel_case often places on other
+        # intervals' ends; the first value of each edge alternates with the last
+        table = {e.eid: e.true_value for e in g.edges}
+        for eid, (values, _) in mixtures.items():
+            table[eid] = values[seed % 2 - 1]
+        run = QueryRun(g, values=table)
+        order = sorted(run.non_trivial_ids(), key=lambda e: (e * 7 + seed) % len(g.edges))
+        for eid in order:
+            value = run.reveal(eid)
+            on_ends += value in ends
+            expected = observed_error_on_values(run, eid, value)
+            assert _observed_error(run, eid, value) == expected, (seed, eid)
+            outcomes[expected] += 1
+    assert on_ends > 300
+    assert min(outcomes.values()) > 200
+
+
+def test_kernel_signature_matches_relation_off_the_open_ends():
+    ranked_checked = unranked_checked = 0
+    for seed in SEEDS:
+        g, _ = kernel_case(seed)
+        ranking = g.ranking
+        assert all(ranking.values[ranking.rank[v]] == v for v in ranking.values)
+        ends = open_ends(g)
+        # truths, predictions and trivial values that are not open ends
+        ranked = [v for v in ranking.values if v not in ends]
+        # values the ranking does not hold: between two ranked values, and
+        # beyond the first and the last
+        vs = ranking.values
+        unranked = [vs[0] - 1, vs[-1] + 1] + [(a + b) / 2 for a, b in zip(vs, vs[1:])]
+        assert not set(unranked) & set(vs)
+        kernel = RelationKernel(g)
+        for e in g.edges:
+            others = kernel.others(e.eid)
+            intervals = [g.edge(o).interval for o, _, _ in others]
+            for v in ranked + unranked:
+                assert kernel.signature(v, others) == [relation(v, iv) for iv in intervals], (seed, e.eid, v)
+        ranked_checked += len(ranked)
+        unranked_checked += len(unranked)
+    assert ranked_checked > 500 and unranked_checked > 1000
+
+
+def test_discretize_matches_the_grid_on_values_with_values_on_open_ends():
+    trivial_on_end = pred_on_end = 0
+    for seed in SEEDS:
+        g, _ = kernel_case(seed)
+        grid = discretize(g).per_edge
+        assert grid == grid_on_values(g), seed
+        ends = open_ends(g)
+        for e in g.edges:
+            if e.interval.is_trivial:
+                trivial_on_end += e.interval.low in ends
+            else:
+                pred_on_end += e.predicted_value in ends
+    # kernel_case places trivial values and predictions on other intervals' ends
+    assert trivial_on_end > 100 and pred_on_end > 200
