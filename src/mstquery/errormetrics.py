@@ -17,7 +17,6 @@ compares positions read from the graph's ranking, not the values.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import ne
@@ -42,11 +41,13 @@ def relation(value: Fraction, interval: Interval) -> int:
 class RelationKernel:
     """Relation signatures against the open intervals of one graph.
 
-    Positions come from the graph's ranking: a ranked value sits at 2*rank,
-    so every open end does too, and any other value at 2i-1, with i the
-    index of the first ranked value above it.  Positions compare with the
-    ends' positions exactly as the values compare with the ends, so each
-    relation costs two integer comparisons.
+    Positions come from the graph's ranking (:meth:`Ranking.position`): a
+    ranked value sits at 2*rank, so every open end does too, and any other
+    value at 2i-1, with i the index of the first ranked value above it.
+    Positions compare with the ends' positions exactly as the values compare
+    with the ends, so each relation costs two integer comparisons.
+    :func:`hop_distance` reads the truth and prediction ranks of each edge
+    straight from the ranking.
     """
 
     def __init__(self, graph: UncertainGraph):
@@ -61,11 +62,14 @@ class RelationKernel:
         return [t for t in self.open if t[0] != eid]
 
     def signature(self, value: Fraction, others: list[tuple[int, int, int]]) -> list[int]:
-        """:func:`relation` of value to each interval of `others`.  A list, not
-        a tuple: freed short tuples stay on CPython's tuple free lists and keep
-        their memory."""
-        r = self.ranking.rank.get(value)
-        p = 2 * r if r is not None else 2 * bisect_left(self.ranking.values, value) - 1
+        """:func:`relation` of value to each interval of `others`."""
+        return self.relations(self.ranking.position(value), others)
+
+    @staticmethod
+    def relations(p: int, others: list[tuple[int, int, int]]) -> list[int]:
+        """The relations of position p to each interval of `others`.  A list,
+        not a tuple: freed short tuples stay on CPython's tuple free lists and
+        keep their memory."""
         return [LEFT if p <= lo else RIGHT if p >= hi else INSIDE for _, lo, hi in others]
 
 
@@ -113,16 +117,14 @@ def hop_distance(graph: UncertainGraph) -> ErrorReport:
     jo = {e.eid: 0 for e in graph.edges}
     oj = {e.eid: 0 for e in graph.edges}
     kernel = RelationKernel(graph)
-    for e in graph.edges:
-        if e.true_value == e.predicted_value:
+    k_sharp = 0
+    for e, t, p in zip(graph.edges, kernel.ranking.truth, kernel.ranking.pred):
+        if t == p:
             continue
+        k_sharp += 1
         others = kernel.others(e.eid)
-        truth = kernel.signature(e.true_value, others)
-        pred = kernel.signature(e.predicted_value, others)
-        for (other, _, _), a, b in zip(others, truth, pred):
+        for (other, _, _), a, b in zip(others, kernel.relations(2 * t, others), kernel.relations(2 * p, others)):
             if a != b:
                 jo[e.eid] += 1
                 oj[other] += 1
-    k_h = sum(jo.values())
-    k_sharp = sum(1 for e in graph.edges if e.true_value != e.predicted_value)
-    return ErrorReport(jo=jo, oj=oj, k_h=k_h, k_sharp=k_sharp)
+    return ErrorReport(jo=jo, oj=oj, k_h=sum(jo.values()), k_sharp=k_sharp)

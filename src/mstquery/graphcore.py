@@ -22,6 +22,7 @@ order, as a union-find over the original vertices would.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -161,8 +162,9 @@ class Ranking(NamedTuple):
 
     `values` holds the distinct values in ascending order and `rank` maps
     each to its index there, so a < b iff rank[a] < rank[b], a == b iff
-    rank[a] == rank[b], and values[rank[a]] is a.  `lo`, `hi` and `pred`
-    hold, by edge id, the ranks of each edge's interval ends and prediction.
+    rank[a] == rank[b], and values[rank[a]] is a.  `lo`, `hi`, `pred` and
+    `truth` hold, by edge id, the ranks of each edge's interval ends,
+    prediction and true value.
     """
 
     rank: dict[Fraction, int]
@@ -170,6 +172,16 @@ class Ranking(NamedTuple):
     lo: tuple[int, ...]
     hi: tuple[int, ...]
     pred: tuple[int, ...]
+    truth: tuple[int, ...]
+
+    def position(self, value: Fraction, lo: int = 0, hi: Optional[int] = None) -> int:
+        """A doubled rank that orders any value among the ranked ones: a
+        ranked value sits at 2*rank, any other at 2i-1, with i the index of
+        the first ranked value above it.  `lo` and `hi` bound the search as
+        bisect's do, for a caller that knows them."""
+        values = self.values
+        i = bisect_left(values, value, lo, len(values) if hi is None else hi)
+        return 2 * i if i < len(values) and values[i] == value else 2 * i - 1
 
 
 def rank_values(edges: tuple[UncertainEdge, ...], extra: Iterable[Fraction] = ()) -> Ranking:
@@ -198,6 +210,7 @@ def rank_values(edges: tuple[UncertainEdge, ...], extra: Iterable[Fraction] = ()
         ranks(e.interval.low for e in edges),
         ranks(e.interval.high for e in edges),
         ranks(e.predicted_value for e in edges),
+        ranks(e.true_value for e in edges),
     )
 
 

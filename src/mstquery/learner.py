@@ -4,27 +4,46 @@ The loss of a candidate predicted value for one edge depends only on which
 side of each other open interval's endpoints it falls, so each interval can
 be discretized into the endpoints it contains plus one representative per
 gap.  The grid finds the endpoints by their ranks in the graph's ranking;
-only the midpoints are computed on values.  Training then minimizes the
-empirical per-edge loss independently.
+only the midpoints are computed on values.
 
-Losses come from the relation-signature kernel of :mod:`.errormetrics`: per
-edge, one signature per distinct sampled (or mixture) value, weighted by its
-multiplicity, and one per candidate.  A candidate's loss is the weighted sum
-of its signature mismatches, so no relation is derived twice.
+Training sweeps each open edge e's candidates in ascending order, on the
+doubled ranks of :meth:`Ranking.position`: an open end of rank r sits at
+2r, and 2r+1 stands for the whole gap after it, since every value strictly
+between two adjacent open ends has the same relation to every open
+interval.  A candidate's relation to another open interval changes only
+where the sweep crosses one of that interval's ends, and every candidate
+lies strictly inside e's interval, so only the ends strictly inside it
+matter: an interval with no such end keeps one relation to every candidate
+and adds the same loss to each (e's own interval among them).  At each such
+end r, the intervals whose high end is r turn from INSIDE to RIGHT before
+candidate 2r is scored, and those whose low end is r turn from LEFT to
+INSIDE before gap 2r+1 is scored.  Each turn adds the weight of the drawn
+values that agree with the new relation and takes away the weight of those
+that agreed with the old one, so the score is the agreement up to a
+constant per edge.  The best score wins on strict improvement only, so ties
+go to the smallest candidate, as they would in a scan of the grid.  ERM
+weighs the draws by their counts, :func:`grid_optimal` the mixture values by
+their weights.
+
+Expected losses come from the relation-signature kernel of
+:mod:`.errormetrics`: a candidate's loss is the weighted sum of its
+signature's mismatches with the signature of each mixture value.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from itertools import accumulate
+from typing import Iterable, Mapping, Optional
 
 from .errormetrics import RelationKernel, mismatches, relation_mismatches
-from .graphcore import ParseError, UncertainGraph, ValidationError, format_rational, parse_rational
+from .graphcore import ParseError, Ranking, UncertainGraph, ValidationError, format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -37,24 +56,33 @@ class CandidateGrid:
         return self.per_edge[eid]
 
 
+def _open_cuts(ranking: Ranking) -> list[Optional[list[int]]]:
+    """By edge id: the ascending ranks of the open ends from an open edge's
+    lo to its hi, both included (its own ends are open ends too); None for a
+    trivial edge."""
+    ends = sorted({r for lo, hi in zip(ranking.lo, ranking.hi) if lo != hi for r in (lo, hi)})
+    return [
+        ends[bisect_left(ends, lo):bisect_right(ends, hi)] if lo != hi else None
+        for lo, hi in zip(ranking.lo, ranking.hi)
+    ]
+
+
 def discretize(graph: UncertainGraph) -> CandidateGrid:
     """Breakpoints are the other open intervals' endpoints strictly inside the
     edge's interval; one midpoint per gap represents its loss class.  Trivial
-    edges keep their single known value.  An open edge's own ends are open
-    endpoints too, so its cuts are the open endpoints' ranks from lo to hi,
-    mapped back to their values."""
-    ranking = graph.ranking
-    ends = sorted({r for lo, hi in zip(ranking.lo, ranking.hi) if lo != hi for r in (lo, hi)})
+    edges keep their single known value.  The cuts are the open ends' ranks
+    from the edge's lo to its hi, mapped back to their values."""
+    values = graph.ranking.values
     grid: dict[int, tuple[Fraction, ...]] = {}
-    for e, lo, hi in zip(graph.edges, ranking.lo, ranking.hi):
-        if lo == hi:
+    for e, ranks in zip(graph.edges, _open_cuts(graph.ranking)):
+        if ranks is None:
             grid[e.eid] = (e.interval.low,)
             continue
-        cuts = [ranking.values[r] for r in ends[bisect_left(ends, lo):bisect_right(ends, hi)]]
-        values = [(cuts[0] + cuts[1]) / 2]
+        cuts = [values[r] for r in ranks]
+        candidates = [(cuts[0] + cuts[1]) / 2]
         for a, b in zip(cuts[1:], cuts[2:]):
-            values += [a, (a + b) / 2]
-        grid[e.eid] = tuple(values)
+            candidates += [a, (a + b) / 2]
+        grid[e.eid] = tuple(candidates)
     return CandidateGrid(grid)
 
 
@@ -78,6 +106,8 @@ class RealizationSampler:
                 raise ValidationError(f"edge {e.eid}: malformed mixture")
             if any(w <= 0 for w in weights):
                 raise ValidationError(f"edge {e.eid}: mixture weights must be positive")
+            if sum(weights) > sys.float_info.max:  # random.choices sums them as a float
+                raise ValidationError(f"edge {e.eid}: mixture weights sum past the largest float")
             for v in values:
                 if e.interval.is_trivial:
                     if v != e.interval.low:
@@ -127,9 +157,47 @@ class RealizationSampler:
 _edge_loss = relation_mismatches
 
 
-def _weighted_loss(weighted: list[tuple[list[int], int]], sig: list[int]) -> int:
-    """Sum of weight times mismatches against sig, over (signature, weight) pairs."""
-    return sum(w * mismatches(s, sig) for s, w in weighted)
+def _sweep(graph: UncertainGraph, weighted: Mapping[int, Iterable[tuple[Fraction, int]]]) -> dict[int, Fraction]:
+    """Per edge, the grid candidate of least hop loss against the (value,
+    weight) pairs weighted[eid], the smallest one on ties; see the module
+    docstring.  Only the winner is computed as a value."""
+    ranking = graph.ranking
+    values = ranking.values
+    # by rank: the high ends of the open intervals whose low end it is, and
+    # the low ends of those whose high end it is
+    starts: list[list[int]] = [[] for _ in values]
+    stops: list[list[int]] = [[] for _ in values]
+    for lo, hi in zip(ranking.lo, ranking.hi):
+        if lo != hi:
+            starts[lo].append(hi)
+            stops[hi].append(lo)
+    best: dict[int, Fraction] = {}
+    for e, cuts in zip(graph.edges, _open_cuts(ranking)):
+        if cuts is None:
+            best[e.eid] = e.interval.low
+            continue
+        lo, hi = cuts[0], cuts[-1]
+        points = sorted((ranking.position(v, lo + 1, hi), w) for v, w in weighted[e.eid])
+        at = [p for p, _ in points]
+        acc = list(accumulate((w for _, w in points), initial=0))  # acc[i]: weight of the first i points
+        total = acc[-1]
+        score = top = 0
+        win = (lo, cuts[1])  # a gap as its two cuts, a cut as (r, r)
+        for k in range(1, len(cuts) - 1):
+            r = cuts[k]
+            below = acc[bisect_left(at, 2 * r)]
+            for a in stops[r]:  # INSIDE -> RIGHT: + right - inside
+                score += total - 2 * below + acc[bisect_right(at, 2 * a)]
+            if score > top:
+                top, win = score, (r, r)
+            upto = acc[bisect_right(at, 2 * r)]
+            for b in starts[r]:  # LEFT -> INSIDE: + inside - left
+                score += acc[bisect_left(at, 2 * b)] - 2 * upto
+            if score > top:
+                top, win = score, (r, cuts[k + 1])
+        a, b = win
+        best[e.eid] = values[a] if a == b else (values[a] + values[b]) / 2
+    return best
 
 
 def erm_train(graph: UncertainGraph, sampler: RealizationSampler, m: int) -> dict[int, Fraction]:
@@ -140,54 +208,32 @@ def erm_train(graph: UncertainGraph, sampler: RealizationSampler, m: int) -> dic
     """
     if m < 1:
         raise ValueError("need at least one sample")
-    grid = discretize(graph)
     samples = [sampler.sample() for _ in range(m)]
-    kernel = RelationKernel(graph)
-    learned: dict[int, Fraction] = {}
-    for e in graph.edges:
-        others = kernel.others(e.eid)
-        draws = [(kernel.signature(v, others), n) for v, n in Counter(s[e.eid] for s in samples).items()]
-        best = None
-        best_loss = None
-        for candidate in grid.candidates(e.eid):
-            loss = _weighted_loss(draws, kernel.signature(candidate, others))
-            if best_loss is None or loss < best_loss:
-                best, best_loss = candidate, loss
-        learned[e.eid] = best
-    return learned
+    return _sweep(graph, {e.eid: Counter(s[e.eid] for s in samples).items() for e in graph.edges})
 
 
-def _expected_losses(kernel: RelationKernel, sampler: RealizationSampler, eid: int, candidates) -> list[Fraction]:
-    """Exact expected hop loss of each candidate under eid's mixture."""
+def _expected_loss(kernel: RelationKernel, sampler: RealizationSampler, eid: int, candidate: Fraction) -> Fraction:
+    """Exact expected hop loss of candidate under eid's mixture."""
     others = kernel.others(eid)
     values, weights = sampler.mixtures[eid]
-    mixture = [(kernel.signature(v, others), w) for v, w in zip(values, weights)]
-    total = sum(weights)
-    return [Fraction(_weighted_loss(mixture, kernel.signature(c, others)), total) for c in candidates]
+    sig = kernel.signature(candidate, others)
+    loss = sum(w * mismatches(kernel.signature(v, others), sig) for v, w in zip(values, weights))
+    return Fraction(loss, sum(weights))
 
 
 def expected_edge_loss(graph: UncertainGraph, sampler: RealizationSampler, eid: int, candidate: Fraction) -> Fraction:
     """Exact expectation of the per-edge hop loss under the sampler's mixture."""
-    return _expected_losses(RelationKernel(graph), sampler, eid, [candidate])[0]
+    return _expected_loss(RelationKernel(graph), sampler, eid, candidate)
 
 
 def expected_hop_loss(graph: UncertainGraph, sampler: RealizationSampler, predictions: Mapping[int, Fraction]) -> Fraction:
     kernel = RelationKernel(graph)
-    return sum(
-        (_expected_losses(kernel, sampler, e.eid, [predictions[e.eid]])[0] for e in graph.edges),
-        Fraction(0),
-    )
+    return sum((_expected_loss(kernel, sampler, e.eid, predictions[e.eid]) for e in graph.edges), Fraction(0))
 
 
 def grid_optimal(graph: UncertainGraph, sampler: RealizationSampler) -> dict[int, Fraction]:
-    """Exhaustive per-edge minimizer of the exact expected loss over the grid."""
-    grid = discretize(graph)
-    kernel = RelationKernel(graph)
-    best: dict[int, Fraction] = {}
-    for e in graph.edges:
-        candidates = grid.candidates(e.eid)
-        best[e.eid] = min(zip(_expected_losses(kernel, sampler, e.eid, candidates), candidates))[1]
-    return best
+    """Per-edge minimizer of the exact expected loss over the grid."""
+    return _sweep(graph, {eid: zip(values, weights) for eid, (values, weights) in sampler.mixtures.items()})
 
 
 def predictions_to_json(predictions: Mapping[int, Fraction]) -> str:

@@ -344,3 +344,12 @@ def test_non_finite_random_parameters_are_one_error_line(tmp_path):
         # 1e999 is read as infinity
         cfg.write_text('{"jobs": [{"family": "random", "params": {"%s": 1e999}, "strategies": [{"alg": "baseline"}]}]}' % key)
         _assert_one_error_line(_run_cli("bench", "--config", str(cfg)), f"{key} must be finite, got inf")
+
+
+def test_oversized_mixture_weight_is_one_error_line(tmp_path):
+    inst = tmp_path / "inst.json"
+    dist = tmp_path / "dist.json"
+    factory.gen_tradeoff_cycle(2, False).save(str(inst))
+    dist.write_text(json.dumps({"edges": {"0": {"values": ["3/2", "2"], "weights": [10**400, 1]}}}))
+    proc = _run_cli("learn", "--instance", str(inst), "--dist", str(dist), "--samples", "3")
+    _assert_one_error_line(proc, "edge 0: mixture weights sum past the largest float")

@@ -4,7 +4,7 @@ observed-error check, held to their definitions on the values."""
 from bisect import bisect_left, bisect_right
 
 from cases import kernel_case
-from mstquery.errormetrics import RelationKernel, relation
+from mstquery.errormetrics import ErrorReport, RelationKernel, hop_distance, relation
 from mstquery.graphcore import QueryRun
 from mstquery.learner import discretize
 from mstquery.strategies import _observed_error
@@ -112,3 +112,46 @@ def test_discretize_matches_the_grid_on_values_with_values_on_open_ends():
                 pred_on_end += e.predicted_value in ends
     # kernel_case places trivial values and predictions on other intervals' ends
     assert trivial_on_end > 100 and pred_on_end > 200
+
+
+def test_bounded_position_matches_the_full_search_inside_each_interval():
+    checked = 0
+    for seed in SEEDS:
+        g, _ = kernel_case(seed)
+        ranking = g.ranking
+        vs = ranking.values
+        between = [(a + b) / 2 for a, b in zip(vs, vs[1:])]
+        for lo, hi in zip(ranking.lo, ranking.hi):
+            if lo == hi:
+                continue
+            for v in vs[lo + 1:hi] + tuple(between[lo:hi]):
+                assert ranking.position(v, lo + 1, hi) == ranking.position(v), (seed, v)
+                checked += 1
+    assert checked > 1000
+
+
+def hop_distance_on_values(g):
+    """The hop report with truths and predictions compared as values."""
+    jo = {e.eid: 0 for e in g.edges}
+    oj = {e.eid: 0 for e in g.edges}
+    for e in g.edges:
+        if e.true_value == e.predicted_value:
+            continue
+        for f in g.edges:
+            if f.eid != e.eid and not f.interval.is_trivial:
+                if relation(e.true_value, f.interval) != relation(e.predicted_value, f.interval):
+                    jo[e.eid] += 1
+                    oj[f.eid] += 1
+    k_sharp = sum(e.true_value != e.predicted_value for e in g.edges)
+    return ErrorReport(jo=jo, oj=oj, k_h=sum(jo.values()), k_sharp=k_sharp)
+
+
+def test_hop_distance_on_ranks_matches_values():
+    exact = 0
+    for seed in SEEDS:
+        g, _ = kernel_case(seed)
+        ranking = g.ranking
+        assert ranking.truth == tuple(ranking.rank[e.true_value] for e in g.edges)
+        assert hop_distance(g) == hop_distance_on_values(g), seed
+        exact += sum(e.true_value == e.predicted_value for e in g.edges)
+    assert exact > 200  # trivial edges and a few exact predictions are skipped
