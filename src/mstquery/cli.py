@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import factory, learner
 from .errormetrics import hop_distance
-from .graphcore import ParseError, PreconditionViolated, ValidationError, load_instance, read_text
+from .graphcore import ParseError, PreconditionViolated, ValidationError, _parse_integer, load_instance, read_text
 from .oracle import DEFAULT_CAP, CapExceeded, opt_brute_force
 from .strategies import StrategyConfig, randomized_gamma, run_combined
 
@@ -195,12 +195,20 @@ def _cmd_learn(args) -> int:
 
 
 def _field(obj, key, default, kind, what):
-    """obj[key] (or default) converted by `kind`; ConfigError if it cannot be."""
+    """obj[key] (or default) converted by `kind`; ConfigError if it cannot be.
+    An int follows the instance rule: a float or a bool is rejected, not
+    truncated."""
     value = obj.get(key, default)
     try:
-        return kind(value)
+        return _parse_integer(value, key) if kind is int else kind(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be {what}, got {value!r}") from None
+
+
+def _integers(value) -> list[int]:
+    if not isinstance(value, list):
+        raise TypeError(value)
+    return [_parse_integer(x, "seeds") for x in value]
 
 
 def _objects(value, what):
@@ -212,7 +220,7 @@ def _objects(value, what):
 def _bench_instances(job):
     family = job.get("family")
     params = _field(job, "params", {}, dict, "an object")
-    seeds = _field(job, "seeds", [0], list, "a list") if family == "random" else [0]
+    seeds = _field(job, "seeds", [0], _integers, "a list of integers") if family == "random" else [0]
     for seed in seeds:
         yield _family_instance(family, params, seed)
 

@@ -8,8 +8,9 @@ The query core compares integers instead: each value an instance holds is
 replaced by its rank among the distinct values (:class:`Ranking`).  The rank
 map is strictly increasing, so two values compare exactly as their ranks
 do, ties included: the integer comparison is the exact one.  A
-:class:`QueryRun` keeps the ranks of each edge's current interval ends next
-to the intervals themselves, and each edge's two limit keys as ints.
+:class:`QueryRun` holds only ranks: those of each edge's current interval
+ends, of the value its reveal takes, and each edge's two limit keys as
+ints.  A value leaves it only by looking a rank up in the ranking.
 
 A session also keeps its minor instead of deriving it on every read: an
 endpoint table (edge id -> current endpoint pair) and, per vertex, the set
@@ -438,14 +439,15 @@ class QueryRun:
     built with an alternative value table (e.g. the predictions) so oracle
     code can replay hypothetical reveals on a scratch copy.
 
-    Next to each present edge's interval the session keeps, indexed by edge
-    id, the integer ranks `lo[e]` and `hi[e]` of its ends (equal once the
-    value is known) and `pred[e]` of its prediction, under the rank map
-    `rank`.  The map covers every value of the graph and of the value
-    table, so a reveal is ranked too; forks share it.  It also keeps each
-    edge's two limit keys as ints, `lower[e]` = 3*lo+1 and `upper[e]` =
-    3*hi-1 for an open interval and both 3*r for a known value r; only
-    :meth:`reveal` and a re-ranking change them.
+    The session holds ranks, never values, under `ranking`: the graph's,
+    or a ranking of the union when a value table brings other values.  By
+    edge id, `lo[e]` and `hi[e]` rank the ends of e's current interval
+    (equal once known), `pred[e]` its prediction and `_values[e]` the value
+    its reveal takes; :meth:`interval` and :meth:`reveal` map ranks back
+    through `ranking.values`.  It also keeps each edge's two limit keys as
+    ints, `lower[e]` = 3*lo+1 and `upper[e]` = 3*hi-1 for an open interval
+    and both 3*r for a known value r; only :meth:`reveal` and a re-ranking
+    change them.
 
     The minor is kept, not derived: `ends[e]` is the current endpoint pair
     of edge e, and every vertex of the minor holds the set of its present
@@ -458,16 +460,14 @@ class QueryRun:
 
     def __init__(self, graph: UncertainGraph, values: Optional[Mapping[int, Fraction]] = None):
         self._graph = graph
-        self._values: dict[int, Fraction] = dict(values) if values is not None else graph.true_values()
-        self._state: dict[int, Interval] = {e.eid: e.interval for e in graph.edges}
-        ranking = graph.ranking
-        self.rank: dict[Fraction, int] = ranking.rank
-        self.pred: tuple[int, ...] = ranking.pred
-        self.lo: list[int] = list(ranking.lo)
-        self.hi: list[int] = list(ranking.hi)
+        self.ranking: Ranking = graph.ranking
+        self._values: tuple[int, ...] = self.ranking.truth
+        self._present: set[int] = set(range(len(graph.edges)))
+        self.lo: list[int] = list(self.ranking.lo)
+        self.hi: list[int] = list(self.ranking.hi)
         self._key_all()
         if values is not None:
-            self._rank_table()
+            self._rank_table(values)
         self.ends: list[tuple[int, int]] = [(e.u, e.v) for e in graph.edges]
         self.vertex_count = graph.vertex_count  # of the current minor
         # vertex -> ids of its present edges; None once the vertex is absorbed
@@ -480,35 +480,43 @@ class QueryRun:
         self.removed_unqueried: dict[int, str] = {}
         self.transcript = Transcript()
 
+    @property
+    def rank(self) -> dict[Fraction, int]:
+        return self.ranking.rank
+
+    @property
+    def pred(self) -> tuple[int, ...]:
+        return self.ranking.pred
+
     # -- structure --------------------------------------------------------
 
     def endpoints(self, eid: int) -> tuple[int, int]:
-        if eid not in self._state:
+        if eid not in self._present:
             raise UnknownEdge(eid)
         return self.ends[eid]
 
     def present_ids(self) -> list[int]:
-        return sorted(self._state)
+        return sorted(self._present)
 
     def is_present(self, eid: int) -> bool:
-        return eid in self._state
+        return eid in self._present
 
     def current_vertices(self) -> set[int]:
         return {v for v, edges in enumerate(self._incident) if edges is not None}
 
     def interval(self, eid: int) -> Interval:
-        try:
-            return self._state[eid]
-        except KeyError:
-            raise UnknownEdge(eid) from None
+        if eid not in self._present:
+            raise UnknownEdge(eid)
+        values = self.ranking.values
+        return Interval(values[self.lo[eid]], values[self.hi[eid]])
 
     def predicted(self, eid: int) -> Fraction:
-        if eid not in self._state:
+        if eid not in self._present:
             raise UnknownEdge(eid)
         return self._graph.edge(eid).predicted_value
 
     def is_trivial(self, eid: int) -> bool:
-        if eid not in self._state:
+        if eid not in self._present:
             raise UnknownEdge(eid)
         return self.lo[eid] == self.hi[eid]
 
@@ -526,7 +534,7 @@ class QueryRun:
 
     def non_trivial_ids(self) -> list[int]:
         lo, hi = self.lo, self.hi
-        return sorted(e for e in self._state if lo[e] != hi[e])
+        return sorted(e for e in self._present if lo[e] != hi[e])
 
     @property
     def query_count(self) -> int:
@@ -537,16 +545,14 @@ class QueryRun:
     def reveal(self, eid: int) -> Fraction:
         if self.is_trivial(eid):
             raise AlreadyRevealed(eid)
-        value = self._values[eid]
-        self._state[eid] = Interval.point(value)
-        r = self.lo[eid] = self.hi[eid] = self.rank[value]
+        r = self.lo[eid] = self.hi[eid] = self._values[eid]
         self.lower[eid] = self.upper[eid] = 3 * r
         self.queried.append(eid)
         self.transcript.record("reveal", edge=eid)
-        return value
+        return self.ranking.values[r]
 
     def contract(self, eid: int) -> None:
-        if eid not in self._state:
+        if eid not in self._present:
             raise UnknownEdge(eid)
         ru, rv = self.ends[eid]
         if ru == rv:
@@ -569,12 +575,12 @@ class QueryRun:
             self._remove(other, "deleted")
 
     def delete(self, eid: int) -> None:
-        if eid not in self._state:
+        if eid not in self._present:
             raise UnknownEdge(eid)
         self._remove(eid, "deleted")
 
     def _remove(self, eid: int, kind: str) -> None:
-        del self._state[eid]
+        self._present.remove(eid)
         a, b = self.ends[eid]
         self._incident[a].discard(eid)
         self._incident[b].discard(eid)
@@ -593,20 +599,20 @@ class QueryRun:
     def fork(self, values: Optional[Mapping[int, Fraction]] = None) -> "QueryRun":
         """Copy of the current state; optionally with a different value table.
 
-        The fork shares the rank map, unless the new table holds a value
-        outside it; then the fork ranks everything over the union.  It
-        copies the ranks, keys, endpoint table and incidence sets, so a
-        move on either side leaves the other as it was.  It starts a new
-        transcript and holds no limit trees (see :mod:`.limittrees`)."""
+        The fork shares the ranking and the reveal ranks, unless a new
+        table is given; then it ranks that table, over the union of the
+        values when the table holds one outside the ranking.  It copies
+        the ranks, keys, endpoint table and incidence sets, so a move on
+        either side leaves the other as it was.  It starts a new transcript
+        and holds no limit trees (see :mod:`.limittrees`)."""
         clone = QueryRun.__new__(QueryRun)
         clone._graph = self._graph
-        clone._values = dict(values) if values is not None else dict(self._values)
-        clone._state = dict(self._state)
-        clone.rank, clone.pred = self.rank, self.pred
+        clone.ranking, clone._values = self.ranking, self._values
+        clone._present = set(self._present)
         clone.lo, clone.hi = list(self.lo), list(self.hi)
         clone.lower, clone.upper = list(self.lower), list(self.upper)
         if values is not None:
-            clone._rank_table()
+            clone._rank_table(values)
         clone.ends = list(self.ends)
         clone.vertex_count = self.vertex_count
         clone._incident = [None if edges is None else set(edges) for edges in self._incident]
@@ -621,18 +627,21 @@ class QueryRun:
         self.lower: list[int] = [3 * a + (a != b) for a, b in zip(lo, hi)]
         self.upper: list[int] = [3 * b - (a != b) for a, b in zip(lo, hi)]
 
-    def _rank_table(self) -> None:
-        """Make the rank map cover the value table: when the table holds a
-        value outside it, rank the union and recompute every rank and key."""
-        if all(v in self.rank for v in self._values.values()):
-            return
-        edges = self._graph.edges
-        ranking = rank_values(edges, chain(self.rank, self._values.values()))
-        self.rank, self.pred = ranking.rank, ranking.pred
-        intervals = [self._state.get(e.eid, e.interval) for e in edges]
-        self.lo = [self.rank[iv.low] for iv in intervals]
-        self.hi = [self.rank[iv.high] for iv in intervals]
-        self._key_all()
+    def _rank_table(self, values: Mapping[int, Fraction]) -> None:
+        """Take the reveal ranks from a value table by edge id.  When the
+        table holds a value outside the ranking, rank the union and map
+        every end rank to its value's new rank, and rekey."""
+        table = [values[eid] for eid in range(len(self._graph.edges))]
+        try:
+            self._values = tuple(map(self.ranking.rank.__getitem__, table))
+        except KeyError:
+            old = self.ranking.values
+            self.ranking = rank_values(self._graph.edges, chain(old, table))
+            rank = self.ranking.rank
+            self.lo = [rank[old[r]] for r in self.lo]
+            self.hi = [rank[old[r]] for r in self.hi]
+            self._values = tuple(map(rank.__getitem__, table))
+            self._key_all()
 
     def graph_readonly(self) -> UncertainGraph:
         """The underlying instance, for oracle and reporting code.

@@ -22,14 +22,14 @@ tree path of every non-tree edge, and for every tree edge the non-tree edges
 whose path covers it.  A tree edge's cut is that edge plus its covering
 edges.
 
-The session holds its limit trees between reads: the lower limit tree, its
-path index and the upper limit tree, valid at a length of the session's
-transcript.  The transcript is a complete log of the moves, since
+The session holds one tree between reads: the lower limit tree and its path
+index, valid at a length of the session's transcript.  The transcript is a
+complete log of the moves, since
 :meth:`~mstquery.graphcore.QueryRun.reveal`, ``contract`` and ``delete``
 each record one event per edge they change (a contraction also records the
 deletion of every self-loop it leaves), and nothing else changes a key or
 the minor.  Before a read, the moves recorded since are applied to the held
-trees, each in O(its path or cover) time:
+tree, each in O(its path or cover) time:
 
 - deleting a non-tree edge leaves the tree; its path goes, and its id
   leaves the covers;
@@ -39,8 +39,7 @@ trees, each in O(its path or cover) time:
   the MST is unique, and it stays the MST exactly when the cut rule holds
   for every tree edge against its covers; only the pairs with the revealed
   edge e can change.  So the tree stands unless e is a tree edge with a
-  cover now below it, or a non-tree edge with a path edge now above it,
-  and one key change moves at most one edge in or out.
+  cover now below it, or a non-tree edge with a path edge now above it.
 
 Any other move (a swap, deleting a tree edge, contracting a non-tree edge,
 or a reveal the held index cannot judge) drops the held tree, and the next
@@ -49,6 +48,11 @@ the held sets and index stay private to this module.  The keys a held tree
 was built on change only by a reveal, so a session must never be re-ranked
 after its construction or :meth:`~mstquery.graphcore.QueryRun.fork`; a fork
 gets a new transcript and starts with nothing held.
+
+No upper tree is held.  The lower tree is the upper one too exactly when
+each non-tree edge lies above every edge of its path in the order (upper
+key, edge id); :func:`_uniqueness_gap` checks this on the held index, and
+only when it reports "differ" does :func:`upper_limit_tree` run Kruskal.
 
 Verified reduction moves on the held tree and index: deleting a non-tree
 edge changes neither the tree nor another edge's path, and contracting tree
@@ -102,7 +106,8 @@ def lower_limit_tree(run: QueryRun) -> set[int]:
 
 
 def upper_limit_tree(run: QueryRun) -> set[int]:
-    return set(_held_upper(run))
+    """Kruskal under the upper keys; the session holds no upper tree."""
+    return _kruskal(run, upper_keys(run))
 
 
 def _tree_adjacency(run: QueryRun, tree: set[int]) -> dict[int, list[tuple[int, int]]]:
@@ -210,13 +215,12 @@ def _path_index(run: QueryRun, tree: set[int]) -> PathIndex:
 
 @dataclass
 class _Held:
-    """The limit trees a session holds, valid after its first `at`
-    transcript events; a tree that a move may have changed is None."""
+    """The lower limit tree a session holds, valid after its first `at`
+    transcript events; None once a move may have changed it."""
 
     at: int
     lower: Optional[set[int]] = None
     index: Optional[PathIndex] = None   # of `lower`; None when not built
-    upper: Optional[set[int]] = None
 
 
 def _stays(tree: set[int], index: PathIndex, keys: list[int], e: int) -> bool:
@@ -231,73 +235,48 @@ def _stays(tree: set[int], index: PathIndex, keys: list[int], e: int) -> bool:
 
 
 def _synced(run: QueryRun) -> Optional[_Held]:
-    """The session's held limit trees with every move recorded since
+    """The session's held limit tree with every move recorded since
     applied, or None if it holds none."""
     held: Optional[_Held] = getattr(run, "_limit_trees", None)
     if held is None:
         return None
     events = run.transcript.events
     for ev in events[held.at:]:
-        e, kind = ev.edge, ev.kind
-        lower, index, upper = held.lower, held.index, held.upper
+        e, kind, tree, index = ev.edge, ev.kind, held.lower, held.index
+        if tree is None:
+            break
         if kind == "reveal":
-            # the index serves the upper tree too while the two coincide
-            if upper is not None and not (
-                index is not None and upper == lower and _stays(upper, index, run.upper, e)
-            ):
-                held.upper = None
-            if lower is not None and not (index is not None and _stays(lower, index, run.lower, e)):
+            if index is None or not _stays(tree, index, run.lower, e):
                 held.lower = held.index = None
         elif kind == "delete":
-            if upper is not None and e in upper:
-                held.upper = None
-            if lower is not None:
-                if e in lower:
-                    held.lower = held.index = None
-                elif index is not None:
-                    for l in index.paths.pop(e):
-                        index.covers[l].discard(e)
+            if e in tree:
+                held.lower = held.index = None
+            elif index is not None:
+                for l in index.paths.pop(e):
+                    index.covers[l].discard(e)
         elif kind == "contract":
-            if upper is not None:
-                if e in upper:
-                    upper.discard(e)
-                else:
-                    held.upper = None
-            if lower is not None:
-                if e not in lower:
-                    held.lower = held.index = None
-                else:
-                    lower.discard(e)
-                    if index is not None:
-                        for f in index.covers.pop(e):
-                            index.paths[f].remove(e)
+            if e not in tree:
+                held.lower = held.index = None
+            else:
+                tree.discard(e)
+                if index is not None:
+                    for f in index.covers.pop(e):
+                        index.paths[f].remove(e)
     held.at = len(events)
-    return held
-
-
-def _held(run: QueryRun) -> _Held:
-    held = _synced(run)
-    if held is None:
-        held = run._limit_trees = _Held(len(run.transcript.events))
     return held
 
 
 def _held_lower(run: QueryRun, indexed: bool = False) -> _Held:
     """The held state with the lower limit tree built, and its path index
     too if `indexed`."""
-    held = _held(run)
+    held = _synced(run)
+    if held is None:
+        held = run._limit_trees = _Held(len(run.transcript.events))
     if held.lower is None:
         held.lower = _kruskal(run, lower_keys(run))
     if indexed and held.index is None:
         held.index = _path_index(run, held.lower)
     return held
-
-
-def _held_upper(run: QueryRun) -> set[int]:
-    held = _held(run)
-    if held.upper is None:
-        held.upper = _kruskal(run, upper_keys(run))
-    return held.upper
 
 
 @dataclass
@@ -323,22 +302,34 @@ class LimitTrees:
 
 
 def _uniqueness_gap(run: QueryRun, index: PathIndex):
-    """First strictness violation of the tree indexed by `index`, which must
-    be both the lower and the upper limit tree, or None if it is unique.
+    """Why the lower limit tree indexed by `index` is not the unique limit
+    tree, or None if it is.
+
+    ("differ", f, e): the tree is not the upper limit tree, because edge e
+    on the path of non-tree edge f lies above f in the order (upper key,
+    edge id), so the upper Kruskal keeps f.  Every path is checked for
+    this before a tie is returned.  Otherwise ("upper", f, e) for the
+    first tie of a path edge e with f's upper key, then ("lower", l, x)
+    for the first tie of a cover x with tree edge l's lower key.
 
     Ties between two point intervals cannot be separated by queries and are
     resolved by edge id, so they do not count as violations.
     """
     lo, hi = run.lo, run.hi
     upper, lower = upper_keys(run), lower_keys(run)
+    tie = None
     for f in sorted(index.paths):
         kf = upper[f]
         for e in index.paths[f]:
             ke = upper[e]
-            if ke > kf:
-                raise PreconditionViolated("upper limit tree violates the cycle rule")
-            if ke == kf and not (lo[e] == hi[e] and lo[f] == hi[f]):
-                return ("upper", f, e)
+            if ke < kf:
+                continue
+            if ke > kf or e > f:
+                return ("differ", f, e)
+            if tie is None and not (lo[e] == hi[e] and lo[f] == hi[f]):
+                tie = ("upper", f, e)
+    if tie is not None:
+        return tie
     for l in sorted(index.covers):
         kl = lower[l]
         for x in sorted(index.covers[l]):
@@ -351,9 +342,6 @@ def _uniqueness_gap(run: QueryRun, index: PathIndex):
 
 
 def limit_trees_unique(run: QueryRun) -> bool:
-    held = _held_lower(run)
-    if held.lower != _held_upper(run):
-        return False
     return _uniqueness_gap(run, _held_lower(run, indexed=True).index) is None
 
 
@@ -372,13 +360,12 @@ def compute_limit_trees(run: QueryRun) -> LimitTrees:
     :func:`ensure_unique_limit_trees` first, or call
     :func:`unique_limit_trees`, which does both).
     """
-    held = _held_lower(run)
-    if held.lower != _held_upper(run):
-        raise PreconditionViolated("limit trees differ; preprocessing required")
-    index = _held_lower(run, indexed=True).index
-    if _uniqueness_gap(run, index) is not None:
-        raise PreconditionViolated("limit trees are not unique; preprocessing required")
-    return _normal_form(run, set(held.lower), index)
+    held = _held_lower(run, indexed=True)
+    gap = _uniqueness_gap(run, held.index)
+    if gap is not None:
+        what = "differ" if gap[0] == "differ" else "are not unique"
+        raise PreconditionViolated(f"limit trees {what}; preprocessing required")
+    return _normal_form(run, set(held.lower), held.index)
 
 
 def is_solved(run: QueryRun) -> Optional[set[int]]:
@@ -498,22 +485,21 @@ def _certify(run: QueryRun, reduce: bool) -> tuple[set[int], PathIndex]:
     """The rounds of :func:`ensure_unique_limit_trees`; returns the unique
     limit tree and the held path index, which callers must not keep."""
     for _ in rounds(run, "ensure_unique_limit_trees"):
-        t_lower = reduce_verified(run) if reduce else lower_limit_tree(run)
-        t_upper = upper_limit_tree(run)
-        if t_lower != t_upper:
-            diff = sorted(e for e in t_lower - t_upper if not run.is_trivial(e))
+        tree = reduce_verified(run) if reduce else lower_limit_tree(run)
+        index = _held_lower(run, indexed=True).index
+        gap = _uniqueness_gap(run, index)
+        if gap is None:
+            return tree, index
+        # upper-side tie: swapping the tied tree edge out of the upper tree
+        # yields a tree pair whose difference is exactly that edge, so it is
+        # mandatory; lower-side tie: symmetrically the tied cut edge is.
+        kind, _, partner = gap
+        if kind == "differ":
+            # the first non-trivial lower tree edge outside the upper tree
+            diff = sorted(e for e in tree - upper_limit_tree(run) if not run.is_trivial(e))
             if not diff:
                 raise PreconditionViolated(
                     "limit trees differ only in trivial edges; cannot requery"
                 )
-            run.reveal(diff[0])
-            continue
-        index = _held_lower(run, indexed=True).index
-        gap = _uniqueness_gap(run, index)
-        if gap is None:
-            return t_lower, index
-        # upper-side tie: swapping the tied tree edge out of the upper tree
-        # yields a tree pair whose difference is exactly that edge, so it is
-        # mandatory; lower-side tie: symmetrically the tied cut edge is.
-        _, _, partner = gap
+            partner = diff[0]
         run.reveal(partner)

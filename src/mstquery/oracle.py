@@ -41,15 +41,15 @@ class OptResult:
 GraphLike = Union[UncertainGraph, QueryRun]
 
 
-def _value_table(graph: GraphLike, value_source: str) -> dict[int, Fraction]:
+def _is_truth(value_source: str) -> bool:
     if value_source not in ("truth", "predictions"):
         raise ValueError(f"unknown value source {value_source!r}")
-    base = graph if isinstance(graph, UncertainGraph) else graph.graph_readonly()
-    return base.true_values() if value_source == "truth" else base.predicted_values()
+    return value_source == "truth"
 
 
 def _as_run(graph: GraphLike, value_source: str) -> QueryRun:
-    values = _value_table(graph, value_source)
+    base = graph if isinstance(graph, UncertainGraph) else graph.graph_readonly()
+    values = base.true_values() if _is_truth(value_source) else base.predicted_values()
     if isinstance(graph, UncertainGraph):
         return QueryRun(graph, values=values)
     # fork of a live session: already-revealed values stay fixed; future
@@ -90,17 +90,18 @@ def mandatory_edges(graph: GraphLike, value_source: str = "truth") -> set[int]:
     edge on that cycle, so theta_e is w_f.
 
     Weights, thresholds and ends are compared as the session's ranks, which
-    order exactly as the values do.
+    order exactly as the values do; the table's ranks are the ranking's
+    truth or prediction ranks.
     """
-    table = _value_table(graph, value_source)
     run = graph if isinstance(graph, QueryRun) else QueryRun(graph)
-    lo, hi, rank = run.lo, run.hi, run.rank
+    lo, hi = run.lo, run.hi
+    table = run.ranking.truth if _is_truth(value_source) else run.ranking.pred
     w, open_ids = {}, []
     for e in run.present_ids():
         if lo[e] == hi[e]:
             w[e] = lo[e]
         else:
-            w[e] = rank[table[e]]
+            w[e] = table[e]
             open_ids.append(e)
     paths, covers = _path_index(run, _kruskal(run, w))
     mandatory = set()
@@ -185,10 +186,10 @@ def sampled_tree_validation(
     if tree is None:
         return True
     rng = random.Random(seed)
+    intervals = [(eid, run.interval(eid)) for eid in run.present_ids()]
     for _ in range(samples):
         weights: dict[int, Fraction] = {}
-        for eid in run.present_ids():
-            iv = run.interval(eid)
+        for eid, iv in intervals:
             if iv.is_trivial:
                 weights[eid] = iv.low
             else:

@@ -272,7 +272,8 @@ def _resolve_offending_cycle(run: QueryRun, trees: LimitTrees, f: int, ledger: P
 
     def reveal(eid: int) -> int:
         group.append(eid)
-        return run.rank[run.reveal(eid)]
+        run.reveal(eid)
+        return run.lo[eid]
 
     def reveal_pair(a: int, b: int) -> dict[int, int]:
         return {eid: reveal(eid) for eid in sorted((a, b))}
@@ -338,11 +339,12 @@ def _phase2_lists(run: QueryRun, trees: LimitTrees, cover: frozenset[int]) -> tu
     return f_list, l_list
 
 
-def _observed_error(run: QueryRun, eid: int, value: Fraction) -> bool:
-    """Any relation of the revealed value to a currently open interval that
-    differs from the predicted relation: on ranks, an open (lo, hi) whose lo
-    or hi separates the value's rank from the prediction's."""
-    a, b = sorted((run.rank[value], run.pred[eid]))
+def _observed_error(run: QueryRun, eid: int) -> bool:
+    """Any relation of revealed edge eid's value to a currently open
+    interval that differs from the predicted relation: on ranks, an open
+    (lo, hi) whose lo or hi separates the value's rank from the
+    prediction's."""
+    a, b = sorted((run.lo[eid], run.pred[eid]))
     lo, hi = run.lo, run.hi
     return a != b and any(
         lo[x] != hi[x] and (a <= lo[x] < b or a < hi[x] <= b) for x in run.present_ids() if x != eid
@@ -371,10 +373,10 @@ def phase2_tradeoff(run: QueryRun) -> Phase2Report:
         partner = vc.matching.get(e)
         if partner is None:
             raise RuntimeError("cover element without matching partner")
-        value = run.reveal(e)
+        run.reveal(e)
         report.listed.append(e)
         report.deferred.append(partner)
-        if _observed_error(run, e, value):
+        if _observed_error(run, e):
             report.error_edge = e
             for x in report.deferred:
                 if run.is_present(x) and not run.is_trivial(x):
@@ -405,14 +407,6 @@ class ErrorSensitiveLedger:
     def tick(self) -> int:
         self._tick += 1
         return self._tick
-
-    def partner_queries(self) -> list[int]:
-        tracked = set(self.pair_at_query.values())
-        return [e for e in self.support if e in tracked]
-
-    def other_support_queries(self) -> list[int]:
-        tracked = set(self.pair_at_query.values())
-        return [e for e in self.support if e not in tracked]
 
     def all_queries(self) -> list[int]:
         return self.listed + self.support + self.replay

@@ -249,6 +249,28 @@ def test_malformed_bench_config_is_one_error_line(tmp_path, config, text):
     _assert_one_error_line(_run_cli("bench", "--config", str(cfg)), text)
 
 
+_RANDOM_JOB = dict(_TRIANGLE_JOB, family="random", params={})
+
+
+@pytest.mark.parametrize(
+    "config, text",
+    [
+        ({"jobs": [dict(_TRIANGLE_JOB, strategies=[{"alg": "baseline", "seed": 2.7}])]}, "seed must be an integer, got 2.7"),
+        ({"jobs": [dict(_TRIANGLE_JOB, strategies=[{"alg": "baseline", "seed": True}])]}, "seed must be an integer, got True"),
+        ({"oracle_cap": 16.9, "jobs": [_TRIANGLE_JOB]}, "oracle_cap must be an integer, got 16.9"),
+        ({"oracle_cap": False, "jobs": [_TRIANGLE_JOB]}, "oracle_cap must be an integer, got False"),
+        ({"jobs": [dict(_RANDOM_JOB, seeds="12")]}, "seeds must be a list of integers, got '12'"),
+        ({"jobs": [dict(_RANDOM_JOB, seeds=[1, 2.5])]}, "seeds must be a list of integers, got [1, 2.5]"),
+        ({"jobs": [dict(_RANDOM_JOB, seeds=[True])]}, "seeds must be a list of integers, got [True]"),
+    ],
+)
+def test_bench_integer_fields_reject_floats_bools_and_strings(tmp_path, config, text):
+    # read by the instance parser's rule: never truncated to an int
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps(config))
+    _assert_one_error_line(_run_cli("bench", "--config", str(cfg)), text)
+
+
 def test_invalid_gen_parameters_are_one_error_line():
     _assert_one_error_line(_run_cli("gen", "--family", "triangle-chain", "--n", "0"), "n must be at least 1")
     _assert_one_error_line(_run_cli("gen", "--family", "tradeoff-cycle", "--beta", "1"), "beta must be at least 2")

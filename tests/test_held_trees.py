@@ -1,19 +1,22 @@
 """The limit trees a session holds between reads, against a rebuild.
 
-`limittrees` keeps each session's lower limit tree, its path index and its
-upper limit tree, and applies every recorded move to them before a read.
-These tests hold that state to the from-scratch reference, `_kruskal` over
-the session's keys and `_path_index` over the lower tree, after every move
-of live strategy runs, at every read, after moves that must drop the held
-state, across forks, and against callers that keep or change a tree they
-were handed.
+`limittrees` keeps each session's lower limit tree and its path index, and
+applies every recorded move to them before a read.  These tests hold that
+state to the from-scratch reference, `_kruskal` over the session's keys and
+`_path_index` over the lower tree, after every move of live strategy runs,
+at every read, after moves that must drop the held state, across forks, and
+against callers that keep or change a tree they were handed.  The upper
+limit tree is not held; the uniqueness scan's "differ" verdict stands in
+for comparing it with the lower tree, and is held to that comparison too.
 """
 
 from collections import Counter
+from fractions import Fraction
 
+import pytest
 from cases import ERROR_RATES, build_corpus, kernel_case
 from mstquery import factory, limittrees, strategies
-from mstquery.graphcore import QueryRun
+from mstquery.graphcore import Interval, PreconditionViolated, QueryRun, UncertainEdge, UncertainGraph
 from mstquery.limittrees import (
     _kruskal,
     _path_index,
@@ -31,7 +34,7 @@ from mstquery.strategies import StrategyConfig, run_combined
 
 def assert_held_matches_a_rebuild(run, seen=None):
     """Every part the session holds equals its from-scratch reference: the
-    lower tree, each path in order, each cover, and the upper tree."""
+    lower tree, each path in order and each cover."""
     held = _synced(run)
     if held is None:
         return
@@ -44,10 +47,6 @@ def assert_held_matches_a_rebuild(run, seen=None):
             assert held.index.covers == reference.covers
             if seen is not None:
                 seen["index"] += 1
-    if held.upper is not None:
-        assert held.upper == _kruskal(run, run.upper)
-        if seen is not None:
-            seen["upper"] += 1
 
 
 def live_graphs():
@@ -103,8 +102,6 @@ class CheckedRun(QueryRun):
             # path rule rather than a rebuild
             if kind == "reveal" and held.index is not None:
                 CheckedRun.seen["lower kept by a reveal"] += 1
-                if held.upper is not None:
-                    CheckedRun.seen["upper kept by a reveal"] += 1
         assert_held_matches_a_rebuild(self, CheckedRun.seen)
         CheckedRun.seen[kind] += 1
 
@@ -128,8 +125,8 @@ def test_held_trees_match_a_rebuild_after_every_move_of_live_runs(monkeypatch):
     run_live(live_graphs(), large_graphs())
     seen = CheckedRun.seen
     assert seen["reveal"] + seen["delete"] + seen["contract"] > 20000
-    assert seen["lower kept by a reveal"] > 2000 and seen["upper kept by a reveal"] > 1000
-    assert seen["index"] > 15000 and seen["upper"] > 3500
+    assert seen["lower kept by a reveal"] > 2000
+    assert seen["index"] > 15000
 
 
 def test_held_trees_match_a_rebuild_at_every_read_of_live_runs(monkeypatch):
@@ -145,21 +142,62 @@ def test_held_trees_match_a_rebuild_at_every_read_of_live_runs(monkeypatch):
         return held
 
     monkeypatch.setattr(limittrees, "_synced", checked)
-    run_live(live_graphs()[::2], large_graphs()[::2])
-    assert seen["index"] > 20000 and seen["upper"] > 15000
+    run_live(live_graphs(), large_graphs()[::2])
+    assert seen["index"] > 20000
+
+
+def test_the_differ_verdict_matches_the_upper_kruskal_at_every_round_of_live_runs(monkeypatch):
+    # the upper limit tree is not held: "differ" must hold exactly when the
+    # upper Kruskal disagrees with the held lower tree, and upper_limit_tree
+    # must be that Kruskal
+    gap = limittrees._uniqueness_gap
+    seen = Counter()
+
+    def checked(run, index):
+        verdict = gap(run, index)
+        held = _synced(run)
+        assert held.index is index
+        upper = _kruskal(run, run.upper)
+        assert (verdict is not None and verdict[0] == "differ") == (upper != held.lower)
+        assert upper_limit_tree(run) == upper
+        seen["differ" if upper != held.lower else "same"] += 1
+        return verdict
+
+    monkeypatch.setattr(limittrees, "_uniqueness_gap", checked)
+    run_live(live_graphs(), large_graphs()[::2])
+    assert seen["differ"] > 2500 and seen["same"] > 7000
+
+
+def test_an_upper_key_tie_broken_by_edge_id_is_a_differ_verdict():
+    # edge 2 = (1, 5) enters the lower tree before edge 1 = (3, 5); at the
+    # upper keys they tie, and the upper Kruskal takes the smaller id first
+    g = UncertainGraph(3, [
+        UncertainEdge(0, 0, 1, Interval.point(0), Fraction(0), Fraction(0)),
+        UncertainEdge(1, 1, 2, Interval.open(3, 5), Fraction(4), Fraction(4)),
+        UncertainEdge(2, 0, 2, Interval.open(1, 5), Fraction(2), Fraction(2)),
+    ])
+    run = QueryRun(g)
+    assert lower_limit_tree(run) == {0, 2} and upper_limit_tree(run) == {0, 1}
+    index = limittrees._held_lower(run, indexed=True).index
+    assert limittrees._uniqueness_gap(run, index) == ("differ", 1, 2)
+    assert not limittrees.limit_trees_unique(run)
+    with pytest.raises(PreconditionViolated, match="differ"):
+        compute_limit_trees(run)
+    assert ensure_unique_limit_trees(run, reduce=False) == [2]
+    assert limittrees.limit_trees_unique(run)
 
 
 # -- moves that must drop the held state ---------------------------------------
 
 
 def held_session(g):
-    """A session holding both limit trees and the lower tree's index, with
-    no edge removed."""
+    """A session holding the lower limit tree and its index, with no edge
+    removed."""
     run = QueryRun(g)
     ensure_unique_limit_trees(run, reduce=False)
     upper_limit_tree(run)
     held = _synced(run)
-    assert held.lower is not None and held.index is not None and held.upper is not None
+    assert held.lower is not None and held.index is not None
     return run, held
 
 
@@ -172,11 +210,9 @@ def test_contracting_a_non_tree_edge_rebuilds_the_trees():
         if not nontree:
             continue
         f = nontree[0]
-        in_upper = f in held.upper
         run.contract(f)
         held = _synced(run)
         assert held.lower is None and held.index is None
-        assert (held.upper is None) != in_upper
         assert lower_limit_tree(run) == _kruskal(run, run.lower)
         assert upper_limit_tree(run) == _kruskal(run, run.upper)
         ensure_unique_limit_trees(run, reduce=False)
@@ -195,11 +231,9 @@ def test_deleting_a_tree_edge_rebuilds_the_trees():
         if not covered:
             continue
         l = covered[0]
-        in_upper = l in held.upper
         run.delete(l)
         held = _synced(run)
         assert held.lower is None and held.index is None
-        assert (held.upper is None) == in_upper
         assert lower_limit_tree(run) == _kruskal(run, run.lower)
         assert upper_limit_tree(run) == _kruskal(run, run.upper)
         ensure_unique_limit_trees(run, reduce=False)
@@ -217,7 +251,6 @@ def snapshot(run):
         set(held.lower),
         {f: list(path) for f, path in held.index.paths.items()},
         {l: set(covers) for l, covers in held.index.covers.items()},
-        set(held.upper),
     )
 
 

@@ -2,11 +2,14 @@
 observed-error check, held to their definitions on the values."""
 
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 
-from cases import kernel_case
+from cases import ERROR_RATES, build_corpus, kernel_case
+from mstquery import factory, strategies
 from mstquery.errormetrics import ErrorReport, RelationKernel, hop_distance, relation
 from mstquery.graphcore import QueryRun
 from mstquery.learner import discretize
+from mstquery.limittrees import ensure_unique_limit_trees, verified_tree_of_original
 from mstquery.strategies import _observed_error
 
 SEEDS = range(150)
@@ -67,7 +70,7 @@ def test_observed_error_matches_relations_after_reveals_on_other_ends():
             value = run.reveal(eid)
             on_ends += value in ends
             expected = observed_error_on_values(run, eid, value)
-            assert _observed_error(run, eid, value) == expected, (seed, eid)
+            assert _observed_error(run, eid) == expected, (seed, eid)
             outcomes[expected] += 1
     assert on_ends > 300
     assert min(outcomes.values()) > 200
@@ -155,3 +158,36 @@ def test_hop_distance_on_ranks_matches_values():
         assert hop_distance(g) == hop_distance_on_values(g), seed
         exact += sum(e.true_value == e.predicted_value for e in g.edges)
     assert exact > 200  # trivial edges and a few exact predictions are skipped
+
+
+def test_the_strategy_path_hashes_no_fraction(monkeypatch):
+    """Once the graph is ranked, a strategy run compares and looks up ranks
+    only: phase 1's prediction-mandatory edges, phase 2's observed-error
+    check and every reveal read the session's rank tables."""
+    graphs = [g for rate in ERROR_RATES for g in build_corpus(rate, 30)]
+    graphs += [kernel_case(seed)[0] for seed in range(60)]
+    graphs += [factory.gen_path_parallel(n) for n in (4, 8)]
+    graphs += [factory.gen_vc_flip(n, variant) for n in (4, 8) for variant in ("ex1", "ex2")]
+    graphs += [factory.gen_triangle_chain(n) for n in (2, 4)]
+    for g in graphs:
+        g.ranking  # hashes each distinct value once, before the patch
+
+    def unhashable(self):
+        raise AssertionError(f"Fraction {self} hashed on the strategy path")
+
+    monkeypatch.setattr(Fraction, "__hash__", unhashable)
+    runs = 0
+    for g in graphs:
+        for mode in ("baseline", "tradeoff", "error_sensitive"):
+            for gamma in (2, 4):
+                run = QueryRun(g)
+                if mode == "baseline":
+                    strategies.run_baseline(run)
+                else:
+                    strategies.make_prediction_mandatory_free(run, gamma)
+                    phase2 = strategies.phase2_tradeoff if mode == "tradeoff" else strategies.phase2_error_sensitive
+                    phase2(run)
+                ensure_unique_limit_trees(run)
+                assert verified_tree_of_original(run) is not None
+                runs += 1
+    assert runs == 6 * len(graphs)

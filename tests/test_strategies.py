@@ -139,7 +139,8 @@ def test_safe_order_keeps_pairs_as_witness_sets(idx, pred_free_corpus):
         partner = vc.matching[e]
         opt_sets = opt_brute_force(run, collect_all=True).all_optimal_sets
         assert all(opt & {e, partner} for opt in opt_sets)
-        if _observed_error(run, e, run.reveal(e)):
+        run.reveal(e)
+        if _observed_error(run, e):
             break
 
 
