@@ -27,8 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class ParseError(ValueError):
@@ -184,10 +183,19 @@ class Ranking(NamedTuple):
         i = bisect_left(values, value, lo, len(values) if hi is None else hi)
         return 2 * i if i < len(values) and values[i] == value else 2 * i - 1
 
+    def table(self, source: str) -> tuple[int, ...]:
+        """The ranks, by edge id, of the values a reveal takes under
+        `source`: "truth" or "predictions"."""
+        if source == "truth":
+            return self.truth
+        if source == "predictions":
+            return self.pred
+        raise ValueError(f"unknown value source {source!r}")
 
-def rank_values(edges: tuple[UncertainEdge, ...], extra: Iterable[Fraction] = ()) -> Ranking:
+
+def rank_values(edges: tuple[UncertainEdge, ...]) -> Ranking:
     """Ranking over every interval end, truth and prediction of `edges`
-    (ordered by edge id) and the values of `extra`.
+    (ordered by edge id).
 
     The pool and the per-edge lookups key on (numerator, denominator)
     pairs, which name each value once (a Fraction is kept in lowest terms)
@@ -197,8 +205,6 @@ def rank_values(edges: tuple[UncertainEdge, ...], extra: Iterable[Fraction] = ()
     for e in edges:
         for x in (e.interval.low, e.interval.high, e.true_value, e.predicted_value):
             pool[x.numerator, x.denominator] = x
-    for x in extra:
-        pool[x.numerator, x.denominator] = x
     distinct = tuple(sorted(pool.values()))
     code = {(x.numerator, x.denominator): i for i, x in enumerate(distinct)}
 
@@ -273,6 +279,10 @@ class UncertainGraph:
             raise ValidationError("graph is not connected")
 
     def _connected(self) -> bool:
+        # a spanning tree has vertex_count - 1 edges; a larger count is
+        # rejected before a list per vertex is built
+        if self.vertex_count > len(self.edges) + 1:
+            return False
         ends = [(e.u, e.v) for e in self.edges]
         tree = kruskal(range(len(ends)), ends, list(range(self.vertex_count)))
         return len(tree) == self.vertex_count - 1
@@ -435,19 +445,19 @@ class QueryRun:
     """Mutable query session over one instance.
 
     Strategy code sees intervals, predictions, and the current minor; hidden
-    values leave the session only through :meth:`reveal`.  A session can be
-    built with an alternative value table (e.g. the predictions) so oracle
-    code can replay hypothetical reveals on a scratch copy.
+    values leave the session only through :meth:`reveal`.  A reveal takes
+    the value of the session's source: the graph's truths ("truth"), or
+    its predictions ("predictions"), so oracle code can replay
+    hypothetical reveals on a scratch copy.
 
-    The session holds ranks, never values, under `ranking`: the graph's,
-    or a ranking of the union when a value table brings other values.  By
-    edge id, `lo[e]` and `hi[e]` rank the ends of e's current interval
-    (equal once known), `pred[e]` its prediction and `_values[e]` the value
-    its reveal takes; :meth:`interval` and :meth:`reveal` map ranks back
-    through `ranking.values`.  It also keeps each edge's two limit keys as
-    ints, `lower[e]` = 3*lo+1 and `upper[e]` = 3*hi-1 for an open interval
-    and both 3*r for a known value r; only :meth:`reveal` and a re-ranking
-    change them.
+    The session holds ranks, never values, under `ranking`, its graph's
+    ranking.  By edge id, `lo[e]` and `hi[e]` rank the ends of e's current
+    interval (equal once known), `pred[e]` its prediction and `_values[e]`
+    the value its reveal takes (`ranking.table(source)`); :meth:`interval`
+    and :meth:`reveal` map ranks back through `ranking.values`.  It also
+    keeps each edge's two limit keys as ints, `lower[e]` = 3*lo+1 and
+    `upper[e]` = 3*hi-1 for an open interval and both 3*r for a known
+    value r; only :meth:`reveal` changes them.
 
     The minor is kept, not derived: `ends[e]` is the current endpoint pair
     of edge e, and every vertex of the minor holds the set of its present
@@ -458,16 +468,15 @@ class QueryRun:
     in ascending id order.  These lists are read-only outside the session.
     """
 
-    def __init__(self, graph: UncertainGraph, values: Optional[Mapping[int, Fraction]] = None):
+    def __init__(self, graph: UncertainGraph, source: str = "truth"):
         self._graph = graph
         self.ranking: Ranking = graph.ranking
-        self._values: tuple[int, ...] = self.ranking.truth
+        self._values: tuple[int, ...] = self.ranking.table(source)
         self._present: set[int] = set(range(len(graph.edges)))
         self.lo: list[int] = list(self.ranking.lo)
         self.hi: list[int] = list(self.ranking.hi)
-        self._key_all()
-        if values is not None:
-            self._rank_table(values)
+        self.lower: list[int] = [3 * a + (a != b) for a, b in zip(self.lo, self.hi)]
+        self.upper: list[int] = [3 * b - (a != b) for a, b in zip(self.lo, self.hi)]
         self.ends: list[tuple[int, int]] = [(e.u, e.v) for e in graph.edges]
         self.vertex_count = graph.vertex_count  # of the current minor
         # vertex -> ids of its present edges; None once the vertex is absorbed
@@ -596,23 +605,22 @@ class QueryRun:
 
     # -- forking (oracle scratch copies) ------------------------------------
 
-    def fork(self, values: Optional[Mapping[int, Fraction]] = None) -> "QueryRun":
-        """Copy of the current state; optionally with a different value table.
+    def fork(self, source: Optional[str] = None) -> "QueryRun":
+        """Copy of the current state; optionally with another value source.
 
-        The fork shares the ranking and the reveal ranks, unless a new
-        table is given; then it ranks that table, over the union of the
-        values when the table holds one outside the ranking.  It copies
-        the ranks, keys, endpoint table and incidence sets, so a move on
-        either side leaves the other as it was.  It starts a new transcript
-        and holds no limit trees (see :mod:`.limittrees`)."""
+        The fork shares the ranking, and the reveal ranks unless `source`
+        names another table of it ("truth" or "predictions"); the values
+        already revealed stay.  It copies the ranks, keys, endpoint table
+        and incidence sets, so a move on either side leaves the other as
+        it was.  It starts a new transcript and holds no limit trees (see
+        :mod:`.limittrees`)."""
         clone = QueryRun.__new__(QueryRun)
         clone._graph = self._graph
-        clone.ranking, clone._values = self.ranking, self._values
+        clone.ranking = self.ranking
+        clone._values = self._values if source is None else self.ranking.table(source)
         clone._present = set(self._present)
         clone.lo, clone.hi = list(self.lo), list(self.hi)
         clone.lower, clone.upper = list(self.lower), list(self.upper)
-        if values is not None:
-            clone._rank_table(values)
         clone.ends = list(self.ends)
         clone.vertex_count = self.vertex_count
         clone._incident = [None if edges is None else set(edges) for edges in self._incident]
@@ -621,27 +629,6 @@ class QueryRun:
         clone.removed_unqueried = dict(self.removed_unqueried)
         clone.transcript = Transcript()
         return clone
-
-    def _key_all(self) -> None:
-        lo, hi = self.lo, self.hi
-        self.lower: list[int] = [3 * a + (a != b) for a, b in zip(lo, hi)]
-        self.upper: list[int] = [3 * b - (a != b) for a, b in zip(lo, hi)]
-
-    def _rank_table(self, values: Mapping[int, Fraction]) -> None:
-        """Take the reveal ranks from a value table by edge id.  When the
-        table holds a value outside the ranking, rank the union and map
-        every end rank to its value's new rank, and rekey."""
-        table = [values[eid] for eid in range(len(self._graph.edges))]
-        try:
-            self._values = tuple(map(self.ranking.rank.__getitem__, table))
-        except KeyError:
-            old = self.ranking.values
-            self.ranking = rank_values(self._graph.edges, chain(old, table))
-            rank = self.ranking.rank
-            self.lo = [rank[old[r]] for r in self.lo]
-            self.hi = [rank[old[r]] for r in self.hi]
-            self._values = tuple(map(rank.__getitem__, table))
-            self._key_all()
 
     def graph_readonly(self) -> UncertainGraph:
         """The underlying instance, for oracle and reporting code.

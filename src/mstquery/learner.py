@@ -126,7 +126,7 @@ class RealizationSampler:
             raise ParseError(f"malformed distribution document: {exc}") from exc
         if not isinstance(entries, dict):
             raise ParseError("malformed distribution document: 'edges' must be an object")
-        mixtures = {}
+        mixtures, keys = {}, {}
         for key, spec in entries.items():
             try:
                 values = spec["values"]
@@ -139,11 +139,15 @@ class RealizationSampler:
                 if any(isinstance(w, (bool, float)) for w in weights):
                     raise TypeError(f"weights must be integers, got {weights}")
                 weights = [int(w) for w in weights]
-                mixtures[int(key)] = (values, weights)
+                eid = int(key)
             except KeyError as exc:
                 raise ParseError(f"edge {key}: mixture lacks {exc}") from exc
             except (AttributeError, TypeError, ValueError) as exc:
                 raise ParseError(f"edge {key}: malformed mixture: {exc}") from exc
+            if eid in keys:
+                raise ParseError(f"edge {eid}: two mixtures, keyed {keys[eid]!r} and {key!r}")
+            keys[eid] = key
+            mixtures[eid] = (values, weights)
         return cls(graph, mixtures, seed=seed)
 
     def sample(self) -> dict[int, Fraction]:

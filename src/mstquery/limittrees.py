@@ -45,9 +45,8 @@ Any other move (a swap, deleting a tree edge, contracting a non-tree edge,
 or a reveal the held index cannot judge) drops the held tree, and the next
 read rebuilds it with Kruskal and :func:`_path_index`.  Readers get copies;
 the held sets and index stay private to this module.  The keys a held tree
-was built on change only by a reveal, so a session must never be re-ranked
-after its construction or :meth:`~mstquery.graphcore.QueryRun.fork`; a fork
-gets a new transcript and starts with nothing held.
+was built on change only by a reveal; a fork gets a new transcript and
+starts with nothing held.
 
 No upper tree is held.  The lower tree is the upper one too exactly when
 each non-tree edge lies above every edge of its path in the order (upper

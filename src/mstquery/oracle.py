@@ -41,20 +41,12 @@ class OptResult:
 GraphLike = Union[UncertainGraph, QueryRun]
 
 
-def _is_truth(value_source: str) -> bool:
-    if value_source not in ("truth", "predictions"):
-        raise ValueError(f"unknown value source {value_source!r}")
-    return value_source == "truth"
-
-
 def _as_run(graph: GraphLike, value_source: str) -> QueryRun:
-    base = graph if isinstance(graph, UncertainGraph) else graph.graph_readonly()
-    values = base.true_values() if _is_truth(value_source) else base.predicted_values()
     if isinstance(graph, UncertainGraph):
-        return QueryRun(graph, values=values)
+        return QueryRun(graph, value_source)
     # fork of a live session: already-revealed values stay fixed; future
     # reveals draw from the chosen source
-    return graph.fork(values=values)
+    return graph.fork(value_source)
 
 
 def is_feasible(graph: GraphLike, query_set: Iterable[int], value_source: str = "truth") -> FeasibilityVerdict:
@@ -70,10 +62,10 @@ def is_feasible(graph: GraphLike, query_set: Iterable[int], value_source: str = 
 
 def mandatory_edges(graph: GraphLike, value_source: str = "truth") -> set[int]:
     """Edges in every feasible query set: revealing everything else under the
-    chosen value table must leave the instance unsolved.
+    chosen value source must leave the instance unsolved.
 
     With every other edge revealed, each present edge has a weight w (its
-    known value, or the table's value) and only e is open.  Let theta_e be
+    known value, or the source's value) and only e is open.  Let theta_e be
     the bottleneck weight between e's endpoints in the graph without e
     (infinite for a bridge).  The instance is then solved iff
     theta_e <= L_e (a tree without e verifies: e closes a cycle of weights
@@ -90,12 +82,12 @@ def mandatory_edges(graph: GraphLike, value_source: str = "truth") -> set[int]:
     edge on that cycle, so theta_e is w_f.
 
     Weights, thresholds and ends are compared as the session's ranks, which
-    order exactly as the values do; the table's ranks are the ranking's
+    order exactly as the values do; the source's ranks are the ranking's
     truth or prediction ranks.
     """
     run = graph if isinstance(graph, QueryRun) else QueryRun(graph)
     lo, hi = run.lo, run.hi
-    table = run.ranking.truth if _is_truth(value_source) else run.ranking.pred
+    table = run.ranking.table(value_source)
     w, open_ids = {}, []
     for e in run.present_ids():
         if lo[e] == hi[e]:

@@ -223,6 +223,23 @@ def test_bad_learn_inputs_are_one_error_line(tmp_path):
     _assert_one_error_line(proc, "edge 0")
 
 
+def test_two_mixtures_for_one_edge_are_one_error_line(tmp_path):
+    inst = tmp_path / "inst.json"
+    dist = tmp_path / "dist.json"
+    factory.gen_triangle_chain(1).save(str(inst))
+    dist.write_text(json.dumps({"edges": {"0": {"values": ["5/4"]}, "00": {"values": ["11/12"]}}}))
+    proc = _run_cli("learn", "--instance", str(inst), "--dist", str(dist), "--samples", "3")
+    _assert_one_error_line(proc, "edge 0: two mixtures, keyed '0' and '00'")
+
+
+def test_an_oversized_vertex_count_is_one_error_line(tmp_path):
+    doc = factory.gen_triangle_chain(1).to_dict()
+    doc["vertices"] = 10**15
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    _assert_one_error_line(_run_cli("run", "--alg", "baseline", "--instance", str(inst)), "graph is not connected")
+
+
 def test_missing_bench_config_is_one_error_line(tmp_path):
     missing = tmp_path / "absent.json"
     proc = _run_cli("bench", "--config", str(missing))

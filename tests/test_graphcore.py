@@ -63,8 +63,10 @@ def test_disconnected_rejected():
 
 
 def test_isolated_vertex_rejected():
-    with pytest.raises(ValidationError, match="not connected"):
-        UncertainGraph(3, [make_edge(0, 0, 1, 0, 2, 1, 1)])
+    # a count far above m + 1 is rejected before any list per vertex is built
+    for vertices in (3, 10**15):
+        with pytest.raises(ValidationError, match="not connected"):
+            UncertainGraph(vertices, [make_edge(0, 0, 1, 0, 2, 1, 1)])
 
 
 def test_single_vertex_without_edges_accepted():
@@ -217,7 +219,7 @@ def test_transcript_sequence_is_monotone():
 
 def test_reveal_under_prediction_values():
     g = factory.demo_mandatory_cycle()
-    run = QueryRun(g, values=g.predicted_values())
+    run = QueryRun(g, "predictions")
     assert run.reveal(0) == Fraction(23, 4)
 
 

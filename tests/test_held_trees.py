@@ -280,14 +280,8 @@ def test_moves_in_a_fork_leave_the_held_trees_of_the_parent_correct():
         ensure_unique_limit_trees(parent, reduce=False)
         upper_limit_tree(parent)
         before = snapshot(parent)
-        # midpoints of an open interval's low end and its truth: a fork onto
-        # them ranks the union afresh
-        outside = {
-            e.eid: e.true_value if e.interval.is_trivial else (e.interval.low + e.true_value) / 2
-            for e in g.edges
-        }
-        for values in (None, g.predicted_values(), outside):
-            fork = parent.fork(values)
+        for source in (None, "truth", "predictions"):
+            fork = parent.fork(source)
             assert _synced(fork) is None
             churn(fork)
             assert snapshot(parent) == before

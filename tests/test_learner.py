@@ -182,6 +182,7 @@ def test_predictions_serialize():
         {"x": {"values": ["1/2"]}},                    # edge key is not an integer
         {"0": {"values": ["1/2", "y"]}},               # value is not a rational
         {"0": ["1/2"]},                                # spec is not an object
+        {"0": {"values": ["1/2"]}, "00": {"values": ["1/3"]}},  # two keys name edge 0
     ],
 )
 def test_sampler_from_json_rejects_malformed_mixture(spec):

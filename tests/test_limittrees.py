@@ -152,7 +152,7 @@ def test_solved_after_revealing_dominating_value():
     g = factory.demo_mandatory_cycle()
     # under the predicted values, edge 0 reveals a weight above every other
     # upper limit and the remaining path is a verified tree
-    run = QueryRun(g, values=g.predicted_values())
+    run = QueryRun(g, "predictions")
     run.reveal(0)
     assert is_solved(run) == {1, 2, 3}
     # under the true values the revealed weight stays inside edge 1's interval
@@ -460,8 +460,8 @@ def rank_graphs():
 
 def test_ranks_match_values_on_graphs():
     for g in rank_graphs():
-        for values in (g.true_values(), g.predicted_values()):
-            run = QueryRun(g, values)
+        for source, values in (("truth", g.true_values()), ("predictions", g.predicted_values())):
+            run = QueryRun(g, source)
             assert run.rank is g.ranking.rank
             assert_ranks_match_values(run, values)
             for eid in run.non_trivial_ids():
@@ -488,40 +488,6 @@ def test_ranks_match_values_after_every_reveal_of_live_runs(monkeypatch):
             for gamma in (2, 3):
                 run_combined(g, StrategyConfig(gamma=gamma, mode=mode))
     assert len(checked) > 4000
-
-
-def test_a_value_table_outside_the_graph_is_ranked_over_the_union():
-    for seed in range(40):
-        g, _ = kernel_case(seed)
-        # midpoints of an open interval's low end and its truth: values the
-        # graph mostly does not hold
-        values = {
-            e.eid: e.true_value if e.interval.is_trivial else (e.interval.low + e.true_value) / 2
-            for e in g.edges
-        }
-        outside = set(values.values()) - set(g.ranking.rank)
-        assert outside
-        run = QueryRun(g, values)
-        assert set(run.rank) == set(g.ranking.rank) | outside
-        assert_ranks_match_values(run, values)
-        same = run.fork()
-        assert same.rank is run.rank
-        ids = run.non_trivial_ids()
-        for eid in ids[: len(ids) // 2]:
-            run.reveal(eid)
-            assert_ranks_match_values(run, values)
-        # a fork onto yet other values keeps the revealed ones ranked
-        shifted = {
-            e.eid: e.true_value if e.interval.is_trivial else (values[e.eid] + e.interval.high) / 2
-            for e in g.edges
-        }
-        assert set(shifted.values()) - set(run.rank)
-        fork = run.fork(shifted)
-        assert fork.rank is not run.rank
-        assert_ranks_match_values(fork, shifted)
-        for eid in fork.non_trivial_ids():
-            fork.reveal(eid)
-            assert_ranks_match_values(fork, shifted)
 
 
 def test_unique_limit_trees_equal_compute_limit_trees(corpus_by_rate):

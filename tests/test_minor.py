@@ -82,8 +82,8 @@ class CheckedRun(QueryRun):
 
     moves = 0
 
-    def __init__(self, graph, values=None):
-        super().__init__(graph, values)
+    def __init__(self, graph, source="truth"):
+        super().__init__(graph, source)
         self.model = list(range(graph.vertex_count))
         assert_minor_matches(self, self.model)
 
@@ -160,24 +160,19 @@ def churn(run):
 def test_moves_in_a_fork_leave_the_parent_as_it_was():
     for seed in range(40):
         g, _ = kernel_case(seed)
-        outside = {
-            e.eid: e.true_value if e.interval.is_trivial else (e.interval.low + e.true_value) / 2
-            for e in g.edges
-        }
-        assert set(outside.values()) - set(g.ranking.rank)
         parent = QueryRun(g)
         ids = parent.non_trivial_ids()
         for eid in ids[: len(ids) // 2]:
             parent.reveal(eid)
         ensure_unique_limit_trees(parent)
         before = stored_state(parent)
-        for values in (None, g.predicted_values(), outside):
-            fork = parent.fork(values)
+        for source in (None, "truth", "predictions"):
+            fork = parent.fork(source)
             assert stored_state(fork)[:2] == before[:2]
             churn(fork)
             assert stored_state(parent) == before
         # and the other way round: the parent's moves leave a fork alone
-        fork = parent.fork(outside)
+        fork = parent.fork("predictions")
         kept = stored_state(fork)
         churn(parent)
         assert stored_state(fork) == kept

@@ -4,12 +4,14 @@ observed-error check, held to their definitions on the values."""
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
+import pytest
 from cases import ERROR_RATES, build_corpus, kernel_case
 from mstquery import factory, strategies
 from mstquery.errormetrics import ErrorReport, RelationKernel, hop_distance, relation
-from mstquery.graphcore import QueryRun
+from mstquery.graphcore import QueryRun, UncertainEdge, UncertainGraph
 from mstquery.learner import discretize
 from mstquery.limittrees import ensure_unique_limit_trees, verified_tree_of_original
+from mstquery.oracle import DEFAULT_CAP, is_feasible, mandatory_edges, opt_brute_force, sampled_tree_validation
 from mstquery.strategies import _observed_error
 
 SEEDS = range(150)
@@ -60,11 +62,14 @@ def test_observed_error_matches_relations_after_reveals_on_other_ends():
         g, mixtures = kernel_case(seed)
         ends = open_ends(g)
         # reveal mixture values, which kernel_case often places on other
-        # intervals' ends; the first value of each edge alternates with the last
+        # intervals' ends; the first value of each edge alternates with the
+        # last.  They lie strictly inside their intervals, so they can be a
+        # graph's truths.
         table = {e.eid: e.true_value for e in g.edges}
         for eid, (values, _) in mixtures.items():
             table[eid] = values[seed % 2 - 1]
-        run = QueryRun(g, values=table)
+        edges = [UncertainEdge(e.eid, e.u, e.v, e.interval, table[e.eid], e.predicted_value) for e in g.edges]
+        run = QueryRun(UncertainGraph(g.vertex_count, edges))
         order = sorted(run.non_trivial_ids(), key=lambda e: (e * 7 + seed) % len(g.edges))
         for eid in order:
             value = run.reveal(eid)
@@ -160,10 +165,7 @@ def test_hop_distance_on_ranks_matches_values():
     assert exact > 200  # trivial edges and a few exact predictions are skipped
 
 
-def test_the_strategy_path_hashes_no_fraction(monkeypatch):
-    """Once the graph is ranked, a strategy run compares and looks up ranks
-    only: phase 1's prediction-mandatory edges, phase 2's observed-error
-    check and every reveal read the session's rank tables."""
+def ranked_graphs():
     graphs = [g for rate in ERROR_RATES for g in build_corpus(rate, 30)]
     graphs += [kernel_case(seed)[0] for seed in range(60)]
     graphs += [factory.gen_path_parallel(n) for n in (4, 8)]
@@ -171,11 +173,22 @@ def test_the_strategy_path_hashes_no_fraction(monkeypatch):
     graphs += [factory.gen_triangle_chain(n) for n in (2, 4)]
     for g in graphs:
         g.ranking  # hashes each distinct value once, before the patch
+    return graphs
 
+
+def forbid_fraction_hash(monkeypatch, path):
     def unhashable(self):
-        raise AssertionError(f"Fraction {self} hashed on the strategy path")
+        raise AssertionError(f"Fraction {self} hashed on the {path} path")
 
     monkeypatch.setattr(Fraction, "__hash__", unhashable)
+
+
+def test_the_strategy_path_hashes_no_fraction(monkeypatch):
+    """Once the graph is ranked, a strategy run compares and looks up ranks
+    only: phase 1's prediction-mandatory edges, phase 2's observed-error
+    check and every reveal read the session's rank tables."""
+    graphs = ranked_graphs()
+    forbid_fraction_hash(monkeypatch, "strategy")
     runs = 0
     for g in graphs:
         for mode in ("baseline", "tradeoff", "error_sensitive"):
@@ -191,3 +204,44 @@ def test_the_strategy_path_hashes_no_fraction(monkeypatch):
                 assert verified_tree_of_original(run) is not None
                 runs += 1
     assert runs == 6 * len(graphs)
+
+
+def test_the_oracle_path_hashes_no_fraction(monkeypatch):
+    """The oracle's sessions take their reveals from the graph's truth or
+    prediction ranks: mandatory edges, the brute-force optimum and the
+    feasibility check of that optimum hash no value, on a graph and on a
+    live session with half its open edges revealed."""
+    graphs = [g for g in ranked_graphs() if len(g.non_trivial_ids()) <= DEFAULT_CAP]
+    forbid_fraction_hash(monkeypatch, "oracle")
+    checks = 0
+    for g in graphs:
+        run = QueryRun(g)
+        ids = run.non_trivial_ids()
+        for eid in ids[: len(ids) // 2]:
+            run.reveal(eid)
+        for target in (g, run):
+            for source in ("truth", "predictions"):
+                mandatory = mandatory_edges(target, source)
+                opt = opt_brute_force(target, source)
+                assert mandatory <= opt.one_optimal_set
+                assert is_feasible(target, opt.one_optimal_set, source).feasible
+                checks += 1
+    assert checks == 4 * len(graphs) and len(graphs) > 180
+
+
+def test_an_unknown_value_source_is_rejected():
+    g = factory.demo_mandatory_cycle()
+    run = QueryRun(g)
+    with pytest.raises(ValueError, match="unknown value source 'bogus'"):
+        QueryRun(g, "bogus")
+    with pytest.raises(ValueError, match="unknown value source 'bogus'"):
+        run.fork("bogus")
+    for target in (g, run):
+        for check in (
+            lambda: is_feasible(target, [], value_source="bogus"),
+            lambda: mandatory_edges(target, value_source="bogus"),
+            lambda: opt_brute_force(target, value_source="bogus"),
+            lambda: sampled_tree_validation(target, [], value_source="bogus"),
+        ):
+            with pytest.raises(ValueError, match="unknown value source 'bogus'"):
+                check()
