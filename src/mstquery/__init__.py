@@ -17,7 +17,6 @@ from .graphcore import (
 )
 from .limittrees import (
     LimitTrees,
-    WrongSide,
     compute_limit_trees,
     ensure_unique_limit_trees,
     is_solved,

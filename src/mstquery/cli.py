@@ -7,12 +7,13 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import factory, learner
 from .errormetrics import hop_distance
-from .graphcore import ParseError, PreconditionViolated, ValidationError, _parse_integer, load_instance, read_text
+from .graphcore import ParseError, PreconditionViolated, ValidationError, _parse_integer, load_instance, read_text, unique_keys
 from .oracle import DEFAULT_CAP, CapExceeded, opt_brute_force
 from .strategies import StrategyConfig, randomized_gamma, run_combined
 
@@ -226,9 +227,10 @@ def _bench_instances(job):
 
 
 def _cmd_bench(args) -> int:
+    text = read_text(args.config, "config")
     try:
-        config = json.loads(read_text(args.config, "config"))
-    except json.JSONDecodeError as exc:
+        config = json.loads(text, object_pairs_hook=unique_keys)
+    except (json.JSONDecodeError, ParseError) as exc:
         raise ConfigError(f"invalid config JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
@@ -337,10 +339,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so a closed stdout raises here, not at exit
+        return status
     except (ConfigError, CapExceeded, ParseError, ValidationError, PreconditionViolated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # stdout's reader is gone: let the flush at exit go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -248,7 +248,7 @@ def gen_random_pred_free(
         for f in trees.nontree_order:
             f_iv = run.interval(f)
             floor_limit = max(
-                [run.interval(e).high for e in trees.cycle_of(f) if e != f] + [f_iv.low]
+                [run.interval(e).high for e in trees.paths[f]] + [f_iv.low]
             )
             if not floor_limit < f_iv.high:
                 ok = False
@@ -258,7 +258,7 @@ def gen_random_pred_free(
             for l in trees.tree:
                 l_iv = run.interval(l)
                 cap_limit = min(
-                    [run.interval(x).low for x in trees.cut_of(l) if x != l] + [l_iv.high]
+                    [run.interval(x).low for x in trees.covers[l]] + [l_iv.high]
                 )
                 if not l_iv.low < cap_limit:
                     ok = False

@@ -27,7 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import Any, Iterable, NamedTuple, Optional
 
 
 class ParseError(ValueError):
@@ -388,13 +388,23 @@ def read_text(path: str, what: str) -> str:
         raise ParseError(f"{what} file {path} is not UTF-8 text") from None
 
 
+def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """``object_pairs_hook`` for :func:`json.loads`; a repeated key is a ParseError."""
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"key {key!r} given twice in one object")
+        obj[key] = value
+    return obj
+
+
 def load_instance(path_or_text: str) -> UncertainGraph:
     """Load an instance from a JSON file path or a JSON string."""
     text = path_or_text
     if not path_or_text.lstrip().startswith("{"):
         text = read_text(path_or_text, "instance")
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     return UncertainGraph.from_dict(data)

@@ -43,7 +43,7 @@ from itertools import accumulate
 from typing import Iterable, Mapping, Optional
 
 from .errormetrics import RelationKernel, mismatches, relation_mismatches
-from .graphcore import ParseError, Ranking, UncertainGraph, ValidationError, format_rational, parse_rational
+from .graphcore import ParseError, Ranking, UncertainGraph, ValidationError, format_rational, parse_rational, unique_keys
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ class RealizationSampler:
     @classmethod
     def from_json(cls, graph: UncertainGraph, text: str, seed: int = 0) -> "RealizationSampler":
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, object_pairs_hook=unique_keys)
             entries = raw["edges"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ParseError(f"malformed distribution document: {exc}") from exc

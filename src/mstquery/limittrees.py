@@ -17,13 +17,13 @@ without building a per-call map.  The `Interval` keys
 :func:`lower_key`/:func:`upper_key` stay the exact definition that the
 tests hold the ints to.
 
-Cycles and cuts come from one path index per tree (:func:`_path_index`): the
-tree path of every non-tree edge, and for every tree edge the non-tree edges
-whose path covers it.  A tree edge's cut is that edge plus its covering
-edges.
+Cycles and cuts come from the tree's path index (:func:`_path_index`): the
+tree path of every non-tree edge f, which with f is its cycle, and for
+every tree edge l the non-tree edges whose path covers it, which with l are
+its cut.  :class:`LimitTrees` hands strategies a copy of exactly these.
 
-The session holds one tree between reads: the lower limit tree and its path
-index, valid at a length of the session's transcript.  The transcript is a
+The session holds the lower limit tree and its path index, together or not
+at all, valid at a length of the session's transcript.  The transcript is a
 complete log of the moves, since
 :meth:`~mstquery.graphcore.QueryRun.reveal`, ``contract`` and ``delete``
 each record one event per edge they change (a contraction also records the
@@ -41,12 +41,12 @@ tree, each in O(its path or cover) time:
   edge e can change.  So the tree stands unless e is a tree edge with a
   cover now below it, or a non-tree edge with a path edge now above it.
 
-Any other move (a swap, deleting a tree edge, contracting a non-tree edge,
-or a reveal the held index cannot judge) drops the held tree, and the next
-read rebuilds it with Kruskal and :func:`_path_index`.  Readers get copies;
-the held sets and index stay private to this module.  The keys a held tree
-was built on change only by a reveal; a fork gets a new transcript and
-starts with nothing held.
+Any other move (a reveal that swaps an edge, deleting a tree edge, or
+contracting a non-tree edge) drops the held tree and its index, and the
+next read rebuilds both with Kruskal and :func:`_path_index`.  Readers get
+copies; the held sets and index stay private to this module.  The keys a
+held tree was built on change only by a reveal; a fork gets a new
+transcript and starts with nothing held.
 
 No upper tree is held.  The lower tree is the upper one too exactly when
 each non-tree edge lies above every edge of its path in the order (upper
@@ -64,11 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .graphcore import Interval, PreconditionViolated, QueryRun, UnknownEdge, kruskal, rounds
-
-
-class WrongSide(ValueError):
-    """cycle_of called on a tree edge, or cut_of on a non-tree edge."""
+from .graphcore import Interval, PreconditionViolated, QueryRun, kruskal, rounds
 
 
 lower_key = Interval.lower_key
@@ -219,7 +215,7 @@ class _Held:
 
     at: int
     lower: Optional[set[int]] = None
-    index: Optional[PathIndex] = None   # of `lower`; None when not built
+    index: Optional[PathIndex] = None   # of `lower`; None exactly when it is
 
 
 def _stays(tree: set[int], index: PathIndex, keys: list[int], e: int) -> bool:
@@ -245,12 +241,12 @@ def _synced(run: QueryRun) -> Optional[_Held]:
         if tree is None:
             break
         if kind == "reveal":
-            if index is None or not _stays(tree, index, run.lower, e):
+            if not _stays(tree, index, run.lower, e):
                 held.lower = held.index = None
         elif kind == "delete":
             if e in tree:
                 held.lower = held.index = None
-            elif index is not None:
+            else:
                 for l in index.paths.pop(e):
                     index.covers[l].discard(e)
         elif kind == "contract":
@@ -258,46 +254,33 @@ def _synced(run: QueryRun) -> Optional[_Held]:
                 held.lower = held.index = None
             else:
                 tree.discard(e)
-                if index is not None:
-                    for f in index.covers.pop(e):
-                        index.paths[f].remove(e)
+                for f in index.covers.pop(e):
+                    index.paths[f].remove(e)
     held.at = len(events)
     return held
 
 
-def _held_lower(run: QueryRun, indexed: bool = False) -> _Held:
-    """The held state with the lower limit tree built, and its path index
-    too if `indexed`."""
+def _held_lower(run: QueryRun) -> _Held:
+    """The held state with the lower limit tree and its path index built."""
     held = _synced(run)
     if held is None:
         held = run._limit_trees = _Held(len(run.transcript.events))
     if held.lower is None:
         held.lower = _kruskal(run, lower_keys(run))
-    if indexed and held.index is None:
         held.index = _path_index(run, held.lower)
     return held
 
 
 @dataclass
 class LimitTrees:
-    """Normal form of an instance with unique coinciding limit trees."""
+    """Normal form of an instance with unique coinciding limit trees: a
+    copy of the held tree and its path index.  Non-tree edge f's cycle is
+    f and paths[f]; tree edge l's cut is l and covers[l]."""
 
     tree: set[int]                      # the common lower = upper limit tree
     nontree_order: list[int]            # non-tree edges by non-decreasing lower limit
-    cycles: dict[int, list[int]]        # non-tree edge -> its cycle (incl. itself)
-    cuts: dict[int, list[int]]          # tree edge -> its cut (incl. itself)
-
-    def cycle_of(self, eid: int) -> list[int]:
-        if eid in self.tree:
-            raise WrongSide(f"edge {eid} is a tree edge; it closes no cycle")
-        if eid not in self.cycles:
-            raise UnknownEdge(eid)
-        return list(self.cycles[eid])
-
-    def cut_of(self, eid: int) -> list[int]:
-        if eid not in self.tree:
-            raise WrongSide(f"edge {eid} is not a tree edge; it defines no cut")
-        return list(self.cuts[eid])
+    paths: dict[int, list[int]]         # non-tree edge -> its tree path
+    covers: dict[int, set[int]]         # tree edge -> non-tree edges across its cut
 
 
 def _uniqueness_gap(run: QueryRun, index: PathIndex):
@@ -341,15 +324,15 @@ def _uniqueness_gap(run: QueryRun, index: PathIndex):
 
 
 def limit_trees_unique(run: QueryRun) -> bool:
-    return _uniqueness_gap(run, _held_lower(run, indexed=True).index) is None
+    return _uniqueness_gap(run, _held_lower(run).index) is None
 
 
 def _normal_form(run: QueryRun, tree: set[int], index: PathIndex) -> LimitTrees:
     lower = lower_keys(run)
     nontree = sorted(index.paths, key=lambda e: (lower[e], e))
-    cycles = {f: [f] + index.paths[f] for f in nontree}
-    cuts = {l: sorted(index.covers[l] | {l}) for l in sorted(tree)}
-    return LimitTrees(tree=tree, nontree_order=nontree, cycles=cycles, cuts=cuts)
+    paths = {f: list(path) for f, path in index.paths.items()}
+    covers = {l: set(cover) for l, cover in index.covers.items()}
+    return LimitTrees(tree=tree, nontree_order=nontree, paths=paths, covers=covers)
 
 
 def compute_limit_trees(run: QueryRun) -> LimitTrees:
@@ -359,7 +342,7 @@ def compute_limit_trees(run: QueryRun) -> LimitTrees:
     :func:`ensure_unique_limit_trees` first, or call
     :func:`unique_limit_trees`, which does both).
     """
-    held = _held_lower(run, indexed=True)
+    held = _held_lower(run)
     gap = _uniqueness_gap(run, held.index)
     if gap is not None:
         what = "differ" if gap[0] == "differ" else "are not unique"
@@ -445,7 +428,7 @@ def reduce_verified(run: QueryRun) -> set[int]:
     minus the contracted edges, which the held state applies on the next
     read.
     """
-    held = _held_lower(run, indexed=True)
+    held = _held_lower(run)
     tree, (paths, covers) = held.lower, held.index
     # deletions and contractions change no interval, so the ranks hold, and
     # both lists are fixed before the first move changes the held state
@@ -485,7 +468,7 @@ def _certify(run: QueryRun, reduce: bool) -> tuple[set[int], PathIndex]:
     limit tree and the held path index, which callers must not keep."""
     for _ in rounds(run, "ensure_unique_limit_trees"):
         tree = reduce_verified(run) if reduce else lower_limit_tree(run)
-        index = _held_lower(run, indexed=True).index
+        index = _held_lower(run).index
         gap = _uniqueness_gap(run, index)
         if gap is None:
             return tree, index

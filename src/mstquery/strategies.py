@@ -69,9 +69,7 @@ def cycle_pred_mandatory_free(run: QueryRun, trees: LimitTrees, f: int) -> bool:
     Compared on ranks: a known value, else the prediction."""
     lo, hi = run.lo, run.hi
     f_pred = _pred_rank(run, f)
-    for e in trees.cycle_of(f):
-        if e == f:
-            continue
+    for e in trees.paths[f]:
         if f_pred < hi[e]:
             return False
         if _pred_rank(run, e) > lo[f]:
@@ -162,8 +160,8 @@ def _vc_structure(run: QueryRun, trees: LimitTrees) -> tuple[list[int], list[int
     right = [f for f in sorted(trees.nontree_order) if not run.is_trivial(f)]
     adjacency: dict[int, list[int]] = {l: [] for l in left}
     for f in right:
-        for e in trees.cycle_of(f):
-            if e != f and not run.is_trivial(e) and run.intersects(e, f):
+        for e in trees.paths[f]:
+            if not run.is_trivial(e) and run.intersects(e, f):
                 adjacency[e].append(f)
     return left, right, {l: sorted(v) for l, v in adjacency.items()}
 
@@ -197,7 +195,7 @@ def run_baseline(run: QueryRun) -> None:
         if not run.present_ids():
             return
         f = trees.nontree_order[0]
-        candidates = [e for e in trees.cycle_of(f) if e != f and run.intersects(e, f)]
+        candidates = [e for e in trees.paths[f] if run.intersects(e, f)]
         if not candidates:
             raise RuntimeError("verified-maximal edge survived reduction")
         l = min(candidates, key=lambda e: (-run.hi[e], e))
@@ -265,7 +263,7 @@ def _resolve_offending_cycle(run: QueryRun, trees: LimitTrees, f: int, ledger: P
         return Interval(lo[eid], hi[eid])
 
     f_pred = _pred_rank(run, f)
-    cycle_rest = [e for e in trees.cycle_of(f) if e != f]
+    cycle_rest = trees.paths[f]
     l = min(cycle_rest, key=lambda e: (-hi[e], e))
     group: list[int] = []
     ledger.case_groups.append(group)
@@ -288,9 +286,8 @@ def _resolve_offending_cycle(run: QueryRun, trees: LimitTrees, f: int, ledger: P
         if any(snap(e).intersects(snap(f)) for e in others):
             third = min(others, key=lambda e: (-hi[e], e))
             values = reveal_pair(f, l)
-            blockers = [x for x in trees.cut_of(l) if x != l]
             if snap(l).contains(values[f]) and all(
-                not snap(x).contains(values[l]) for x in blockers
+                not snap(x).contains(values[l]) for x in trees.covers[l]
             ):
                 reveal(third)
         else:
@@ -306,7 +303,7 @@ def _resolve_offending_cycle(run: QueryRun, trees: LimitTrees, f: int, ledger: P
     if not inside:
         raise RuntimeError("offending cycle matches no case")
     lp = min(inside, key=lambda e: (-hi[e], e))
-    cut_rest = [x for x in trees.cut_of(lp) if x not in (f, lp)]
+    cut_rest = trees.covers[lp] - {f}
     if any(snap(x).intersects(snap(lp)) for x in cut_rest):
         third = min(cut_rest, key=lambda x: (lo[x], x))
         values = reveal_pair(f, lp)

@@ -162,13 +162,13 @@ def test_bundled_family_config_passes_every_bound(capsys):
     assert all(row["status"] == "ok" for row in rows)
 
 
-def _run_cli(*argv):
+def _run_cli(*argv, stdout=subprocess.PIPE):
     """The CLI in a child process, so stderr is exactly what a user sees."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "mstquery.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
     )
 
 
@@ -392,3 +392,54 @@ def test_oversized_mixture_weight_is_one_error_line(tmp_path):
     dist.write_text(json.dumps({"edges": {"0": {"values": ["3/2", "2"], "weights": [10**400, 1]}}}))
     proc = _run_cli("learn", "--instance", str(inst), "--dist", str(dist), "--samples", "3")
     _assert_one_error_line(proc, "edge 0: mixture weights sum past the largest float")
+
+
+def _instance_with_true_given_twice(tmp_path):
+    text = factory.gen_triangle_chain(1).to_json()
+    start = text.index('"true"')
+    end = text.index("\n", start) + 1
+    inst = tmp_path / "inst.json"
+    inst.write_text(text[:end] + text[start:end] + text[end:])  # the same line twice
+    return ("run", "--alg", "baseline", "--instance", str(inst)), "key 'true' given twice"
+
+
+def _distribution_with_edge_0_twice(tmp_path):
+    inst = tmp_path / "inst.json"
+    dist = tmp_path / "dist.json"
+    factory.gen_triangle_chain(1).save(str(inst))
+    dist.write_text('{"edges": {"0": {"values": ["5/4"]}, "0": {"values": ["1/2"]}}}')
+    return ("learn", "--instance", str(inst), "--dist", str(dist), "--samples", "3"), "key '0' given twice"
+
+
+def _config_with_jobs_twice(tmp_path):
+    cfg = tmp_path / "bench.json"
+    job = json.dumps(_TRIANGLE_JOB)
+    cfg.write_text('{"jobs": [%s], "jobs": [%s]}' % (job, job))
+    return ("bench", "--config", str(cfg)), "key 'jobs' given twice"
+
+
+@pytest.mark.parametrize(
+    "document", [_instance_with_true_given_twice, _distribution_with_edge_0_twice, _config_with_jobs_twice]
+)
+def test_a_repeated_json_key_is_one_error_line(tmp_path, document):
+    # json.loads keeps the last of two equal keys; every document the CLI
+    # reads rejects them instead, naming the key
+    argv, text = document(tmp_path)
+    _assert_one_error_line(_run_cli(*argv), text)
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--family", "path-parallel", "--n", "2"),
+    ("opt", "--instance", '{"vertices": 2, "edges": [{"id": 0, "u": 0, "v": 1, "interval": {"w": "1"}, "true": "1", "pred": "1"}]}'),
+])
+def test_a_closed_stdout_exits_non_zero_without_a_traceback(argv):
+    # stdout is a pipe whose read end is already closed, so the first write
+    # (or the final flush, for a short output) fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_cli(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode != 0
+    assert proc.stderr == ""

@@ -38,15 +38,15 @@ def assert_held_matches_a_rebuild(run, seen=None):
     held = _synced(run)
     if held is None:
         return
+    assert (held.lower is None) == (held.index is None)
     if held.lower is not None:
         lower = _kruskal(run, run.lower)
         assert held.lower == lower
-        if held.index is not None:
-            reference = _path_index(run, lower)
-            assert held.index.paths == reference.paths
-            assert held.index.covers == reference.covers
-            if seen is not None:
-                seen["index"] += 1
+        reference = _path_index(run, lower)
+        assert held.index.paths == reference.paths
+        assert held.index.covers == reference.covers
+        if seen is not None:
+            seen["index"] += 1
 
 
 def live_graphs():
@@ -100,7 +100,7 @@ class CheckedRun(QueryRun):
         if held is not None:
             # a tree still held after a reveal went through the cover or
             # path rule rather than a rebuild
-            if kind == "reveal" and held.index is not None:
+            if kind == "reveal" and held.lower is not None:
                 CheckedRun.seen["lower kept by a reveal"] += 1
         assert_held_matches_a_rebuild(self, CheckedRun.seen)
         CheckedRun.seen[kind] += 1
@@ -178,7 +178,7 @@ def test_an_upper_key_tie_broken_by_edge_id_is_a_differ_verdict():
     ])
     run = QueryRun(g)
     assert lower_limit_tree(run) == {0, 2} and upper_limit_tree(run) == {0, 1}
-    index = limittrees._held_lower(run, indexed=True).index
+    index = limittrees._held_lower(run).index
     assert limittrees._uniqueness_gap(run, index) == ("differ", 1, 2)
     assert not limittrees.limit_trees_unique(run)
     with pytest.raises(PreconditionViolated, match="differ"):
@@ -245,13 +245,17 @@ def test_deleting_a_tree_edge_rebuilds_the_trees():
 # -- forks -------------------------------------------------------------------
 
 
+def paths_and_covers(trees):
+    """Copies of the paths and covers of a LimitTrees or a PathIndex."""
+    return (
+        {f: list(path) for f, path in trees.paths.items()},
+        {l: set(cover) for l, cover in trees.covers.items()},
+    )
+
+
 def snapshot(run):
     held = _synced(run)
-    return (
-        set(held.lower),
-        {f: list(path) for f, path in held.index.paths.items()},
-        {l: set(covers) for l, covers in held.index.covers.items()},
-    )
+    return (set(held.lower), *paths_and_covers(held.index))
 
 
 def churn(run):
@@ -300,16 +304,17 @@ def test_moves_in_a_fork_leave_the_held_trees_of_the_parent_correct():
 
 
 def test_returned_trees_are_copies_of_the_held_state():
-    checked = 0
+    checked = checked_index = 0
     graphs = [g for rate in ERROR_RATES for g in build_corpus(rate, 40)]
     graphs += [kernel_case(seed)[0] for seed in range(60)]
     for g in graphs:
         run = QueryRun(g)
         kept = []  # (tree a caller was handed, its contents then)
+        kept_index = []  # (LimitTrees a caller was handed, its paths and covers then)
         while True:
+            trees = [unique_limit_trees(run), compute_limit_trees(run)]
             handed = [
-                unique_limit_trees(run).tree,
-                compute_limit_trees(run).tree,
+                *(t.tree for t in trees),
                 lower_limit_tree(run),
                 upper_limit_tree(run),
                 reduce_verified(run),
@@ -321,15 +326,25 @@ def test_returned_trees_are_copies_of_the_held_state():
             for tree, contents in kept:
                 assert tree == contents
                 checked += 1
+            for t, contents in kept_index:
+                assert paths_and_covers(t) == contents
+                checked_index += 1
             kept += [(tree, set(tree)) for tree in handed]
+            kept_index += [(t, paths_and_covers(t)) for t in trees]
             # a caller that changes what it was handed changes nothing held
             changed = [lower_limit_tree(run), upper_limit_tree(run), compute_limit_trees(run).tree]
             for tree in changed + ([is_solved(run)] if solved is not None else []):
                 tree.clear()
                 tree.add(-1)
+            for t in (unique_limit_trees(run), compute_limit_trees(run)):
+                for path in t.paths.values():
+                    path.append(-1)
+                for cover in t.covers.values():
+                    cover.add(-1)
             assert_held_matches_a_rebuild(run)
             open_ids = run.non_trivial_ids()
             if not open_ids:
                 break
             run.reveal(open_ids[len(open_ids) // 2])
     assert checked > 1200
+    assert checked_index > 500

@@ -7,7 +7,6 @@ from cases import ERROR_RATES, build_corpus, kernel_case
 from mstquery import factory, limittrees, strategies
 from mstquery.graphcore import Interval, QueryRun, UncertainEdge, UncertainGraph
 from mstquery.limittrees import (
-    WrongSide,
     compute_limit_trees,
     ensure_unique_limit_trees,
     is_solved,
@@ -210,13 +209,13 @@ def min_true_tree_weight(run, truths):
 def test_cycle_of_single_cycle_is_whole_edge_set():
     g = factory.demo_mandatory_cycle()
     trees = compute_limit_trees(QueryRun(g))
-    assert sorted(trees.cycle_of(0)) == [0, 1, 2, 3]
+    assert sorted([0] + trees.paths[0]) == [0, 1, 2, 3]
 
 
 def test_cut_of_back_edge_family_contains_all_back_edges():
     g = factory.gen_vc_flip(8, "ex1")
     trees = compute_limit_trees(QueryRun(g))
-    assert sorted(trees.cut_of(1)) == [1, 4, 5, 6, 7]
+    assert sorted(trees.covers[1] | {1}) == [1, 4, 5, 6, 7]
 
 
 def test_cycle_matches_bfs_path_oracle():
@@ -225,7 +224,7 @@ def test_cycle_matches_bfs_path_oracle():
     ensure_unique_limit_trees(run, reduce=False)
     trees = compute_limit_trees(run)
     for f in trees.nontree_order:
-        cyc = set(trees.cycle_of(f))
+        cyc = {f, *trees.paths[f]}
         assert cyc == bfs_cycle_oracle(run, trees.tree, f)
 
 
@@ -252,15 +251,6 @@ def bfs_cycle_oracle(run, tree, f):
         node, eid = prev[node]
         path.add(eid)
     return path
-
-
-def test_wrong_side_errors():
-    g = factory.demo_mandatory_cycle()
-    trees = compute_limit_trees(QueryRun(g))
-    with pytest.raises(WrongSide):
-        trees.cycle_of(1)
-    with pytest.raises(WrongSide):
-        trees.cut_of(0)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -405,12 +395,12 @@ def test_limit_tree_cycles_and_cuts_match_per_edge_scans(corpus_by_rate, reduce)
         run = QueryRun(g)
         ensure_unique_limit_trees(run, reduce=reduce)
         trees = compute_limit_trees(run)
-        assert set(trees.cycles) == set(run.present_ids()) - trees.tree
-        for f, cycle in trees.cycles.items():
-            assert cycle == tree_cycle(run, trees.tree, f)
-        assert set(trees.cuts) == trees.tree
-        for l, cut in trees.cuts.items():
-            assert cut == tree_cut(run, trees.tree, l)
+        assert set(trees.paths) == set(run.present_ids()) - trees.tree
+        for f, path in trees.paths.items():
+            assert [f] + path == tree_cycle(run, trees.tree, f)
+        assert set(trees.covers) == trees.tree
+        for l, cover in trees.covers.items():
+            assert sorted(cover | {l}) == tree_cut(run, trees.tree, l)
 
 
 # -- integer ranks against the exact values ----------------------------------

@@ -6,7 +6,7 @@ import pytest
 from cases import ERROR_RATES, build_corpus, kernel_case
 from mstquery import factory, oracle
 from mstquery.graphcore import Interval, QueryRun, UncertainEdge, UncertainGraph
-from mstquery.limittrees import is_solved
+from mstquery.limittrees import is_solved, limit_trees_unique
 from mstquery.oracle import (
     CapExceeded,
     _tree_is_minimum,
@@ -96,13 +96,17 @@ def test_pred_mandatory_free_characterization(seed):
     run = QueryRun(g)
     assert prediction_mandatory_edges(g) == set()
     assert instance_pred_mandatory_free(run)
-    g2 = factory.gen_random(5, 3, 1.0, 0.6, seed=800 + seed)
-    run2 = QueryRun(g2)
-    try:
-        trees_free = instance_pred_mandatory_free(run2)
-    except Exception:
-        return  # non-unique limit trees: characterization needs preprocessing
-    assert trees_free == (prediction_mandatory_edges(g2) == set())
+    # and on a block of random graphs at overlap 0.9 (at 1.0 almost none has
+    # unique limit trees, which the per-cycle condition is stated for)
+    checked = 0
+    for s in range(800 + 10 * seed, 810 + 10 * seed):
+        g2 = factory.gen_random(5, 3, 0.9, 0.6, seed=s)
+        run2 = QueryRun(g2)
+        if not limit_trees_unique(run2):
+            continue
+        assert instance_pred_mandatory_free(run2) == (prediction_mandatory_edges(g2) == set())
+        checked += 1
+    assert checked >= 2
 
 
 @pytest.mark.parametrize("seed", range(8))

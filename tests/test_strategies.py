@@ -8,7 +8,9 @@ from mstquery.graphcore import (
     Interval, NoProgress, PreconditionViolated, QueryRun, UncertainEdge, UncertainGraph,
 )
 from mstquery.errormetrics import hop_distance
-from mstquery.limittrees import compute_limit_trees, ensure_unique_limit_trees, is_solved
+from mstquery.limittrees import (
+    compute_limit_trees, ensure_unique_limit_trees, is_solved, limit_trees_unique,
+)
 from mstquery.oracle import (
     mandatory_edges,
     opt_brute_force,
@@ -78,49 +80,66 @@ def test_baseline_two_competitive(seed):
 
 
 # -- witness identification (fresh instances with unique trees) --------------
+#
+# Each case checks a block of SEED_BLOCK generated graphs at overlap 0.9 (at
+# overlap 1.0 almost every instance needs uniqueness queries first), keeps
+# those whose limit trees are already unique, and asserts a floor on what it
+# checked, so that it cannot pass without reaching its assertions.
+
+SEED_BLOCK = 10
+
+
+def unique_tree_graphs(first_seed, *shape):
+    """The graphs gen_random(*shape) of SEED_BLOCK seeds from first_seed
+    whose limit trees are unique, with a fresh session on each."""
+    for seed in range(first_seed, first_seed + SEED_BLOCK):
+        g = factory.gen_random(*shape, seed=seed)
+        run = QueryRun(g)
+        if limit_trees_unique(run):
+            yield g, run
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_cycle_witness_pairs_hit_every_optimal_set(seed):
-    g = factory.gen_random(4, 3, 1.0, 0.5, seed=2100 + seed)
-    run = QueryRun(g)
-    if ensure_unique_limit_trees(run, reduce=False):
-        return  # preprocessing altered the instance; covered by other seeds
-    trees = compute_limit_trees(run)
-    opt_sets = opt_brute_force(g, collect_all=True).all_optimal_sets
-    mand = mandatory_edges(g)
-    for f in trees.nontree_order:
-        f_iv = run.interval(f)
-        cands = [e for e in trees.cycle_of(f) if e != f and run.interval(e).intersects(f_iv)]
-        if not cands:
-            continue
-        l = min(cands, key=lambda e: (-run.interval(e).high, e))
-        assert all(opt & {f, l} for opt in opt_sets)
-        truth = g.edge(f).true_value
-        if run.interval(l).contains(truth):
-            assert l in mand
+    pairs = 0
+    for g, run in unique_tree_graphs(2100 + SEED_BLOCK * seed, 4, 3, 0.9, 0.5):
+        trees = compute_limit_trees(run)
+        opt_sets = opt_brute_force(g, collect_all=True).all_optimal_sets
+        mand = mandatory_edges(g)
+        for f in trees.nontree_order:
+            f_iv = run.interval(f)
+            cands = [e for e in trees.paths[f] if run.interval(e).intersects(f_iv)]
+            if not cands:
+                continue
+            l = min(cands, key=lambda e: (-run.interval(e).high, e))
+            assert all(opt & {f, l} for opt in opt_sets)
+            truth = g.edge(f).true_value
+            if run.interval(l).contains(truth):
+                assert l in mand
+            pairs += 1
+    assert pairs >= 10
 
 
 @pytest.mark.parametrize("seed", range(15))
 def test_cut_witness_pairs_hit_every_optimal_set(seed):
-    g = factory.gen_random(4, 3, 1.0, 0.5, seed=2150 + seed)
-    run = QueryRun(g)
-    if ensure_unique_limit_trees(run, reduce=False):
-        return
-    trees = compute_limit_trees(run)
-    opt_sets = opt_brute_force(g, collect_all=True).all_optimal_sets
-    mand = mandatory_edges(g)
-    earlier: set[int] = set()
-    for f in trees.nontree_order:
-        f_iv = run.interval(f)
-        for l in trees.cycle_of(f):
-            if l == f or l in earlier or not run.interval(l).intersects(f_iv):
-                continue
-            # l appears for the first time on this cycle
-            assert all(opt & {f, l} for opt in opt_sets)
-            if f_iv.contains(g.edge(l).true_value):
-                assert f in mand
-        earlier.update(e for e in trees.cycle_of(f) if e != f)
+    pairs = 0
+    for g, run in unique_tree_graphs(2150 + SEED_BLOCK * seed, 4, 3, 0.9, 0.5):
+        trees = compute_limit_trees(run)
+        opt_sets = opt_brute_force(g, collect_all=True).all_optimal_sets
+        mand = mandatory_edges(g)
+        earlier: set[int] = set()
+        for f in trees.nontree_order:
+            f_iv = run.interval(f)
+            for l in trees.paths[f]:
+                if l in earlier or not run.interval(l).intersects(f_iv):
+                    continue
+                # l appears for the first time on this cycle
+                assert all(opt & {f, l} for opt in opt_sets)
+                if f_iv.contains(g.edge(l).true_value):
+                    assert f in mand
+                pairs += 1
+            earlier.update(trees.paths[f])
+    assert pairs >= 10
 
 
 @pytest.mark.parametrize("idx", range(30))
@@ -200,19 +219,23 @@ def test_preprocessing_query_accounting(seed, gamma):
 
 @pytest.mark.parametrize("seed", range(15))
 def test_first_case_group_intersections(seed):
-    g = factory.gen_random(4, 4, 1.0, 0.5, seed=2300 + seed)
-    run = QueryRun(g)
-    ledger = make_prediction_mandatory_free(run, 2)
-    if not ledger.case_groups:
-        return
-    first = ledger.case_groups[0]
-    if ledger.queries[: len(first)] != first:
-        return  # uniqueness queries preceded the first case
-    opt_sets = opt_brute_force(g, collect_all=True).all_optimal_sets
-    if len(first) == 3:
-        assert all(len(set(first) & opt_set) >= 2 for opt_set in opt_sets)
-    elif len(first) == 2:
-        assert all(set(first) & opt_set for opt_set in opt_sets)
+    groups = 0
+    for g, run in unique_tree_graphs(2300 + SEED_BLOCK * seed, 4, 4, 0.9, 0.5):
+        ledger = make_prediction_mandatory_free(run, 2)
+        if not ledger.case_groups:
+            continue
+        first = ledger.case_groups[0]
+        # unique limit trees: no uniqueness query precedes the first case
+        assert ledger.queries[: len(first)] == first
+        opt_sets = opt_brute_force(g, collect_all=True).all_optimal_sets
+        if len(first) == 3:
+            assert all(len(set(first) & opt_set) >= 2 for opt_set in opt_sets)
+        elif len(first) == 2:
+            assert all(set(first) & opt_set for opt_set in opt_sets)
+        else:
+            continue  # one query: the case's partner left unqueried
+        groups += 1
+    assert groups >= 2
 
 
 @pytest.mark.parametrize("seed", range(10))
