@@ -113,6 +113,13 @@ def _write_text(path: str, text: str, what: str) -> None:
         raise ConfigError(f"cannot write {what} file {path}: {exc.strerror or exc}") from None
 
 
+def _cap(value: int, name: str) -> int:
+    """An oracle cap, which counts edges, so a negative one is a ConfigError."""
+    if value < 0:
+        raise ConfigError(f"{name} must be at least 0, got {value}")
+    return value
+
+
 def _run_strategy(graph, mode, gamma, seed, oracle_cap, label):
     """A rational gamma runs through randomized_gamma; an integral gamma and
     the baseline run directly."""
@@ -130,7 +137,8 @@ def _cmd_run(args) -> int:
     graph = load_instance(args.instance)
     mode = _MODE_BY_FLAG[args.alg]
     gamma = _parse_gamma(args.gamma, mode)
-    outcome = _run_strategy(graph, mode, gamma, args.seed, args.oracle_cap, args.instance)
+    oracle_cap = _cap(args.oracle_cap, "--oracle-cap")
+    outcome = _run_strategy(graph, mode, gamma, args.seed, oracle_cap, args.instance)
     body = {
         "report": outcome.report.to_dict(),
         "transcript": json.loads(outcome.run.transcript.to_json()),
@@ -145,7 +153,7 @@ def _cmd_run(args) -> int:
 def _cmd_opt(args) -> int:
     graph = load_instance(args.instance)
     source = "truth" if args.values == "truth" else "predictions"
-    result = opt_brute_force(graph, source, cap=args.oracle_cap, collect_all=args.all)
+    result = opt_brute_force(graph, source, cap=_cap(args.oracle_cap, "--oracle-cap"), collect_all=args.all)
     body = {
         "size": result.size,
         "one_optimal_set": sorted(result.one_optimal_set),
@@ -237,7 +245,8 @@ def _cmd_bench(args) -> int:
     jobs = _objects(config.get("jobs", []), "jobs")
     if not jobs:
         raise ConfigError("config lists no jobs")
-    oracle_cap = _field(config, "oracle_cap", args.oracle_cap, int, "an integer")
+    default_cap = _cap(args.oracle_cap, "--oracle-cap")
+    oracle_cap = _cap(_field(config, "oracle_cap", default_cap, int, "an integer"), "oracle_cap")
     rows = []
     all_ok = True
     for job in jobs:

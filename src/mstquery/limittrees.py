@@ -22,14 +22,14 @@ tree path of every non-tree edge f, which with f is its cycle, and for
 every tree edge l the non-tree edges whose path covers it, which with l are
 its cut.  :class:`LimitTrees` hands strategies a copy of exactly these.
 
-The session holds the lower limit tree and its path index, together or not
-at all, valid at a length of the session's transcript.  The transcript is a
-complete log of the moves, since
-:meth:`~mstquery.graphcore.QueryRun.reveal`, ``contract`` and ``delete``
-each record one event per edge they change (a contraction also records the
-deletion of every self-loop it leaves), and nothing else changes a key or
-the minor.  Before a read, the moves recorded since are applied to the held
-tree, each in O(its path or cover) time:
+The session holds the lower limit tree, its path index and the index's
+blocking-pair counts (:class:`_Tally`), together or not at all, valid at a
+length of the session's transcript.  The transcript is a complete log of
+the moves, since :meth:`~mstquery.graphcore.QueryRun.reveal`, ``contract``
+and ``delete`` each record one event per edge they change (a contraction
+also records the deletion of every self-loop it leaves), and nothing else
+changes a key or the minor.  Before a read, the moves recorded since are
+applied to the held state, each in O(the paths it changes) time:
 
 - deleting a non-tree edge leaves the tree; its path goes, and its id
   leaves the covers;
@@ -39,14 +39,33 @@ tree, each in O(its path or cover) time:
   the MST is unique, and it stays the MST exactly when the cut rule holds
   for every tree edge against its covers; only the pairs with the revealed
   edge e can change.  So the tree stands unless e is a tree edge with a
-  cover now below it, or a non-tree edge with a path edge now above it.
+  cover now below it, or a non-tree edge with a path edge now above it;
+- in those two cases exactly one edge swaps, the single-change update of
+  Spira and Pan (SICOMP 1975): tree edge e leaves for its lightest cover,
+  or non-tree edge e enters for the heaviest edge on its path.  Only the
+  leaving edge's new path and the paths that held it change, and
+  :func:`_swap` splices each along the entering edge's cycle into the one
+  walk :func:`_path_index` writes.  A swap reads the current keys and
+  endpoints, which are those right after its reveal only when it is the
+  one reveal pending and no contraction follows it; otherwise the held
+  state is dropped.
 
-Any other move (a reveal that swaps an edge, deleting a tree edge, or
-contracting a non-tree edge) drops the held tree and its index, and the
-next read rebuilds both with Kruskal and :func:`_path_index`.  Readers get
-copies; the held sets and index stay private to this module.  The keys a
-held tree was built on change only by a reveal; a fork gets a new
-transcript and starts with nothing held.
+Deleting a tree edge or contracting a non-tree edge drops the held state
+too, and the next read rebuilds it with Kruskal and :func:`_path_index`.
+Readers get copies; the held sets and index stay private to this module.
+The keys a held tree was built on change only by a reveal; a fork gets a
+new transcript and starts with nothing held.
+
+The counts cover every pair (f, e) of a non-tree edge f and a tree edge e
+on its path: the bad pairs, high(e) > low(f), and the pairs behind each
+uniqueness verdict.  A move recounts only its own pairs: a reveal the
+revealed edge's path or cover, out at its old ranks and in at its new
+ones; a deletion the deleted edge's path; a contraction the contracted
+edge's cover; a swap the pairs of the paths it changes, the old ones out
+and the new ones in.  So no read scans every pair: :func:`reduce_verified`
+removes the edges in no bad pair, :func:`is_solved` verifies the tree
+exactly when no pair is bad, and :func:`_uniqueness_gap` scans only the
+one path or cover its verdict comes from.
 
 No upper tree is held.  The lower tree is the upper one too exactly when
 each non-tree edge lies above every edge of its path in the order (upper
@@ -164,16 +183,54 @@ def tree_cut(run: QueryRun, tree: set[int], eid: int) -> list[int]:
 
 
 class PathIndex(NamedTuple):
-    """Fundamental paths of a spanning tree and their transpose."""
+    """Fundamental paths of a spanning tree and their transpose, with the
+    blocking-pair counts when the session holds it."""
 
     paths: dict[int, list[int]]         # non-tree edge -> its tree path
     covers: dict[int, set[int]]         # tree edge -> non-tree edges whose path holds it
+    tally: Optional["_Tally"] = None
 
 
-def _path_index(run: QueryRun, tree: set[int]) -> PathIndex:
+@dataclass
+class _Tally:
+    """Blocking-pair counts of a held index.  A pair (f, e) is a non-tree
+    edge f and a tree edge e on its path.  By edge id:
+
+    - bad[f] and bad[e] count the pairs with hi[e] > lo[f]: f is dominated,
+      or e contractible, exactly when its count is 0, and the tree is
+      verified exactly when `bad_pairs`, their number, is 0;
+    - differ[f] counts those where e lies above f in the order (upper key,
+      edge id);
+    - tie_up[f] those where e ties f's upper key (so e < f), not both
+      points;
+    - tie_low[e] those where f lies below e's lower key (a cut-rule
+      violation) or ties it, not both points.
+
+    `differ_ids`, `upper_ids` and `lower_ids` hold the ids whose differ,
+    tie_up and tie_low count is not 0.  Each pair is counted at the ranks
+    `lo`, `hi`, `upper` and `lower` its two edges had when it was last
+    counted, so a reveal can take the revealed edge's pairs out at its old
+    ranks and put them back at its new ones."""
+
+    lo: list[int]
+    hi: list[int]
+    upper: list[int]
+    lower: list[int]
+    bad: list[int]
+    bad_pairs: int
+    differ: list[int]
+    tie_up: list[int]
+    tie_low: list[int]
+    differ_ids: set[int]
+    upper_ids: set[int]
+    lower_ids: set[int]
+
+
+def _path_index(run: QueryRun, tree: set[int], counted: bool = False) -> PathIndex:
     """Tree path of every present non-tree edge, in :func:`_tree_path` order,
     so that tree_cycle(f) == [f] + paths[f] and
-    tree_cut(l) == sorted(covers[l] | {l})."""
+    tree_cut(l) == sorted(covers[l] | {l}); with `counted`, also the
+    blocking-pair counts at the session's current ranks."""
     adj = _tree_adjacency(run, tree)
     # root the (connected) tree: vertex -> (parent vertex, edge to parent, depth)
     up: dict[int, tuple[int, int, int]] = {root: (root, -1, 0) for root in list(adj)[:1]}
@@ -187,6 +244,10 @@ def _path_index(run: QueryRun, tree: set[int]) -> PathIndex:
                 stack.append(nbr)
     paths: dict[int, list[int]] = {}
     covers: dict[int, set[int]] = {l: set() for l in tree}
+    if counted:
+        lo, hi, upper, lower = list(run.lo), list(run.hi), list(run.upper), list(run.lower)
+        bad, differ, tie_up, tie_low = ([0] * len(lo) for _ in range(4))
+        bad_pairs, differ_ids, upper_ids, lower_ids = 0, set(), set(), set()
     ends = run.ends
     for f in run.present_ids():
         if f in tree:
@@ -205,13 +266,70 @@ def _path_index(run: QueryRun, tree: set[int]) -> PathIndex:
         paths[f] = path
         for l in path:
             covers[l].add(f)
-    return PathIndex(paths, covers)
+        if counted:
+            # the pairs of f, counted as _tally counts them
+            lf, uf, wf, open_f = lo[f], upper[f], lower[f], lo[f] != hi[f]
+            for e in path:
+                if hi[e] > lf:
+                    bad[f] += 1
+                    bad[e] += 1
+                    bad_pairs += 1
+                ue = upper[e]
+                if ue >= uf:
+                    if ue > uf or e > f:
+                        differ[f] += 1
+                        differ_ids.add(f)
+                    elif open_f or lo[e] != hi[e]:
+                        tie_up[f] += 1
+                        upper_ids.add(f)
+                we = lower[e]
+                if wf < we or wf == we and (open_f or lo[e] != hi[e]):
+                    tie_low[e] += 1
+                    lower_ids.add(e)
+    if not counted:
+        return PathIndex(paths, covers)
+    tally = _Tally(
+        lo, hi, upper, lower, bad, bad_pairs, differ, tie_up, tie_low, differ_ids, upper_ids, lower_ids
+    )
+    return PathIndex(paths, covers, tally)
+
+
+def _bump(count: list[int], ids: set[int], x: int, sign: int) -> None:
+    """count[x] += sign, keeping `ids` the ids whose count is not 0."""
+    c = count[x] = count[x] + sign
+    if c:
+        ids.add(x)
+    else:
+        ids.discard(x)
+
+
+def _tally(t: _Tally, pairs, sign: int) -> None:
+    """Count the pairs (f, e) in (sign 1) or out (sign -1) at the ranks of
+    `t`, as :func:`_path_index` counts them."""
+    lo, hi, upper, lower, bad = t.lo, t.hi, t.upper, t.lower, t.bad
+    bad_pairs = 0
+    for f, e in pairs:
+        if hi[e] > lo[f]:
+            bad[f] += sign
+            bad[e] += sign
+            bad_pairs += sign
+        uf, ue = upper[f], upper[e]
+        if ue >= uf:
+            if ue > uf or e > f:
+                _bump(t.differ, t.differ_ids, f, sign)
+            elif lo[f] != hi[f] or lo[e] != hi[e]:
+                _bump(t.tie_up, t.upper_ids, f, sign)
+        wf, we = lower[f], lower[e]
+        if wf < we or wf == we and (lo[f] != hi[f] or lo[e] != hi[e]):
+            _bump(t.tie_low, t.lower_ids, e, sign)
+    t.bad_pairs += bad_pairs
 
 
 @dataclass
 class _Held:
-    """The lower limit tree a session holds, valid after its first `at`
-    transcript events; None once a move may have changed it."""
+    """The lower limit tree a session holds and its counted index, valid
+    after its first `at` transcript events; None once a move may have
+    changed them."""
 
     at: int
     lower: Optional[set[int]] = None
@@ -229,6 +347,93 @@ def _stays(tree: set[int], index: PathIndex, keys: list[int], e: int) -> bool:
     return all(keys[x] < k or keys[x] == k and x < e for x in index.paths[e])
 
 
+def _lone(pending, i: int) -> bool:
+    """Whether the reveal at pending[i] is the only reveal pending and no
+    contraction follows it: then the current keys and endpoints are those
+    right after it, which :func:`_swap` reads."""
+    kinds = [ev.kind for ev in pending]
+    return kinds.count("reveal") == 1 and "contract" not in kinds[i + 1:]
+
+
+def _see(run: QueryRun, t: _Tally, e: int) -> None:
+    """Take edge e's current ranks as the ones its pairs are counted at."""
+    t.lo[e], t.hi[e], t.upper[e], t.lower[e] = run.lo[e], run.hi[e], run.upper[e], run.lower[e]
+
+
+def _recount(run: QueryRun, tree: set[int], index: PathIndex, e: int) -> None:
+    """Move the pairs of revealed edge e from its old ranks to its new ones."""
+    t = index.tally
+    pairs = [(f, e) for f in index.covers[e]] if e in tree else [(e, x) for x in index.paths[e]]
+    _tally(t, pairs, -1)
+    _see(run, t, e)
+    _tally(t, pairs, 1)
+
+
+def _entry(ends, walk: list[int], i: int, start: int) -> int:
+    """The vertex at which `walk`, a walk from vertex `start`, enters its
+    i-th edge."""
+    if i == 0:
+        return start
+    a, b = ends[walk[i]]
+    return a if a in ends[walk[i - 1]] else b
+
+
+def _swap(run: QueryRun, tree: set[int], index: PathIndex, e: int) -> None:
+    """Apply the one swap that revealing e makes, when :func:`_stays`
+    rejects the tree: tree edge e leaves for its lightest cover, or
+    non-tree edge e enters for the heaviest edge on its path, in the order
+    (lower key, edge id).  Only `out`'s new path and the paths that held
+    `out` change.  Each is its old walk (from the edge's second end to its
+    first) with `out` replaced by the rest of the entering edge's cycle,
+    backtracks cancelled, so it is the walk :func:`_path_index` writes."""
+    paths, covers, tally = index
+    keys = run.lower
+    if e in tree:
+        out, enter = e, min(covers[e], key=lambda x: (keys[x], x))
+    else:
+        out, enter = max(paths[e], key=lambda x: (keys[x], x)), e
+    ends = run.ends
+    cycle = paths.pop(enter)
+    j = cycle.index(out)
+    x = _entry(ends, cycle, j, ends[enter][1])
+    rest = cycle[j + 1:] + [enter] + cycle[:j]  # from out's other end round to x
+    back = rest[::-1]
+    removed, added = [(enter, l) for l in cycle], []
+    for l in cycle:
+        covers[l].discard(enter)
+    tree.remove(out)
+    tree.add(enter)
+    covers[enter] = set()
+    for f in covers.pop(out):
+        old = paths[f]
+        i = old.index(out)
+        detour = back if _entry(ends, old, i, ends[f][1]) == x else rest
+        # cancel the backtracks where the detour meets the walk on either
+        # side of out; `enter`, which the old walk does not hold, stays
+        a, s = i, 0
+        while a and old[a - 1] == detour[s]:
+            a, s = a - 1, s + 1
+        b, t = i + 1, len(detour)
+        while b < len(old) and old[b] == detour[t - 1]:
+            b, t = b + 1, t - 1
+        paths[f] = old[:a] + detour[s:t] + old[b:]
+        for l in old[a:b]:
+            removed.append((f, l))
+            if l != out:
+                covers[l].discard(f)
+        for l in detour[s:t]:
+            added.append((f, l))
+            covers[l].add(f)
+    paths[out] = back if ends[out][1] == x else rest
+    for l in paths[out]:
+        added.append((out, l))
+        covers[l].add(out)
+    # every pair of e is among the removed ones, counted at e's old ranks
+    _tally(tally, removed, -1)
+    _see(run, tally, e)
+    _tally(tally, added, 1)
+
+
 def _synced(run: QueryRun) -> Optional[_Held]:
     """The session's held limit tree with every move recorded since
     applied, or None if it holds none."""
@@ -236,25 +441,43 @@ def _synced(run: QueryRun) -> Optional[_Held]:
     if held is None:
         return None
     events = run.transcript.events
-    for ev in events[held.at:]:
+    if held.at == len(events):
+        return held
+    pending = events[held.at:]
+    for i, ev in enumerate(pending):
         e, kind, tree, index = ev.edge, ev.kind, held.lower, held.index
         if tree is None:
             break
         if kind == "reveal":
-            if not _stays(tree, index, run.lower, e):
+            if _stays(tree, index, run.lower, e):
+                _recount(run, tree, index, e)
+            elif _lone(pending, i):
+                _swap(run, tree, index, e)
+            else:
                 held.lower = held.index = None
         elif kind == "delete":
             if e in tree:
                 held.lower = held.index = None
             else:
-                for l in index.paths.pop(e):
+                path, t = index.paths.pop(e), index.tally
+                # e's pairs count somewhere only if e has a bad pair or a
+                # count of its own, or some tree edge holds a lower tie
+                if t.bad[e] or t.differ[e] or t.tie_up[e] or t.lower_ids:
+                    _tally(t, [(e, l) for l in path], -1)
+                for l in path:
                     index.covers[l].discard(e)
         elif kind == "contract":
             if e not in tree:
                 held.lower = held.index = None
             else:
                 tree.discard(e)
-                for f in index.covers.pop(e):
+                cover, t = index.covers.pop(e), index.tally
+                # e's pairs count somewhere only if e has a bad pair or a
+                # count of its own, or some non-tree edge holds a differ
+                # pair or an upper tie
+                if t.bad[e] or t.tie_low[e] or t.differ_ids or t.upper_ids:
+                    _tally(t, [(f, e) for f in cover], -1)
+                for f in cover:
                     index.paths[f].remove(e)
     held.at = len(events)
     return held
@@ -267,7 +490,7 @@ def _held_lower(run: QueryRun) -> _Held:
         held = run._limit_trees = _Held(len(run.transcript.events))
     if held.lower is None:
         held.lower = _kruskal(run, lower_keys(run))
-        held.index = _path_index(run, held.lower)
+        held.index = _path_index(run, held.lower, counted=True)
     return held
 
 
@@ -296,29 +519,33 @@ def _uniqueness_gap(run: QueryRun, index: PathIndex):
 
     Ties between two point intervals cannot be separated by queries and are
     resolved by edge id, so they do not count as violations.
+
+    The verdict comes from the counts (:class:`_Tally`) of `index`, which
+    must be counted, as the session's held index is: the least id with a
+    "differ" pair, else with an upper tie, else with a lower tie or
+    violation.  Only that one path or cover is scanned for its first such
+    pair, in the order a scan of every path in id order, then every cover
+    in id order, would meet it; a cover edge below the tree edge's lower
+    key raises.
     """
-    lo, hi = run.lo, run.hi
-    upper, lower = upper_keys(run), lower_keys(run)
-    tie = None
-    for f in sorted(index.paths):
-        kf = upper[f]
-        for e in index.paths[f]:
-            ke = upper[e]
-            if ke < kf:
-                continue
-            if ke > kf or e > f:
+    lo, hi, upper, lower = run.lo, run.hi, run.upper, run.lower
+    paths, covers, tally = index
+    if tally.differ_ids:
+        f = min(tally.differ_ids)
+        for e in paths[f]:
+            if upper[e] > upper[f] or upper[e] == upper[f] and e > f:
                 return ("differ", f, e)
-            if tie is None and not (lo[e] == hi[e] and lo[f] == hi[f]):
-                tie = ("upper", f, e)
-    if tie is not None:
-        return tie
-    for l in sorted(index.covers):
-        kl = lower[l]
-        for x in sorted(index.covers[l]):
-            kx = lower[x]
-            if kx < kl:
+    if tally.upper_ids:
+        f = min(tally.upper_ids)
+        for e in paths[f]:
+            if upper[e] == upper[f] and e < f and not (lo[e] == hi[e] and lo[f] == hi[f]):
+                return ("upper", f, e)
+    if tally.lower_ids:
+        l = min(tally.lower_ids)
+        for x in sorted(covers[l]):
+            if lower[x] < lower[l]:
                 raise PreconditionViolated("lower limit tree violates the cut rule")
-            if kx == kl and not (lo[x] == hi[x] and lo[l] == hi[l]):
+            if lower[x] == lower[l] and not (lo[x] == hi[x] and lo[l] == hi[l]):
                 return ("lower", l, x)
     return None
 
@@ -360,14 +587,15 @@ def is_solved(run: QueryRun) -> Optional[set[int]]:
     lower limit tree alone is complete: any verified tree differs from it
     only by swaps of equal known values.
 
-    Reads the held lower limit tree when the session holds one; otherwise
-    runs Kruskal and holds nothing, so a fresh fork costs one Kruskal.
+    When the session holds the lower limit tree, the answer is its count
+    of bad pairs (:class:`_Tally`): verified exactly when no pair is bad.
+    Otherwise it runs Kruskal, walks every cycle and holds nothing, so a
+    fresh fork costs one Kruskal.
     """
     held = _synced(run)
-    if held is None or held.lower is None:
-        tree = _kruskal(run, lower_keys(run))
-    else:
-        tree = set(held.lower)
+    if held is not None and held.lower is not None:
+        return None if held.index.tally.bad_pairs else set(held.lower)
+    tree = _kruskal(run, lower_keys(run))
     adj = _tree_adjacency(run, tree)
     lo, hi, ends = run.lo, run.hi, run.ends
     for f in run.present_ids():
@@ -415,26 +643,27 @@ def reduce_verified(run: QueryRun) -> set[int]:
     """Remove every verified edge; returns the lower limit tree left behind.
 
     Makes exactly the moves of calling :func:`reduce_once` until it returns
-    False, from the held lower limit tree and its path index (one Kruskal
-    and one index build when the session holds neither).  Deleting a
-    non-tree edge changes neither the tree nor another edge's path, so every
-    dominated non-tree edge goes first, in id order.  Contracting tree edge l leaves
-    the tree minus l and every other cover as it was, so the contractible
-    tree edges follow in id order.  Neither move enables one of the other
-    kind: a dominated edge has low >= high of every edge on its path, so
-    it never blocked a contraction, and an edge whose path held a
-    contractible l has low >= high(l), so l never blocked its domination.
-    The lower limit tree of the reduced minor is therefore the held tree
-    minus the contracted edges, which the held state applies on the next
-    read.
+    False, from the held lower limit tree and its bad-pair counts (one
+    Kruskal and one counted index build when the session holds neither).
+    Deleting a non-tree edge changes neither the tree nor another edge's
+    path, so every dominated non-tree edge goes first, in id order.
+    Contracting tree edge l leaves the tree minus l and every other cover
+    as it was, so the contractible tree edges follow in id order.  Neither
+    move enables one of the other kind: a dominated edge has low >= high
+    of every edge on its path, so it never blocked a contraction, and an
+    edge whose path held a contractible l has low >= high(l), so l never
+    blocked its domination.  The lower limit tree of the reduced minor is
+    therefore the held tree minus the contracted edges, which the held
+    state applies on the next read.
     """
     held = _held_lower(run)
-    tree, (paths, covers) = held.lower, held.index
-    # deletions and contractions change no interval, so the ranks hold, and
-    # both lists are fixed before the first move changes the held state
-    lo, hi = run.lo, run.hi
-    dominated = [f for f in sorted(paths) if all(hi[e] <= lo[f] for e in paths[f])]
-    contractible = [l for l in sorted(tree) if all(lo[x] >= hi[l] for x in covers[l])]
+    tree, bad = held.lower, held.index.tally.bad
+    # a non-tree edge is dominated, and a tree edge contractible, exactly
+    # when it is in no bad pair; both lists are fixed before the first move
+    # changes the held state
+    clear = [x for x in run.present_ids() if not bad[x]]
+    dominated = [f for f in clear if f not in tree]
+    contractible = [l for l in clear if l in tree]
     for f in dominated:
         run.delete(f)
     for l in contractible:

@@ -95,7 +95,7 @@ def mandatory_edges(graph: GraphLike, value_source: str = "truth") -> set[int]:
         else:
             w[e] = table[e]
             open_ids.append(e)
-    paths, covers = _path_index(run, _kruskal(run, w))
+    paths, covers, _ = _path_index(run, _kruskal(run, w))
     mandatory = set()
     for e in open_ids:
         if e in paths:

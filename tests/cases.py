@@ -1,4 +1,5 @@
-"""Test instances and seeded corpora shared by several test modules."""
+"""Test instances, seeded corpora and full-scan references shared by several
+test modules."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import random
 from fractions import Fraction
 
 from mstquery import factory
-from mstquery.graphcore import Interval, UncertainEdge, UncertainGraph
+from mstquery.graphcore import Interval, PreconditionViolated, UncertainEdge, UncertainGraph
 
 
 CORPUS_SIZE = 500
@@ -58,3 +59,69 @@ def kernel_case(seed: int):
         values = sorted(set(rng.sample(pool, rng.randint(1, min(3, len(pool))))))
         mixtures[e.eid] = (values, [rng.randint(1, 4) for _ in values])
     return UncertainGraph(base.vertex_count, edges), mixtures
+
+
+# -- full scans: the reference for the counts a session holds ----------------
+
+
+def scan_uniqueness_gap(run, index):
+    """`limittrees._uniqueness_gap` by a scan of every path, then every
+    cover, in id order: the first "differ" pair of any path, else the first
+    upper tie, else the first lower tie; a cover edge below its tree edge's
+    lower key raises PreconditionViolated."""
+    lo, hi = run.lo, run.hi
+    upper, lower = run.upper, run.lower
+    tie = None
+    for f in sorted(index.paths):
+        kf = upper[f]
+        for e in index.paths[f]:
+            ke = upper[e]
+            if ke < kf:
+                continue
+            if ke > kf or e > f:
+                return ("differ", f, e)
+            if tie is None and not (lo[e] == hi[e] and lo[f] == hi[f]):
+                tie = ("upper", f, e)
+    if tie is not None:
+        return tie
+    for l in sorted(index.covers):
+        kl = lower[l]
+        for x in sorted(index.covers[l]):
+            kx = lower[x]
+            if kx < kl:
+                raise PreconditionViolated("lower limit tree violates the cut rule")
+            if kx == kl and not (lo[x] == hi[x] and lo[l] == hi[l]):
+                return ("lower", l, x)
+    return None
+
+
+def scan_verified(run, tree, index):
+    """The edges `limittrees.reduce_verified` removes, by a scan of every
+    path and cover: the non-tree edges that dominate their path and the
+    tree edges no larger than their whole cut, each in id order."""
+    lo, hi = run.lo, run.hi
+    paths, covers = index.paths, index.covers
+    dominated = [f for f in sorted(paths) if all(hi[e] <= lo[f] for e in paths[f])]
+    contractible = [l for l in sorted(tree) if all(lo[x] >= hi[l] for x in covers[l])]
+    return dominated, contractible
+
+
+def tied_case(seed: int) -> UncertainGraph:
+    """A random connected multigraph whose interval ends lie on the grid
+    0..4 and whose values lie on the half grid, so that limit keys tie
+    often: open intervals share ends, and values fall on other intervals'
+    ends."""
+    rng = random.Random(seed)
+    vertices = 3 + seed % 4
+    ends = [(rng.randrange(v), v) for v in range(1, vertices)]
+    ends += [tuple(rng.sample(range(vertices), 2)) for _ in range(1 + seed % 4)]
+    edges = []
+    for eid, (u, v) in enumerate(ends):
+        if rng.random() < 0.2:
+            w = Fraction(rng.randint(0, 8), 2)
+            edges.append(UncertainEdge(eid, u, v, Interval.point(w), w, w))
+            continue
+        lo, hi = sorted(rng.sample(range(5), 2))
+        inside = [Fraction(k, 2) for k in range(2 * lo + 1, 2 * hi)]
+        edges.append(UncertainEdge(eid, u, v, Interval.open(lo, hi), rng.choice(inside), rng.choice(inside)))
+    return UncertainGraph(vertices, edges)

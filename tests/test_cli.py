@@ -288,6 +288,23 @@ def test_bench_integer_fields_reject_floats_bools_and_strings(tmp_path, config, 
     _assert_one_error_line(_run_cli("bench", "--config", str(cfg)), text)
 
 
+@pytest.mark.parametrize("command", ["run", "opt", "bench"])
+def test_a_negative_oracle_cap_is_one_error_line(tmp_path, command):
+    # a cap counts edges: a negative one is an input error, not a cap that
+    # every instance exceeds
+    inst, cfg = tmp_path / "inst.json", tmp_path / "bench.json"
+    factory.gen_triangle_chain(1).save(str(inst))
+    cfg.write_text(json.dumps({"jobs": [_TRIANGLE_JOB]}))
+    source = ["--config", str(cfg)] if command == "bench" else ["--instance", str(inst)]
+    if command == "run":
+        source += ["--alg", "baseline"]
+    proc = _run_cli(command, *source, "--oracle-cap", "-1")
+    _assert_one_error_line(proc, "--oracle-cap must be at least 0, got -1")
+    if command == "bench":
+        cfg.write_text(json.dumps({"oracle_cap": -1, "jobs": [_TRIANGLE_JOB]}))
+        _assert_one_error_line(_run_cli(command, *source), "oracle_cap must be at least 0, got -1")
+
+
 def test_invalid_gen_parameters_are_one_error_line():
     _assert_one_error_line(_run_cli("gen", "--family", "triangle-chain", "--n", "0"), "n must be at least 1")
     _assert_one_error_line(_run_cli("gen", "--family", "tradeoff-cycle", "--beta", "1"), "beta must be at least 2")

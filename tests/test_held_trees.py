@@ -1,20 +1,23 @@
 """The limit trees a session holds between reads, against a rebuild.
 
-`limittrees` keeps each session's lower limit tree and its path index, and
-applies every recorded move to them before a read.  These tests hold that
-state to the from-scratch reference, `_kruskal` over the session's keys and
-`_path_index` over the lower tree, after every move of live strategy runs,
-at every read, after moves that must drop the held state, across forks, and
-against callers that keep or change a tree they were handed.  The upper
-limit tree is not held; the uniqueness scan's "differ" verdict stands in
+`limittrees` keeps each session's lower limit tree, its path index and the
+index's blocking-pair counts, and applies every recorded move to them before
+a read.  These tests hold that state to the from-scratch reference,
+`_kruskal` over the session's keys, `_path_index` over the lower tree and a
+recount of every pair, after every move of live strategy runs, at every
+read, after batched reveals, after moves that must drop the held state,
+across forks, and against callers that keep or change a tree they were
+handed.  The verdicts read from the counts are held to the full scans of
+`cases`.  The upper limit tree is not held; the "differ" verdict stands in
 for comparing it with the lower tree, and is held to that comparison too.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from cases import ERROR_RATES, build_corpus, kernel_case
+from cases import ERROR_RATES, build_corpus, kernel_case, scan_uniqueness_gap, scan_verified, tied_case
 from mstquery import factory, limittrees, strategies
 from mstquery.graphcore import Interval, PreconditionViolated, QueryRun, UncertainEdge, UncertainGraph
 from mstquery.limittrees import (
@@ -32,9 +35,36 @@ from mstquery.limittrees import (
 from mstquery.strategies import StrategyConfig, run_combined
 
 
+def recount(run, index):
+    """The blocking-pair counts of `index` at the session's ranks, pair by
+    pair: the reference for `limittrees._Tally`."""
+    lo, hi, upper, lower = run.lo, run.hi, run.upper, run.lower
+    counts = {name: [0] * len(lo) for name in ("bad", "differ", "tie_up", "tie_low")}
+    bad_pairs = 0
+    for f, path in index.paths.items():
+        for e in path:
+            points = lo[e] == hi[e] and lo[f] == hi[f]
+            if hi[e] > lo[f]:
+                bad_pairs += 1
+                counts["bad"][f] += 1
+                counts["bad"][e] += 1
+            if (upper[e], e) > (upper[f], f):
+                counts["differ"][f] += 1
+            elif upper[e] == upper[f] and not points:
+                counts["tie_up"][f] += 1
+            if lower[f] < lower[e] or lower[f] == lower[e] and not points:
+                counts["tie_low"][e] += 1
+    ids = {
+        f"{kind}_ids": {x for x, c in enumerate(counts[name]) if c}
+        for kind, name in (("differ", "differ"), ("upper", "tie_up"), ("lower", "tie_low"))
+    }
+    return {**counts, "bad_pairs": bad_pairs, **ids}
+
+
 def assert_held_matches_a_rebuild(run, seen=None):
     """Every part the session holds equals its from-scratch reference: the
-    lower tree, each path in order and each cover."""
+    lower tree, each path in order, each cover, and every pair count and
+    nonzero set, counted at the session's current ranks."""
     held = _synced(run)
     if held is None:
         return
@@ -45,6 +75,10 @@ def assert_held_matches_a_rebuild(run, seen=None):
         reference = _path_index(run, lower)
         assert held.index.paths == reference.paths
         assert held.index.covers == reference.covers
+        tally = held.index.tally
+        assert (tally.lo, tally.hi, tally.upper, tally.lower) == (run.lo, run.hi, run.upper, run.lower)
+        expected = recount(run, reference)
+        assert {name: getattr(tally, name) for name in expected} == expected
         if seen is not None:
             seen["index"] += 1
 
@@ -95,19 +129,23 @@ class CheckedRun(QueryRun):
 
     seen = Counter()
 
-    def _check(self, kind):
+    def _check(self, kind, before=None):
         held = _synced(self)
         if held is not None:
             # a tree still held after a reveal went through the cover or
-            # path rule rather than a rebuild
+            # path rule, or a swap, rather than a rebuild
             if kind == "reveal" and held.lower is not None:
                 CheckedRun.seen["lower kept by a reveal"] += 1
+                if before is not None and held.lower != before:
+                    CheckedRun.seen["swapped"] += 1
         assert_held_matches_a_rebuild(self, CheckedRun.seen)
         CheckedRun.seen[kind] += 1
 
     def reveal(self, eid):
+        held = _synced(self)
+        before = None if held is None or held.lower is None else set(held.lower)
         value = super().reveal(eid)
-        self._check("reveal")
+        self._check("reveal", before)
         return value
 
     def delete(self, eid):
@@ -126,6 +164,7 @@ def test_held_trees_match_a_rebuild_after_every_move_of_live_runs(monkeypatch):
     seen = CheckedRun.seen
     assert seen["reveal"] + seen["delete"] + seen["contract"] > 20000
     assert seen["lower kept by a reveal"] > 2000
+    assert seen["swapped"] > 3000
     assert seen["index"] > 15000
 
 
@@ -166,6 +205,140 @@ def test_the_differ_verdict_matches_the_upper_kruskal_at_every_round_of_live_run
     monkeypatch.setattr(limittrees, "_uniqueness_gap", checked)
     run_live(live_graphs(), large_graphs()[::2])
     assert seen["differ"] > 2500 and seen["same"] > 7000
+
+
+def test_held_verdicts_and_reductions_match_the_scans_of_live_runs(monkeypatch):
+    # the verdict and the verified edges are read from the held counts; a
+    # scan of every path and cover must find the same at every call
+    gap, reduce = limittrees._uniqueness_gap, limittrees.reduce_verified
+    seen = Counter()
+
+    def checked_gap(run, index):
+        want = scan_uniqueness_gap(run, index)
+        verdict = gap(run, index)
+        assert verdict == want
+        seen["unique" if verdict is None else verdict[0]] += 1
+        return verdict
+
+    def checked_reduce(run):
+        held = limittrees._held_lower(run)
+        want = scan_verified(run, held.lower, held.index)
+        events = run.transcript.events
+        start = len(events)
+        tree = reduce(run)
+        moves = events[start:]
+        # the contractions' self-loops are deleted after their contraction
+        first = next((i for i, ev in enumerate(moves) if ev.kind == "contract"), len(moves))
+        dominated = [ev.edge for ev in moves[:first]]
+        contractible = [ev.edge for ev in moves if ev.kind == "contract"]
+        assert (dominated, contractible) == want
+        seen["dominated"] += len(dominated)
+        seen["contractible"] += len(contractible)
+        return tree
+
+    monkeypatch.setattr(limittrees, "_uniqueness_gap", checked_gap)
+    monkeypatch.setattr(limittrees, "reduce_verified", checked_reduce)
+    # no live graph reaches a lower tie; the tied cases do
+    run_live(live_graphs() + [tied_case(seed) for seed in range(200)], large_graphs())
+    floors = {"differ": 3000, "upper": 400, "lower": 50, "unique": 8000, "dominated": 6000, "contractible": 8000}
+    assert all(seen[kind] > floor for kind, floor in floors.items()), seen
+
+
+def test_counted_verdicts_match_the_scans_on_any_spanning_tree():
+    # on a spanning tree that is not the lower limit tree the counts see
+    # cut-rule violations too, where the verdict must raise as the scan does
+    rng = random.Random(7)
+    seen = Counter()
+    graphs = [kernel_case(seed)[0] for seed in range(200)]
+    graphs += [g for rate in ERROR_RATES for g in build_corpus(rate, 50)]
+    graphs += [factory.gen_vc_flip(n, variant) for n in (4, 6, 8) for variant in ("ex1", "ex2")]
+    graphs += [factory.gen_path_parallel(n) for n in (2, 4, 8)] + [factory.gen_triangle_chain(n) for n in (2, 4, 8)]
+    graphs += [tied_case(seed) for seed in range(600)]
+    for g in graphs:
+        run = QueryRun(g)
+        for step in range(8):
+            keys = run.lower if step % 2 else [rng.random() for _ in run.lower]
+            tree = _kruskal(run, keys)
+            index = _path_index(run, tree, counted=True)
+            try:
+                want = scan_uniqueness_gap(run, index)
+            except PreconditionViolated:
+                with pytest.raises(PreconditionViolated, match="cut rule"):
+                    limittrees._uniqueness_gap(run, index)
+                seen["raises"] += 1
+            else:
+                verdict = limittrees._uniqueness_gap(run, index)
+                assert verdict == want
+                seen["unique" if verdict is None else verdict[0]] += 1
+            dominated, contractible = scan_verified(run, tree, index)
+            bad = index.tally.bad
+            assert dominated == [f for f in sorted(index.paths) if not bad[f]]
+            assert contractible == [l for l in sorted(tree) if not bad[l]]
+            assert (index.tally.bad_pairs == 0) == (dominated == sorted(index.paths))
+            open_ids = run.non_trivial_ids()
+            if open_ids:
+                run.reveal(rng.choice(open_ids))
+    floors = {"raises": 50, "differ": 3000, "upper": 80, "lower": 20, "unique": 2000}
+    assert all(seen[kind] > floor for kind, floor in floors.items()), seen
+
+
+def swaps_alone(run, e, tree):
+    """Whether revealing e, and nothing else, changes the lower limit tree."""
+    fork = run.fork()
+    fork.reveal(e)
+    return _kruskal(fork, fork.lower) != tree
+
+
+def test_batched_reveals_then_one_read_match_a_rebuild():
+    # a read after several reveals sees the keys of all of them: a swap
+    # applied for one reveal of the batch would read keys that are not
+    # those right after it, so the batch must rebuild instead
+    rng = random.Random(11)
+    seen = Counter()
+    graphs = [kernel_case(seed)[0] for seed in range(150)] + [tied_case(seed) for seed in range(300)]
+    graphs += [g for rate in ERROR_RATES for g in build_corpus(rate, 40)]
+    for g in graphs:
+        run = QueryRun(g)
+        while True:
+            tree = lower_limit_tree(run)
+            assert_held_matches_a_rebuild(run)
+            open_ids = run.non_trivial_ids()
+            if len(open_ids) < 2:
+                break
+            batch = rng.sample(open_ids, rng.randint(2, min(4, len(open_ids))))
+            seen["batch"] += 1
+            seen["would swap"] += any(swaps_alone(run, e, tree) for e in batch)
+            for e in batch:
+                run.reveal(e)
+    assert seen["batch"] > 500 and seen["would swap"] > 250
+
+
+def test_removals_after_a_swapping_reveal_in_one_read():
+    # a swap reads the endpoints after every pending move: deletions after
+    # its reveal leave them as they were, so the swap is applied, while
+    # contractions relabel them, so the held tree is rebuilt instead
+    rng = random.Random(5)
+    seen = Counter()
+    graphs = [kernel_case(seed)[0] for seed in range(150)] + [tied_case(seed) for seed in range(300)]
+    for g in graphs:
+        run = QueryRun(g)
+        while run.vertex_count > 2:
+            tree = lower_limit_tree(run)
+            swapping = [e for e in run.non_trivial_ids() if swaps_alone(run, e, tree)]
+            if not swapping:
+                break
+            run.reveal(rng.choice(swapping))
+            kind = rng.choice(("delete", "contract"))
+            for _ in range(rng.randint(1, 3)):
+                after = _kruskal(run, run.lower)
+                targets = sorted(after if kind == "contract" else set(run.present_ids()) - after)
+                if targets and run.vertex_count > 1:
+                    getattr(run, kind)(rng.choice(targets))
+            assert (_synced(run).lower is not None) == (kind == "delete")
+            lower_limit_tree(run)
+            assert_held_matches_a_rebuild(run)
+            seen[kind] += 1
+    assert seen["delete"] > 200 and seen["contract"] > 200, seen
 
 
 def test_an_upper_key_tie_broken_by_edge_id_is_a_differ_verdict():
