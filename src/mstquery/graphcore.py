@@ -23,10 +23,9 @@ order, as a union-find over the original vertices would.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from typing import Any, Iterable, NamedTuple, Optional
 
 
@@ -157,31 +156,60 @@ class Interval:
         return LimitValue(self.high, 0 if self.is_trivial else -1)
 
 
-class Ranking(NamedTuple):
+def _compare(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """A number with the sign of a - b, for (numerator, denominator) pairs
+    with positive denominators: an exact cross-multiplication."""
+    return a[0] * b[1] - b[0] * a[1]
+
+
+@dataclass(frozen=True)
+class Ranking:
     """Order-preserving integer codes of a set of exact values.
 
-    `values` holds the distinct values in ascending order and `rank` maps
-    each to its index there, so a < b iff rank[a] < rank[b], a == b iff
-    rank[a] == rank[b], and values[rank[a]] is a.  `lo`, `hi`, `pred` and
-    `truth` hold, by edge id, the ranks of each edge's interval ends,
-    prediction and true value.
+    `values` holds the distinct values in ascending order, and `pairs` their
+    (numerator, denominator) pairs: the value of rank r is values[r], and
+    a < b iff rank[a] < rank[b], a == b iff rank[a] == rank[b].  `lo`, `hi`,
+    `pred` and `truth` hold, by edge id, the ranks of each edge's interval
+    ends, prediction and true value.  Ranking and placing compare the pairs
+    by exact integer cross-multiplication, never as Fractions; `rank`, the
+    one map keyed on Fractions, is built on first use.
     """
 
-    rank: dict[Fraction, int]
     values: tuple[Fraction, ...]
+    pairs: tuple[tuple[int, int], ...]
     lo: tuple[int, ...]
     hi: tuple[int, ...]
     pred: tuple[int, ...]
     truth: tuple[int, ...]
+
+    @cached_property
+    def rank(self) -> dict[Fraction, int]:
+        return dict(zip(self.values, range(len(self.values))))
 
     def position(self, value: Fraction, lo: int = 0, hi: Optional[int] = None) -> int:
         """A doubled rank that orders any value among the ranked ones: a
         ranked value sits at 2*rank, any other at 2i-1, with i the index of
         the first ranked value above it.  `lo` and `hi` bound the search as
         bisect's do, for a caller that knows them."""
-        values = self.values
-        i = bisect_left(values, value, lo, len(values) if hi is None else hi)
-        return 2 * i if i < len(values) and values[i] == value else 2 * i - 1
+        return self.place((value.numerator, value.denominator), lo, hi)
+
+    def place(self, pair: tuple[int, int], lo: int = 0, hi: Optional[int] = None) -> int:
+        """:meth:`position` of the value with (numerator, denominator) `pair`,
+        in lowest terms."""
+        if lo < 0:
+            raise ValueError("lo must be non-negative")
+        pairs = self.pairs
+        n, d = pair
+        if hi is None:
+            hi = len(pairs)
+        while lo < hi:  # bisect_left on n/d
+            mid = (lo + hi) // 2
+            p, q = pairs[mid]
+            if p * d < n * q:
+                lo = mid + 1
+            else:
+                hi = mid
+        return 2 * lo if lo < len(pairs) and pairs[lo] == pair else 2 * lo - 1
 
     def table(self, source: str) -> tuple[int, ...]:
         """The ranks, by edge id, of the values a reveal takes under
@@ -198,22 +226,23 @@ def rank_values(edges: tuple[UncertainEdge, ...]) -> Ranking:
     (ordered by edge id).
 
     The pool and the per-edge lookups key on (numerator, denominator)
-    pairs, which name each value once (a Fraction is kept in lowest terms)
-    and hash far cheaper than a Fraction; each distinct value is hashed as
-    a Fraction once, into `rank`."""
+    pairs, which name each value once (a Fraction is kept in lowest terms),
+    and the pairs are sorted by :func:`_compare`, not by an lcm-scaled
+    integer key, whose size can grow with the product of the instance's
+    denominators."""
     pool: dict[tuple[int, int], Fraction] = {}
     for e in edges:
         for x in (e.interval.low, e.interval.high, e.true_value, e.predicted_value):
             pool[x.numerator, x.denominator] = x
-    distinct = tuple(sorted(pool.values()))
-    code = {(x.numerator, x.denominator): i for i, x in enumerate(distinct)}
+    pairs = tuple(sorted(pool, key=cmp_to_key(_compare)))
+    code = {p: i for i, p in enumerate(pairs)}
 
     def ranks(values: Iterable[Fraction]) -> tuple[int, ...]:
         return tuple(code[x.numerator, x.denominator] for x in values)
 
     return Ranking(
-        dict(zip(distinct, range(len(distinct)))),
-        distinct,
+        tuple(pool[p] for p in pairs),
+        pairs,
         ranks(e.interval.low for e in edges),
         ranks(e.interval.high for e in edges),
         ranks(e.predicted_value for e in edges),

@@ -23,7 +23,10 @@ that agreed with the old one, so the score is the agreement up to a
 constant per edge.  The best score wins on strict improvement only, so ties
 go to the smallest candidate, as they would in a scan of the grid.  ERM
 weighs the draws by their counts, :func:`grid_optimal` the mixture values by
-their weights.
+their weights.  Both key each value on its (numerator, denominator) pair
+and place it with :meth:`Ranking.place`, by integer cross-multiplication,
+so the learner neither hashes nor compares a Fraction; the sampler checks
+its mixtures and draws the same way (:class:`RealizationSampler`).
 
 Expected losses come from the relation-signature kernel of
 :mod:`.errormetrics`: a candidate's loss is the weighted sum of its
@@ -90,8 +93,11 @@ class RealizationSampler:
     """Seeded sampler over per-edge finite mixtures of rational point masses.
 
     Every sampled value lies strictly inside its open interval (or equals the
-    trivial value).  Edges without an explicit mixture default to a point
-    mass at their true value.
+    trivial value), which is checked once, by integer cross-multiplication.
+    Edges without an explicit mixture default to a point mass at their true
+    value.  Each edge's cumulative weights are summed once too, and a draw
+    takes, per edge, the value that ``random.choices(values, weights)``
+    would, by its formula, so a seed gives the same stream.
     """
 
     def __init__(self, graph: UncertainGraph, mixtures: Mapping[int, tuple[list[Fraction], list[int]]], seed: int = 0):
@@ -100,21 +106,30 @@ class RealizationSampler:
         if unknown:
             raise ValidationError(f"mixtures for unknown edges {unknown}")
         self.mixtures: dict[int, tuple[list[Fraction], list[int]]] = {}
+        self._draws: list[tuple[int, list[Fraction], list[int]]] = []
         for e in graph.edges:
             values, weights = mixtures.get(e.eid, ([e.true_value], [1]))
             if len(values) != len(weights) or not values:
                 raise ValidationError(f"edge {e.eid}: malformed mixture")
             if any(w <= 0 for w in weights):
                 raise ValidationError(f"edge {e.eid}: mixture weights must be positive")
-            if sum(weights) > sys.float_info.max:  # random.choices sums them as a float
+            cum = list(accumulate(weights))
+            if cum[-1] > sys.float_info.max:  # random.choices sums them as a float
                 raise ValidationError(f"edge {e.eid}: mixture weights sum past the largest float")
+            ln, ld = e.interval.low.numerator, e.interval.low.denominator
+            hn, hd = e.interval.high.numerator, e.interval.high.denominator
             for v in values:
-                if e.interval.is_trivial:
-                    if v != e.interval.low:
+                if not isinstance(v, (int, Fraction)):
+                    raise ValidationError(f"edge {e.eid}: mixture value {v!r} is not rational")
+                n, d = v.numerator, v.denominator
+                if (ln, ld) == (hn, hd):
+                    if (n, d) != (ln, ld):
                         raise ValidationError(f"edge {e.eid}: trivial edge admits only its value")
-                elif not e.interval.contains(v):
+                elif not ln * d < n * ld or not n * hd < hn * d:
                     raise ValidationError(f"edge {e.eid}: mixture value {v} outside the open interval")
-            self.mixtures[e.eid] = (list(values), list(weights))
+            values = list(values)
+            self.mixtures[e.eid] = (values, list(weights))
+            self._draws.append((e.eid, values, cum))
         self._rng = random.Random(seed)
 
     @classmethod
@@ -151,20 +166,27 @@ class RealizationSampler:
         return cls(graph, mixtures, seed=seed)
 
     def sample(self) -> dict[int, Fraction]:
-        out = {}
-        for e in self.graph.edges:
-            values, weights = self.mixtures[e.eid]
-            out[e.eid] = self._rng.choices(values, weights=weights, k=1)[0]
-        return out
+        rand = self._rng.random
+        # random.choices' draw: the float total times one random(), placed
+        # among the exact cumulative weights, the last value as the bound
+        return {
+            eid: values[bisect_right(cum, rand() * (cum[-1] + 0.0), 0, len(values) - 1)]
+            for eid, values, cum in self._draws
+        }
 
 
 _edge_loss = relation_mismatches
 
 
-def _sweep(graph: UncertainGraph, weighted: Mapping[int, Iterable[tuple[Fraction, int]]]) -> dict[int, Fraction]:
+def _pairs(values: Iterable[Fraction]) -> Iterable[tuple[int, int]]:
+    return ((x.numerator, x.denominator) for x in values)
+
+
+def _sweep(graph: UncertainGraph, weighted: Mapping[int, Iterable[tuple[tuple[int, int], int]]]) -> dict[int, Fraction]:
     """Per edge, the grid candidate of least hop loss against the (value,
-    weight) pairs weighted[eid], the smallest one on ties; see the module
-    docstring.  Only the winner is computed as a value."""
+    weight) pairs weighted[eid], each value as its (numerator, denominator)
+    pair, the smallest one on ties; see the module docstring.  Only the
+    winner is computed as a value."""
     ranking = graph.ranking
     values = ranking.values
     # by rank: the high ends of the open intervals whose low end it is, and
@@ -181,7 +203,7 @@ def _sweep(graph: UncertainGraph, weighted: Mapping[int, Iterable[tuple[Fraction
             best[e.eid] = e.interval.low
             continue
         lo, hi = cuts[0], cuts[-1]
-        points = sorted((ranking.position(v, lo + 1, hi), w) for v, w in weighted[e.eid])
+        points = sorted((ranking.place(v, lo + 1, hi), w) for v, w in weighted[e.eid])
         at = [p for p, _ in points]
         acc = list(accumulate((w for _, w in points), initial=0))  # acc[i]: weight of the first i points
         total = acc[-1]
@@ -213,7 +235,7 @@ def erm_train(graph: UncertainGraph, sampler: RealizationSampler, m: int) -> dic
     if m < 1:
         raise ValueError("need at least one sample")
     samples = [sampler.sample() for _ in range(m)]
-    return _sweep(graph, {e.eid: Counter(s[e.eid] for s in samples).items() for e in graph.edges})
+    return _sweep(graph, {e.eid: Counter(_pairs(s[e.eid] for s in samples)).items() for e in graph.edges})
 
 
 def _expected_loss(kernel: RelationKernel, sampler: RealizationSampler, eid: int, candidate: Fraction) -> Fraction:
@@ -237,7 +259,7 @@ def expected_hop_loss(graph: UncertainGraph, sampler: RealizationSampler, predic
 
 def grid_optimal(graph: UncertainGraph, sampler: RealizationSampler) -> dict[int, Fraction]:
     """Per-edge minimizer of the exact expected loss over the grid."""
-    return _sweep(graph, {eid: zip(values, weights) for eid, (values, weights) in sampler.mixtures.items()})
+    return _sweep(graph, {eid: zip(_pairs(values), weights) for eid, (values, weights) in sampler.mixtures.items()})
 
 
 def predictions_to_json(predictions: Mapping[int, Fraction]) -> str:

@@ -69,8 +69,10 @@ one path or cover its verdict comes from.
 
 No upper tree is held.  The lower tree is the upper one too exactly when
 each non-tree edge lies above every edge of its path in the order (upper
-key, edge id); :func:`_uniqueness_gap` checks this on the held index, and
-only when it reports "differ" does :func:`upper_limit_tree` run Kruskal.
+key, edge id); :func:`_uniqueness_gap` checks this on the held index.
+Only when it reports "differ" does the upper tree get built, and then by
+a Kruskal over the tree and the non-tree edges with a "differ" pair alone:
+every other non-tree edge is the largest of its cycle.
 
 Verified reduction moves on the held tree and index: deleting a non-tree
 edge changes neither the tree nor another edge's path, and contracting tree
@@ -104,9 +106,10 @@ def upper_keys(run: QueryRun) -> list[int]:
     return run.upper
 
 
-def _kruskal(run: QueryRun, keys) -> set[int]:
-    """Minimum spanning tree of the present edges by (keys[eid], edge id)."""
-    ids = run.present_ids()
+def _kruskal(run: QueryRun, keys, ids: Optional[list[int]] = None) -> set[int]:
+    """Minimum spanning tree of the present edges, or of the ascending
+    present `ids`, by (keys[eid], edge id)."""
+    ids = run.present_ids() if ids is None else ids
     parent = list(range(run.graph_readonly().vertex_count))
     # ids ascend, so a stable sort by key breaks ties by id
     tree = set(kruskal(sorted(ids, key=keys.__getitem__), run.ends, parent))
@@ -692,6 +695,19 @@ def unique_limit_trees(run: QueryRun) -> LimitTrees:
     return _normal_form(run, *_certify(run, True))
 
 
+def _differ_partner(run: QueryRun, tree: set[int], differ_ids: set[int]) -> int:
+    """The least non-trivial edge of the lower limit tree `tree` outside the
+    upper limit tree.  The upper Kruskal runs over the tree and the non-tree
+    edges in `differ_ids` only: any other non-tree edge lies above every
+    edge of its path in the order (upper key, edge id), so it is the
+    largest of its cycle and outside the upper tree."""
+    upper = _kruskal(run, upper_keys(run), sorted(tree | differ_ids))
+    diff = [e for e in tree - upper if not run.is_trivial(e)]
+    if not diff:
+        raise PreconditionViolated("limit trees differ only in trivial edges; cannot requery")
+    return min(diff)
+
+
 def _certify(run: QueryRun, reduce: bool) -> tuple[set[int], PathIndex]:
     """The rounds of :func:`ensure_unique_limit_trees`; returns the unique
     limit tree and the held path index, which callers must not keep."""
@@ -706,11 +722,5 @@ def _certify(run: QueryRun, reduce: bool) -> tuple[set[int], PathIndex]:
         # mandatory; lower-side tie: symmetrically the tied cut edge is.
         kind, _, partner = gap
         if kind == "differ":
-            # the first non-trivial lower tree edge outside the upper tree
-            diff = sorted(e for e in tree - upper_limit_tree(run) if not run.is_trivial(e))
-            if not diff:
-                raise PreconditionViolated(
-                    "limit trees differ only in trivial edges; cannot requery"
-                )
-            partner = diff[0]
+            partner = _differ_partner(run, tree, index.tally.differ_ids)
         run.reveal(partner)

@@ -133,7 +133,7 @@ def opt_brute_force(
         empty = frozenset()
         return OptResult(0, empty, (empty,) if collect_all else None)
 
-    seed = sorted(mandatory_edges(graph, value_source))
+    seed = sorted(mandatory_edges(run, value_source))
     base = run.fork()
     for eid in seed:
         base.reveal(eid)

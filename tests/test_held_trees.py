@@ -207,6 +207,31 @@ def test_the_differ_verdict_matches_the_upper_kruskal_at_every_round_of_live_run
     assert seen["differ"] > 2500 and seen["same"] > 7000
 
 
+def test_the_differ_partner_matches_the_full_upper_kruskal_at_every_differ_verdict(monkeypatch):
+    # the upper Kruskal behind a "differ" requery runs over the tree and the
+    # non-tree edges with a differ pair only; it must name the edge a
+    # Kruskal over every present edge names
+    partner = limittrees._differ_partner
+    seen = Counter()
+
+    def checked(run, tree, differ_ids):
+        assert differ_ids and not differ_ids & tree
+        diff = sorted(e for e in tree - upper_limit_tree(run) if not run.is_trivial(e))
+        assert _kruskal(run, run.upper, sorted(tree | differ_ids)) == upper_limit_tree(run)
+        try:
+            got = partner(run, tree, differ_ids)
+        except PreconditionViolated:
+            assert not diff
+            raise
+        assert diff and got == diff[0]
+        seen["differ"] += 1
+        return got
+
+    monkeypatch.setattr(limittrees, "_differ_partner", checked)
+    run_live(live_graphs(), large_graphs())
+    assert seen["differ"] > 2500, seen
+
+
 def test_held_verdicts_and_reductions_match_the_scans_of_live_runs(monkeypatch):
     # the verdict and the verified edges are read from the held counts; a
     # scan of every path and cover must find the same at every call
