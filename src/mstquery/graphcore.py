@@ -281,6 +281,24 @@ class UncertainEdge:
                 )
 
 
+def _valid_on_pairs(e: UncertainEdge) -> bool:
+    """Whether edge e passes :meth:`UncertainEdge.validate`, decided on the
+    (numerator, denominator) pairs of its ends, truth and prediction by
+    exact integer cross-multiplication; False too when a value is not an
+    int or a Fraction."""
+    low, high, t, p = e.interval.low, e.interval.high, e.true_value, e.predicted_value
+    rational = (int, Fraction)
+    if e.u == e.v or not (
+        isinstance(low, rational) and isinstance(high, rational) and isinstance(t, rational) and isinstance(p, rational)
+    ):
+        return False
+    ln, ld, hn, hd = low.numerator, low.denominator, high.numerator, high.denominator
+    tn, td, pn, pd = t.numerator, t.denominator, p.numerator, p.denominator
+    if ln == hn and ld == hd:
+        return tn == pn == ln and td == pd == ld
+    return ln * td < tn * ld and tn * hd < hn * td and ln * pd < pn * ld and pn * hd < hn * pd
+
+
 class UncertainGraph:
     """Connected multigraph with uncertain edge weights.
 
@@ -303,7 +321,8 @@ class UncertainGraph:
         for e in self.edges:
             if not (0 <= e.u < self.vertex_count and 0 <= e.v < self.vertex_count):
                 raise ValidationError(f"edge {e.eid}: endpoint out of range")
-            e.validate()
+            if not _valid_on_pairs(e):
+                e.validate()  # raises, or passes a value that is not an int or a Fraction
         if not self._connected():
             raise ValidationError("graph is not connected")
 

@@ -74,10 +74,15 @@ Only when it reports "differ" does the upper tree get built, and then by
 a Kruskal over the tree and the non-tree edges with a "differ" pair alone:
 every other non-tree edge is the largest of its cycle.
 
-Verified reduction moves on the held tree and index: deleting a non-tree
-edge changes neither the tree nor another edge's path, and contracting tree
-edge l leaves it minus l, so one tree and one index serve every move of a
-call, and what the moves leave is the next round's lower limit tree.
+Verified reduction moves on one tree: deleting a non-tree edge changes
+neither the tree nor another edge's path, and contracting tree edge l
+leaves it minus l, so what the moves leave is the next round's lower limit
+tree.  A session that holds no tree needs no index to find the moves
+either: each edge's status is one threshold (MST sensitivity analysis,
+Tarjan, IPL 1982), the largest high end on a non-tree edge's path or the
+least low end among a tree edge's covers, which two union-find sweeps over
+one Kruskal tree read, :func:`_joined_at_most` and :func:`_least_covers`.
+:func:`is_solved` and the oracle's mandatory edges read them too.
 """
 
 from __future__ import annotations
@@ -85,7 +90,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .graphcore import Interval, PreconditionViolated, QueryRun, kruskal, rounds
+from .graphcore import Interval, PreconditionViolated, QueryRun, find, kruskal, rounds
 
 
 lower_key = Interval.lower_key
@@ -229,22 +234,32 @@ class _Tally:
     lower_ids: set[int]
 
 
-def _path_index(run: QueryRun, tree: set[int], counted: bool = False) -> PathIndex:
+def _rooted(run: QueryRun, tree: set[int]) -> tuple[list[int], list[int], list[int]]:
+    """The (connected) `tree` rooted at one of its vertices, as lists by
+    vertex: each vertex's parent, edge to the parent and depth.  The root
+    is its own parent by edge -1; a vertex off the tree has depth -1."""
+    count = run.graph_readonly().vertex_count
+    adj = _tree_adjacency(run, tree)
+    parent, edge, depth = list(range(count)), [-1] * count, [-1] * count
+    reached = list(adj)[:1]
+    if reached:
+        depth[reached[0]] = 0
+    for node in reached:  # breadth first: `reached` grows as it is read
+        d = depth[node] + 1
+        for nbr, eid in adj[node]:
+            if depth[nbr] < 0:
+                parent[nbr], edge[nbr], depth[nbr] = node, eid, d
+                reached.append(nbr)
+    return parent, edge, depth
+
+
+def _path_index(run: QueryRun, tree: set[int], counted: bool = False, rooted=None) -> PathIndex:
     """Tree path of every present non-tree edge, in :func:`_tree_path` order,
     so that tree_cycle(f) == [f] + paths[f] and
     tree_cut(l) == sorted(covers[l] | {l}); with `counted`, also the
-    blocking-pair counts at the session's current ranks."""
-    adj = _tree_adjacency(run, tree)
-    # root the (connected) tree: vertex -> (parent vertex, edge to parent, depth)
-    up: dict[int, tuple[int, int, int]] = {root: (root, -1, 0) for root in list(adj)[:1]}
-    stack = list(up)
-    while stack:
-        node = stack.pop()
-        depth = up[node][2] + 1
-        for nbr, eid in adj[node]:
-            if nbr not in up:
-                up[nbr] = (node, eid, depth)
-                stack.append(nbr)
+    blocking-pair counts at the session's current ranks.  `rooted` is the
+    tree rooted by :func:`_rooted`, when the caller has it."""
+    parent, edge, depth = rooted or _rooted(run, tree)
     paths: dict[int, list[int]] = {}
     covers: dict[int, set[int]] = {l: set() for l in tree}
     if counted:
@@ -259,12 +274,12 @@ def _path_index(run: QueryRun, tree: set[int], counted: bool = False) -> PathInd
         from_b: list[int] = []
         from_a: list[int] = []
         while a != b:
-            if up[b][2] >= up[a][2]:
-                b, eid, _ = up[b]
-                from_b.append(eid)
+            if depth[b] >= depth[a]:
+                from_b.append(edge[b])
+                b = parent[b]
             else:
-                a, eid, _ = up[a]
-                from_a.append(eid)
+                from_a.append(edge[a])
+                a = parent[a]
         path = from_b + from_a[::-1]
         paths[f] = path
         for l in path:
@@ -295,6 +310,69 @@ def _path_index(run: QueryRun, tree: set[int], counted: bool = False) -> PathInd
         lo, hi, upper, lower, bad, bad_pairs, differ, tie_up, tie_low, differ_ids, upper_ids, lower_ids
     )
     return PathIndex(paths, covers, tally)
+
+
+def _joined_at_most(run: QueryRun, tree: set[int], key, queries: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The queries (bound, f), f a non-tree edge, whose path in `tree` has
+    key[e] <= bound for every edge e on it, in ascending order.  A Kruskal
+    over the tree edges by key joins f's ends exactly when it has taken
+    every edge of that path, so each query is answered once the edges up to
+    its bound are in.  The union-find is inlined: on the oracle's small
+    graphs, calls would cost more than the finds."""
+    ends = run.ends
+    parent = list(range(run.graph_readonly().vertex_count))
+    edges = sorted(tree, key=key.__getitem__)
+    joined, i = [], 0
+    for query in sorted(queries):
+        bound, f = query
+        while i < len(edges) and key[edges[i]] <= bound:
+            a, b = ends[edges[i]]
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            parent[a] = b
+            i += 1
+        a, b = ends[f]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
+            joined.append(query)
+    return joined
+
+
+def _least_covers(run: QueryRun, rooted, order: list[int]) -> dict[int, int]:
+    """Tree edge -> the first non-tree edge of `order` whose path holds it,
+    in the tree rooted by :func:`_rooted`; a tree edge on no such path (a
+    bridge) is absent.  Each path is painted in turn, and a jump pointer per
+    vertex skips to the nearest ancestor whose edge to its parent is still
+    unpainted, so every tree edge is visited once."""
+    parent, edge, depth = rooted
+    jump = list(range(len(parent)))
+    first: dict[int, int] = {}
+    ends = run.ends
+    for f in order:
+        a, b = ends[f]
+        a, b = find(jump, a), find(jump, b)
+        while a != b:
+            # the deeper of the two lies below their common ancestor, so
+            # its edge to its parent is on f's path
+            if depth[a] < depth[b]:
+                a, b = b, a
+            first[edge[a]] = f
+            jump[a] = parent[a]
+            a = find(jump, a)
+    return first
+
+
+def _dominated(run: QueryRun, tree: set[int]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The present non-tree edges f of `tree` as (low(f), f) in ascending
+    order, and those of them that dominate their path: high(e) <= low(f)
+    for every edge e on it."""
+    lo = run.lo
+    nontree = [(lo[f], f) for f in run.present_ids() if f not in tree]
+    nontree.sort()
+    return nontree, _joined_at_most(run, tree, run.hi, nontree)
 
 
 def _bump(count: list[int], ids: set[int], x: int, sign: int) -> None:
@@ -592,23 +670,16 @@ def is_solved(run: QueryRun) -> Optional[set[int]]:
 
     When the session holds the lower limit tree, the answer is its count
     of bad pairs (:class:`_Tally`): verified exactly when no pair is bad.
-    Otherwise it runs Kruskal, walks every cycle and holds nothing, so a
-    fresh fork costs one Kruskal.
+    Otherwise it runs Kruskal and the domination sweep
+    (:func:`_joined_at_most`) and holds nothing, so a fresh fork costs two
+    union-find passes and no path walk.
     """
     held = _synced(run)
     if held is not None and held.lower is not None:
         return None if held.index.tally.bad_pairs else set(held.lower)
     tree = _kruskal(run, lower_keys(run))
-    adj = _tree_adjacency(run, tree)
-    lo, hi, ends = run.lo, run.hi, run.ends
-    for f in run.present_ids():
-        if f in tree:
-            continue
-        a, b = ends[f]
-        for e in _tree_path(adj, a, b):
-            if hi[e] > lo[f]:
-                return None
-    return tree
+    nontree, dominated = _dominated(run, tree)
+    return tree if len(dominated) == len(nontree) else None
 
 
 def verified_tree_of_original(run: QueryRun) -> Optional[set[int]]:
@@ -646,31 +717,54 @@ def reduce_verified(run: QueryRun) -> set[int]:
     """Remove every verified edge; returns the lower limit tree left behind.
 
     Makes exactly the moves of calling :func:`reduce_once` until it returns
-    False, from the held lower limit tree and its bad-pair counts (one
-    Kruskal and one counted index build when the session holds neither).
-    Deleting a non-tree edge changes neither the tree nor another edge's
-    path, so every dominated non-tree edge goes first, in id order.
+    False.  Deleting a non-tree edge changes neither the tree nor another
+    edge's path, so every dominated non-tree edge goes first, in id order.
     Contracting tree edge l leaves the tree minus l and every other cover
     as it was, so the contractible tree edges follow in id order.  Neither
     move enables one of the other kind: a dominated edge has low >= high
     of every edge on its path, so it never blocked a contraction, and an
     edge whose path held a contractible l has low >= high(l), so l never
     blocked its domination.  The lower limit tree of the reduced minor is
-    therefore the held tree minus the contracted edges, which the held
-    state applies on the next read.
+    therefore the tree minus the contracted edges.
+
+    A session that holds the lower limit tree reads both lists from its
+    bad-pair counts, and applies the moves on the next read.  One that
+    holds none (fresh, or dropped by a batch of reveals) reads them from
+    the sweeps over one Kruskal tree: f is dominated when every edge of its
+    path has high <= low(f), l contractible when it has no cover or its
+    least cover by low end has low >= high(l).  It then holds the tree
+    minus the contracted edges, with one counted index of that remnant.
     """
-    held = _held_lower(run)
-    tree, bad = held.lower, held.index.tally.bad
-    # a non-tree edge is dominated, and a tree edge contractible, exactly
-    # when it is in no bad pair; both lists are fixed before the first move
-    # changes the held state
-    clear = [x for x in run.present_ids() if not bad[x]]
-    dominated = [f for f in clear if f not in tree]
-    contractible = [l for l in clear if l in tree]
+    held = _synced(run)
+    fresh = held is None or held.lower is None
+    if fresh:
+        tree = _kruskal(run, lower_keys(run))
+        nontree, joined = _dominated(run, tree)
+        dominated = sorted(f for _, f in joined)
+        lo, hi = run.lo, run.hi
+        rooted = _rooted(run, tree)
+        # painted in order of low end, a tree edge's first cover has the
+        # least low end of its covers
+        first = _least_covers(run, rooted, [f for _, f in nontree])
+        contractible = [l for l in sorted(tree) if l not in first or lo[first[l]] >= hi[l]]
+    else:
+        tree, bad = held.lower, held.index.tally.bad
+        # a non-tree edge is dominated, and a tree edge contractible, exactly
+        # when it is in no bad pair; both lists are fixed before the first
+        # move changes the held state
+        clear = [x for x in run.present_ids() if not bad[x]]
+        dominated = [f for f in clear if f not in tree]
+        contractible = [l for l in clear if l in tree]
     for f in dominated:
         run.delete(f)
     for l in contractible:
         run.contract(l)
+    if fresh:
+        # deletions leave the tree and its ends, so it stays rooted as it
+        # was unless an edge was contracted
+        tree = tree.difference(contractible)
+        index = _path_index(run, tree, True, None if contractible else rooted)
+        run._limit_trees = _Held(len(run.transcript.events), tree, index)
     return set(_held_lower(run).lower)
 
 

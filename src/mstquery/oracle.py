@@ -4,7 +4,7 @@ A query set is feasible when, after revealing it, one spanning tree is
 provably minimum for every realization of the remaining intervals.  The
 optimum is found by exhaustive subset enumeration seeded with the mandatory
 edges; a configurable cap keeps runtime bounded at desk scale.  Mandatory
-detection takes one MST and its path index per call.
+detection takes one MST and two union-find sweeps over it per call.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Optional, Union
 
 from .graphcore import QueryRun, UncertainGraph
-from .limittrees import _kruskal, _path_index, is_solved
+from .limittrees import _joined_at_most, _kruskal, _least_covers, _rooted, is_solved
 
 DEFAULT_CAP = 16
 
@@ -79,7 +79,12 @@ def mandatory_edges(graph: GraphLike, value_source: str = "truth") -> set[int]:
     e's tree path.  For e in T0, swapping e for its minimum cover f (the
     lightest non-tree edge whose path holds e) gives an MST of the graph
     without e, in which f's cycle joins e's endpoints; f is the heaviest
-    edge on that cycle, so theta_e is w_f.
+    edge on that cycle, so theta_e is w_f.  This is MST sensitivity
+    analysis (Tarjan, IPL 1982), and no path is walked: for e outside T0,
+    a Kruskal sweep over T0 by w answers whether every w on its path is at
+    most L_e (then theta_e <= L_e) and at most U_e - 1 (then theta_e < U_e,
+    ranks being ints); for e in T0, painting the tree paths in order of w
+    gives each tree edge its minimum cover.
 
     Weights, thresholds and ends are compared as the session's ranks, which
     order exactly as the values do; the source's ranks are the ranking's
@@ -88,23 +93,17 @@ def mandatory_edges(graph: GraphLike, value_source: str = "truth") -> set[int]:
     run = graph if isinstance(graph, QueryRun) else QueryRun(graph)
     lo, hi = run.lo, run.hi
     table = run.ranking.table(value_source)
-    w, open_ids = {}, []
-    for e in run.present_ids():
-        if lo[e] == hi[e]:
-            w[e] = lo[e]
-        else:
-            w[e] = table[e]
-            open_ids.append(e)
-    paths, covers, _ = _path_index(run, _kruskal(run, w))
-    mandatory = set()
-    for e in open_ids:
-        if e in paths:
-            theta = max(w[x] for x in paths[e])
-        elif covers[e]:
-            theta = min(w[x] for x in covers[e])
-        else:
-            continue  # a bridge: theta is infinite
-        if lo[e] < theta < hi[e]:
+    w = [a if a == b else t for a, b, t in zip(lo, hi, table)]
+    tree = _kruskal(run, w)
+    nontree = [e for e in run.present_ids() if e not in tree]
+    outside = [e for e in nontree if lo[e] != hi[e]]
+    queries = [(bound, e) for e in outside for bound in (lo[e], hi[e] - 1)]
+    joined = set(_joined_at_most(run, tree, w, queries))
+    mandatory = {e for e in outside if (hi[e] - 1, e) in joined and (lo[e], e) not in joined}
+    first = _least_covers(run, _rooted(run, tree), sorted(nontree, key=w.__getitem__))
+    for e, f in first.items():
+        # a tree edge with no cover is a bridge: theta is infinite
+        if lo[e] < w[f] < hi[e]:
             mandatory.add(e)
     return mandatory
 

@@ -7,7 +7,8 @@ import random
 from fractions import Fraction
 
 from mstquery import factory
-from mstquery.graphcore import Interval, PreconditionViolated, UncertainEdge, UncertainGraph
+from mstquery.graphcore import Interval, PreconditionViolated, QueryRun, UncertainEdge, UncertainGraph
+from mstquery.limittrees import _kruskal, _path_index, _tree_adjacency, _tree_path
 
 
 CORPUS_SIZE = 500
@@ -61,6 +62,22 @@ def kernel_case(seed: int):
     return UncertainGraph(base.vertex_count, edges), mixtures
 
 
+def live_graphs():
+    """Small graphs of every kind, for strategy runs checked at every step."""
+    graphs = [g for rate in ERROR_RATES for g in build_corpus(rate, 60)]
+    graphs += [kernel_case(seed)[0] for seed in range(120)]
+    graphs += [factory.gen_path_parallel(n) for n in (4, 8)]
+    graphs += [factory.gen_vc_flip(n, variant) for n in (4, 8) for variant in ("ex1", "ex2")]
+    graphs += [factory.gen_triangle_chain(n) for n in (2, 4)]
+    return graphs
+
+
+def large_graphs():
+    """Graphs past the brute-force optimum's cap."""
+    graphs = [factory.gen_path_parallel(16), factory.gen_vc_flip(16, "ex2"), factory.gen_triangle_chain(16)]
+    return graphs + [factory.gen_random(40, 40, 0.9, 0.3, seed=5), factory.gen_random(60, 60, 0.95, 0.5, seed=6)]
+
+
 # -- full scans: the reference for the counts a session holds ----------------
 
 
@@ -104,6 +121,47 @@ def scan_verified(run, tree, index):
     dominated = [f for f in sorted(paths) if all(hi[e] <= lo[f] for e in paths[f])]
     contractible = [l for l in sorted(tree) if all(lo[x] >= hi[l] for x in covers[l])]
     return dominated, contractible
+
+
+def walk_is_solved(run):
+    """`limittrees.is_solved` of a session holding no tree, by a walk of
+    every cycle: Kruskal, then a depth-first search for each non-tree
+    edge's tree path, stopping at the first path edge above its low end."""
+    tree = _kruskal(run, run.lower)
+    adj = _tree_adjacency(run, tree)
+    lo, hi, ends = run.lo, run.hi, run.ends
+    for f in run.present_ids():
+        if f in tree:
+            continue
+        a, b = ends[f]
+        if any(hi[e] > lo[f] for e in _tree_path(adj, a, b)):
+            return None
+    return tree
+
+
+def path_index_mandatory(graph, value_source="truth"):
+    """`oracle.mandatory_edges` from the path index of one MST over the
+    source's weights: theta is the largest weight on a non-tree edge's
+    path, and the least weight among a tree edge's covers (none for a
+    bridge); an open edge is mandatory when lo < theta < hi."""
+    run = graph if isinstance(graph, QueryRun) else QueryRun(graph)
+    lo, hi = run.lo, run.hi
+    table = run.ranking.table(value_source)
+    w = {e: lo[e] if lo[e] == hi[e] else table[e] for e in run.present_ids()}
+    paths, covers, _ = _path_index(run, _kruskal(run, w))
+    mandatory = set()
+    for e in w:
+        if lo[e] == hi[e]:
+            continue
+        if e in paths:
+            theta = max(w[x] for x in paths[e])
+        elif covers[e]:
+            theta = min(w[x] for x in covers[e])
+        else:
+            continue
+        if lo[e] < theta < hi[e]:
+            mandatory.add(e)
+    return mandatory
 
 
 def tied_case(seed: int) -> UncertainGraph:

@@ -168,3 +168,26 @@ def test_a_trivial_edge_admits_only_its_value_and_floats_are_rejected():
     for eid, value in ((0, 1.5), (1, 0.5)):
         with pytest.raises(ValidationError, match="is not rational"):
             RealizationSampler(g, {eid: ([value], [1])})
+
+
+def validation_outcome(check):
+    try:
+        check()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(values, values)
+def test_graph_validation_on_pairs_gives_the_verdicts_and_messages_of_the_fractions(x, y):
+    # ends tied, ordered or reversed, each with values at, beside and
+    # between them, as Fractions, ints and floats
+    for low, high in ((x, y), (y, x), (x, x)):
+        mid = (low + high) / 2
+        picks = [low, high, mid, low - 1, high + 1, int(mid), float(mid)]
+        for truth in picks:
+            for pred in picks:
+                for v in (0, 1):
+                    edge = UncertainEdge(0, 0, v, Interval(low, high), truth, pred)
+                    assert validation_outcome(lambda: UncertainGraph(2, [edge])) == validation_outcome(edge.validate)
