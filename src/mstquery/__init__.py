@@ -41,6 +41,7 @@ from .strategies import (
     VertexCoverInstance,
     build_vc_instance,
     make_prediction_mandatory_free,
+    opt_exact,
     phase2_error_sensitive,
     phase2_tradeoff,
     randomized_gamma,

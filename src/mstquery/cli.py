@@ -38,7 +38,6 @@ CSV_COLUMNS = [
 _SHARED_FLAGS = {
     "--seed": {"type": int, "default": 0},
     "--format": {"choices": ["csv", "json"], "default": "json"},
-    "--oracle-cap": {"type": int, "default": DEFAULT_CAP},
 }
 
 
@@ -113,32 +112,19 @@ def _write_text(path: str, text: str, what: str) -> None:
         raise ConfigError(f"cannot write {what} file {path}: {exc.strerror or exc}") from None
 
 
-def _cap(value: int, name: str) -> int:
-    """An oracle cap, which counts edges, so a negative one is a ConfigError."""
-    if value < 0:
-        raise ConfigError(f"{name} must be at least 0, got {value}")
-    return value
-
-
-def _run_strategy(graph, mode, gamma, seed, oracle_cap, label):
+def _run_strategy(graph, mode, gamma, seed, label):
     """A rational gamma runs through randomized_gamma; an integral gamma and
     the baseline run directly."""
     if mode != "baseline" and gamma.denominator != 1:
-        return randomized_gamma(
-            graph, gamma, seed=seed, mode=mode, oracle_cap=oracle_cap, instance_label=label
-        )
-    return run_combined(
-        graph, StrategyConfig(gamma=gamma, mode=mode),
-        oracle_cap=oracle_cap, instance_label=label, seed=seed,
-    )
+        return randomized_gamma(graph, gamma, seed=seed, mode=mode, instance_label=label)
+    return run_combined(graph, StrategyConfig(gamma=gamma, mode=mode), instance_label=label, seed=seed)
 
 
 def _cmd_run(args) -> int:
     graph = load_instance(args.instance)
     mode = _MODE_BY_FLAG[args.alg]
     gamma = _parse_gamma(args.gamma, mode)
-    oracle_cap = _cap(args.oracle_cap, "--oracle-cap")
-    outcome = _run_strategy(graph, mode, gamma, args.seed, oracle_cap, args.instance)
+    outcome = _run_strategy(graph, mode, gamma, args.seed, args.instance)
     body = {
         "report": outcome.report.to_dict(),
         "transcript": json.loads(outcome.run.transcript.to_json()),
@@ -151,9 +137,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_opt(args) -> int:
+    # the cap counts edges, so a negative one is an input error
+    if args.cap < 0:
+        raise ConfigError(f"--oracle-cap must be at least 0, got {args.cap}")
     graph = load_instance(args.instance)
     source = "truth" if args.values == "truth" else "predictions"
-    result = opt_brute_force(graph, source, cap=_cap(args.oracle_cap, "--oracle-cap"), collect_all=args.all)
+    result = opt_brute_force(graph, source, cap=args.cap, collect_all=args.all)
     body = {
         "size": result.size,
         "one_optimal_set": sorted(result.one_optimal_set),
@@ -245,8 +234,6 @@ def _cmd_bench(args) -> int:
     jobs = _objects(config.get("jobs", []), "jobs")
     if not jobs:
         raise ConfigError("config lists no jobs")
-    default_cap = _cap(args.oracle_cap, "--oracle-cap")
-    oracle_cap = _cap(_field(config, "oracle_cap", default_cap, int, "an integer"), "oracle_cap")
     rows = []
     all_ok = True
     for job in jobs:
@@ -261,11 +248,7 @@ def _cmd_bench(args) -> int:
                 mode = _MODE_BY_FLAG[alg]
                 gamma = _parse_gamma(str(strat.get("gamma", 2)), mode)
                 seed = _field(strat, "seed", 0, int, "an integer")
-                try:
-                    outcome = _run_strategy(graph, mode, gamma, seed, oracle_cap, label)
-                except CapExceeded as exc:
-                    rows.append({"instance": label, "strategy": mode, "status": f"skipped: {exc}"})
-                    continue
+                outcome = _run_strategy(graph, mode, gamma, seed, label)
                 record = outcome.report.to_dict()
                 record["status"] = "ok" if outcome.report.bounds_hold() else "bound-violated"
                 if record["status"] != "ok":
@@ -312,14 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", default="2")
     p.add_argument("--instance", required=True)
     p.add_argument("--report")
-    _shared(p, "--seed", "--oracle-cap")
+    _shared(p, "--seed")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("opt", help="brute-force verification optimum")
     p.add_argument("--instance", required=True)
     p.add_argument("--values", choices=["truth", "pred"], default="truth")
     p.add_argument("--all", action="store_true")
-    _shared(p, "--oracle-cap")
+    p.add_argument("--oracle-cap", dest="cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_opt)
 
     p = sub.add_parser("error", help="hop-distance report")
@@ -338,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a benchmark config and check every bound")
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="basename for .csv/.json report files")
-    _shared(p, "--format", "--oracle-cap")
+    _shared(p, "--format")
     p.set_defaults(func=_cmd_bench)
 
     return parser

@@ -12,10 +12,10 @@ values (:class:`~mstquery.graphcore.Ranking`), never on the values: a key
 3*hi-1 for U-eps and 3*r for a known value r.  The ranks preserve order and
 ties, and eps only breaks ties between equal bases, so the ints order
 exactly as the pairs do; a low or high end compares as its rank.  The
-session stores these keys and the endpoint table, so Kruskal reads both
-without building a per-call map.  The `Interval` keys
-:func:`lower_key`/:func:`upper_key` stay the exact definition that the
-tests hold the ints to.
+session stores these keys (``run.lower``/``run.upper``, by edge id) and
+the endpoint table, so Kruskal reads both without building a per-call map.
+The `Interval` keys ``Interval.lower_key``/``upper_key`` stay the exact
+definition that the tests hold the ints to.
 
 Cycles and cuts come from the tree's path index (:func:`_path_index`): the
 tree path of every non-tree edge f, which with f is its cycle, and for
@@ -90,25 +90,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .graphcore import Interval, PreconditionViolated, QueryRun, find, kruskal, rounds
-
-
-lower_key = Interval.lower_key
-upper_key = Interval.upper_key
-
-
-def lower_keys(run: QueryRun) -> list[int]:
-    """:func:`lower_key` of every edge's current interval, by edge id, as
-    one int: 3*lo+1 for an open interval, 3*lo for a known value.  The
-    session's stored list; read-only."""
-    return run.lower
-
-
-def upper_keys(run: QueryRun) -> list[int]:
-    """:func:`upper_key` of every edge's current interval, by edge id, as
-    one int: 3*hi-1 for an open interval, 3*hi for a known value.  The
-    session's stored list; read-only."""
-    return run.upper
+from .graphcore import PreconditionViolated, QueryRun, find, kruskal, rounds
 
 
 def _kruskal(run: QueryRun, keys, ids: Optional[list[int]] = None) -> set[int]:
@@ -129,7 +111,7 @@ def lower_limit_tree(run: QueryRun) -> set[int]:
 
 def upper_limit_tree(run: QueryRun) -> set[int]:
     """Kruskal under the upper keys; the session holds no upper tree."""
-    return _kruskal(run, upper_keys(run))
+    return _kruskal(run, run.upper)
 
 
 def _tree_adjacency(run: QueryRun, tree: set[int]) -> dict[int, list[tuple[int, int]]]:
@@ -570,7 +552,7 @@ def _held_lower(run: QueryRun) -> _Held:
     if held is None:
         held = run._limit_trees = _Held(len(run.transcript.events))
     if held.lower is None:
-        held.lower = _kruskal(run, lower_keys(run))
+        held.lower = _kruskal(run, run.lower)
         held.index = _path_index(run, held.lower, counted=True)
     return held
 
@@ -636,7 +618,7 @@ def limit_trees_unique(run: QueryRun) -> bool:
 
 
 def _normal_form(run: QueryRun, tree: set[int], index: PathIndex) -> LimitTrees:
-    lower = lower_keys(run)
+    lower = run.lower
     nontree = sorted(index.paths, key=lambda e: (lower[e], e))
     paths = {f: list(path) for f, path in index.paths.items()}
     covers = {l: set(cover) for l, cover in index.covers.items()}
@@ -677,7 +659,7 @@ def is_solved(run: QueryRun) -> Optional[set[int]]:
     held = _synced(run)
     if held is not None and held.lower is not None:
         return None if held.index.tally.bad_pairs else set(held.lower)
-    tree = _kruskal(run, lower_keys(run))
+    tree = _kruskal(run, run.lower)
     nontree, dominated = _dominated(run, tree)
     return tree if len(dominated) == len(nontree) else None
 
@@ -738,7 +720,7 @@ def reduce_verified(run: QueryRun) -> set[int]:
     held = _synced(run)
     fresh = held is None or held.lower is None
     if fresh:
-        tree = _kruskal(run, lower_keys(run))
+        tree = _kruskal(run, run.lower)
         nontree, joined = _dominated(run, tree)
         dominated = sorted(f for _, f in joined)
         lo, hi = run.lo, run.hi
@@ -795,7 +777,7 @@ def _differ_partner(run: QueryRun, tree: set[int], differ_ids: set[int]) -> int:
     edges in `differ_ids` only: any other non-tree edge lies above every
     edge of its path in the order (upper key, edge id), so it is the
     largest of its cycle and outside the upper tree."""
-    upper = _kruskal(run, upper_keys(run), sorted(tree | differ_ids))
+    upper = _kruskal(run, run.upper, sorted(tree | differ_ids))
     diff = [e for e in tree - upper if not run.is_trivial(e)]
     if not diff:
         raise PreconditionViolated("limit trees differ only in trivial edges; cannot requery")

@@ -1,9 +1,13 @@
 """Ground-truth machinery: feasibility, brute-force optimum, mandatory edges.
 
 A query set is feasible when, after revealing it, one spanning tree is
-provably minimum for every realization of the remaining intervals.  The
-optimum is found by exhaustive subset enumeration seeded with the mandatory
-edges; a configurable cap keeps runtime bounded at desk scale.  Mandatory
+provably minimum for every realization of the remaining intervals.
+:func:`opt_brute_force` finds the optimum by exhaustive subset enumeration
+seeded with the mandatory edges, capped in non-trivial edges; it lists every
+optimal set for ``mstquery opt --all`` and is the independent reference for
+:func:`mstquery.strategies.opt_exact`, the polynomial optimum that strategy
+runs report beyond the cap (it lives with the vertex-cover machinery it
+reuses, which imports this module).  Mandatory
 detection takes one MST and two union-find sweeps over it per call.
 """
 
@@ -36,6 +40,7 @@ class OptResult:
     size: int
     one_optimal_set: frozenset[int]
     all_optimal_sets: Optional[tuple[frozenset[int], ...]] = None
+    witness_sets: Optional[tuple[frozenset[int], ...]] = None  # pairwise disjoint, `size` of them
 
 
 GraphLike = Union[UncertainGraph, QueryRun]

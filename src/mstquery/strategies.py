@@ -27,12 +27,11 @@ from .limittrees import (
     compute_limit_trees,
     ensure_unique_limit_trees,
     is_solved,
-    lower_keys,
     lower_limit_tree,
     unique_limit_trees,
     verified_tree_of_original,
 )
-from .oracle import DEFAULT_CAP, opt_brute_force, prediction_mandatory_edges
+from .oracle import DEFAULT_CAP, OptResult, mandatory_edges, opt_brute_force, prediction_mandatory_edges
 
 
 @dataclass(frozen=True)
@@ -175,6 +174,35 @@ def build_vc_instance(run: QueryRun, trees: Optional[LimitTrees] = None) -> Vert
     cover = _koenig_cover(left, right, adj, pair)
     return VertexCoverInstance(
         tuple(left), tuple(right), {l: tuple(v) for l, v in adj.items()}, pair, cover
+    )
+
+
+def opt_exact(graph: UncertainGraph) -> OptResult:
+    """Minimum feasible query set under the true values, in polynomial time.
+
+    Every feasible set holds the mandatory edges M, and once M is revealed
+    no edge is mandatory and the limit trees are unique; the rest of OPT is
+    then a minimum vertex cover of the bipartite intersection graph, read
+    off a maximum matching by Koenig's theorem.  The singletons of M and
+    the matched pairs are pairwise disjoint, each meets every feasible set,
+    and there are exactly OPT of them: they are returned as
+    ``witness_sets``, a certificate that no smaller set is feasible.
+    """
+    run = QueryRun(graph)
+    mandatory = sorted(mandatory_edges(run, "truth"))
+    for eid in mandatory:
+        run.reveal(eid)
+    trees = unique_limit_trees(run)
+    if run.query_count != len(mandatory):
+        raise RuntimeError("uniqueness preprocessing queried after the mandatory edges")
+    left, right, adj = _vc_structure(run, trees)
+    pair = _max_matching(left, adj)
+    cover = _koenig_cover(left, right, adj, pair)
+    pairs = tuple(frozenset((l, pair[l])) for l in left if l in pair)
+    return OptResult(
+        len(mandatory) + len(cover),
+        frozenset(mandatory) | cover,
+        witness_sets=tuple(frozenset((e,)) for e in mandatory) + pairs,
     )
 
 
@@ -324,7 +352,7 @@ def _resolve_offending_cycle(run: QueryRun, trees: LimitTrees, f: int, ledger: P
 
 
 def _phase2_lists(run: QueryRun, trees: LimitTrees, cover: frozenset[int]) -> tuple[list[int], list[int]]:
-    lower, hi = lower_keys(run), run.hi
+    lower, hi = run.lower, run.hi
     f_list = sorted(
         (e for e in cover if e not in trees.tree),
         key=lambda e: (lower[e], e),
@@ -600,12 +628,11 @@ def _evaluate_bounds(strategy: str, gamma: Optional[Fraction], queries: int, opt
 def run_combined(
     graph: UncertainGraph,
     config: StrategyConfig,
-    oracle_cap: int = DEFAULT_CAP,
     instance_label: str = "",
     seed: Optional[int] = None,
 ) -> RunOutcome:
     """Run the configured strategy on a fresh session and report query counts
-    against the brute-force optimum together with the guarantee checks."""
+    against the optimum together with the guarantee checks."""
     started = time.perf_counter()
     run = QueryRun(graph)
     phase1 = None
@@ -630,7 +657,9 @@ def run_combined(
     run.transcript.set_final_tree(tree)
     elapsed = (time.perf_counter() - started) * 1000
 
-    opt = opt_brute_force(graph, "truth", cap=oracle_cap)
+    # the brute-force oracle where it fits, an independent reference for
+    # the instances it can enumerate; the exact pass at every other size
+    opt = opt_brute_force(graph) if len(graph.non_trivial_ids()) <= DEFAULT_CAP else opt_exact(graph)
     report_err = hop_distance(graph)
     gamma_val = None if config.mode == "baseline" else Fraction(config.gamma)
     cons, rob, err = _evaluate_bounds(
@@ -659,7 +688,6 @@ def randomized_gamma(
     gamma: Fraction | int,
     seed: int = 0,
     mode: str = "error_sensitive",
-    oracle_cap: int = DEFAULT_CAP,
     instance_label: str = "",
 ) -> RunOutcome:
     """Rational-gamma wrapper: round gamma up with probability equal to its
@@ -686,7 +714,6 @@ def randomized_gamma(
     outcome = run_combined(
         graph,
         StrategyConfig(gamma=effective, mode=mode),
-        oracle_cap=oracle_cap,
         instance_label=instance_label,
         seed=seed,
     )

@@ -8,6 +8,7 @@ import pytest
 
 from mstquery import factory
 from mstquery.cli import main
+from mstquery.oracle import DEFAULT_CAP, opt_brute_force
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -127,12 +128,12 @@ def test_bench_rejects_empty_strategies(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_bench_skips_capped_instances(tmp_path, capsys):
+def test_bench_reports_opt_on_an_instance_beyond_a_small_cap(tmp_path, capsys):
+    # a cap of 3 once skipped this instance; bench now reports OPT at any size
     cfg = tmp_path / "bench.json"
     cfg.write_text(
         json.dumps(
             {
-                "oracle_cap": 3,
                 "jobs": [
                     {
                         "family": "random",
@@ -146,7 +147,30 @@ def test_bench_skips_capped_instances(tmp_path, capsys):
     )
     assert main(["bench", "--config", str(cfg)]) == 0
     rows = json.loads(capsys.readouterr().out)
-    assert rows and rows[0]["status"].startswith("skipped")
+    opt = opt_brute_force(factory.gen_random(6, 5, 0.9, 0.0, 3)).size
+    assert len(rows) == 1 and rows[0]["status"] == "ok"
+    assert rows[0]["opt"] == opt and rows[0]["ratio"] is not None
+
+
+def test_run_reports_opt_beyond_the_brute_force_cap(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    graph = factory.gen_random(12, 12, 0.95, 0.3, 3)
+    assert len(graph.non_trivial_ids()) > DEFAULT_CAP
+    graph.save(str(inst))
+    assert main(["run", "--alg", "error-sensitive", "--instance", str(inst)]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["opt"] is not None and report["ratio"] is not None
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_oracle_cap_is_not_an_option_of_run_or_bench(tmp_path, command):
+    inst, cfg = tmp_path / "inst.json", tmp_path / "bench.json"
+    factory.gen_triangle_chain(1).save(str(inst))
+    cfg.write_text(json.dumps({"jobs": [_TRIANGLE_JOB]}))
+    source = ["--config", str(cfg)] if command == "bench" else ["--instance", str(inst), "--alg", "baseline"]
+    proc = _run_cli(command, *source, "--oracle-cap", "3")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --oracle-cap 3" in proc.stderr
 
 
 def test_gen_prints_to_stdout_without_out(capsys):
@@ -274,8 +298,8 @@ _RANDOM_JOB = dict(_TRIANGLE_JOB, family="random", params={})
     [
         ({"jobs": [dict(_TRIANGLE_JOB, strategies=[{"alg": "baseline", "seed": 2.7}])]}, "seed must be an integer, got 2.7"),
         ({"jobs": [dict(_TRIANGLE_JOB, strategies=[{"alg": "baseline", "seed": True}])]}, "seed must be an integer, got True"),
-        ({"oracle_cap": 16.9, "jobs": [_TRIANGLE_JOB]}, "oracle_cap must be an integer, got 16.9"),
-        ({"oracle_cap": False, "jobs": [_TRIANGLE_JOB]}, "oracle_cap must be an integer, got False"),
+        ({"jobs": [dict(_TRIANGLE_JOB, strategies=[{"alg": "baseline", "seed": 4.0}])]}, "seed must be an integer, got 4.0"),
+        ({"jobs": [dict(_RANDOM_JOB, seeds=[3.0])]}, "seeds must be a list of integers, got [3.0]"),
         ({"jobs": [dict(_RANDOM_JOB, seeds="12")]}, "seeds must be a list of integers, got '12'"),
         ({"jobs": [dict(_RANDOM_JOB, seeds=[1, 2.5])]}, "seeds must be a list of integers, got [1, 2.5]"),
         ({"jobs": [dict(_RANDOM_JOB, seeds=[True])]}, "seeds must be a list of integers, got [True]"),
@@ -288,21 +312,14 @@ def test_bench_integer_fields_reject_floats_bools_and_strings(tmp_path, config, 
     _assert_one_error_line(_run_cli("bench", "--config", str(cfg)), text)
 
 
-@pytest.mark.parametrize("command", ["run", "opt", "bench"])
+@pytest.mark.parametrize("command", ["opt"])  # the one command with an oracle cap
 def test_a_negative_oracle_cap_is_one_error_line(tmp_path, command):
     # a cap counts edges: a negative one is an input error, not a cap that
     # every instance exceeds
-    inst, cfg = tmp_path / "inst.json", tmp_path / "bench.json"
+    inst = tmp_path / "inst.json"
     factory.gen_triangle_chain(1).save(str(inst))
-    cfg.write_text(json.dumps({"jobs": [_TRIANGLE_JOB]}))
-    source = ["--config", str(cfg)] if command == "bench" else ["--instance", str(inst)]
-    if command == "run":
-        source += ["--alg", "baseline"]
-    proc = _run_cli(command, *source, "--oracle-cap", "-1")
+    proc = _run_cli(command, "--instance", str(inst), "--oracle-cap", "-1")
     _assert_one_error_line(proc, "--oracle-cap must be at least 0, got -1")
-    if command == "bench":
-        cfg.write_text(json.dumps({"oracle_cap": -1, "jobs": [_TRIANGLE_JOB]}))
-        _assert_one_error_line(_run_cli(command, *source), "oracle_cap must be at least 0, got -1")
 
 
 def test_invalid_gen_parameters_are_one_error_line():

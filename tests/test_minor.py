@@ -14,7 +14,7 @@ from fractions import Fraction
 from cases import ERROR_RATES, build_corpus, kernel_case
 from mstquery import factory, strategies
 from mstquery.graphcore import Interval, QueryRun, UncertainEdge, UncertainGraph
-from mstquery.limittrees import ensure_unique_limit_trees, lower_keys, lower_limit_tree, upper_keys
+from mstquery.limittrees import ensure_unique_limit_trees, lower_limit_tree
 from mstquery.strategies import StrategyConfig, run_combined
 
 
@@ -54,7 +54,7 @@ def assert_minor_matches(run, parent):
             assert run._incident[v] == {e for e in ids if v in ends[e]}
         else:
             assert run._incident[v] is None
-    lower, upper = lower_keys(run), upper_keys(run)
+    lower, upper = run.lower, run.upper
     exact_lower = {e: run.interval(e).lower_key() for e in ids}
     exact_upper = {e: run.interval(e).upper_key() for e in ids}
     for e in ids:
