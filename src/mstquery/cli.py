@@ -215,6 +215,31 @@ def _objects(value, what):
     return value
 
 
+_BENCH_KEYS = {
+    "config": ("jobs",),
+    "job": ("family", "params", "seeds", "strategies"),
+    "strategy": ("alg", "gamma", "seed"),
+}
+
+
+def _known_keys(obj, what):
+    """Reject a key of a bench config, job or strategy object that bench
+    does not read, so that a misspelled or retired key is never ignored."""
+    allowed = _BENCH_KEYS[what]
+    for key in obj:
+        if key not in allowed:
+            raise ConfigError(f"unknown {what} key {key!r}; expected one of {', '.join(allowed)}")
+
+
+def _bench_gamma(strat, mode):
+    """A strategy's gamma: a JSON integer or a "p/q" string.  A float or a
+    bool is rejected, not read as the rational it approximates."""
+    value = strat.get("gamma", 2)
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ConfigError(f'gamma must be an integer or a "p/q" string, got {value!r}')
+    return _parse_gamma(str(value), mode)
+
+
 def _bench_instances(job):
     family = job.get("family")
     params = _field(job, "params", {}, dict, "an object")
@@ -231,22 +256,28 @@ def _cmd_bench(args) -> int:
         raise ConfigError(f"invalid config JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
+    _known_keys(config, "config")
     jobs = _objects(config.get("jobs", []), "jobs")
     if not jobs:
         raise ConfigError("config lists no jobs")
-    rows = []
-    all_ok = True
+    # every key is checked before the first job runs
     for job in jobs:
+        _known_keys(job, "job")
         strategies = _objects(job.get("strategies", []), "strategies")
         if not strategies:
             raise ConfigError("job lists no strategies")
+        for strat in strategies:
+            _known_keys(strat, "strategy")
+    rows = []
+    all_ok = True
+    for job in jobs:
         for label, graph in _bench_instances(job):
-            for strat in strategies:
+            for strat in job["strategies"]:
                 alg = strat.get("alg")
                 if not isinstance(alg, str) or alg not in _MODE_BY_FLAG:
                     raise ConfigError(f"unknown strategy {alg!r}")
                 mode = _MODE_BY_FLAG[alg]
-                gamma = _parse_gamma(str(strat.get("gamma", 2)), mode)
+                gamma = _bench_gamma(strat, mode)
                 seed = _field(strat, "seed", 0, int, "an integer")
                 outcome = _run_strategy(graph, mode, gamma, seed, label)
                 record = outcome.report.to_dict()

@@ -68,11 +68,16 @@ def kruskal(order: Iterable[int], ends, parent) -> list[int]:
     forest over the endpoints and is merged along the way.
     """
     tree = []
+    # :func:`find`, inlined: a call per endpoint would cost more than the
+    # path halving itself
     for eid in order:
         a, b = ends[eid]
-        ra, rb = find(parent, a), find(parent, b)
-        if ra != rb:
-            parent[ra] = rb
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
             tree.append(eid)
     return tree
 
@@ -461,8 +466,9 @@ def load_instance(path_or_text: str) -> UncertainGraph:
 # -- transcripts ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
+    """One transcript entry; a tuple, because a session records one per move."""
+
     seq: int
     kind: str  # reveal | contract | delete | restart | phase
     edge: Optional[int] = None
@@ -517,20 +523,21 @@ class QueryRun:
     `upper[e]` = 3*hi-1 for an open interval and both 3*r for a known
     value r; only :meth:`reveal` changes them.
 
-    The minor is kept, not derived: `ends[e]` is the current endpoint pair
-    of edge e, and every vertex of the minor holds the set of its present
-    edges' ids.  Contracting edge (u, v) relabels u to v on u's edges only,
-    which names every vertex as a union-find with u merged under v would,
-    and deletes the edges that became self-loops (the parallels of the
-    contracted edge, exactly the ones a scan of every present edge finds)
-    in ascending id order.  These lists are read-only outside the session.
+    The minor is kept, not derived: `present` is the set of present edge
+    ids, `ends[e]` is the current endpoint pair of edge e, and every vertex
+    of the minor holds the set of its present edges' ids.  Contracting edge
+    (u, v) relabels u to v on u's edges only, which names every vertex as a
+    union-find with u merged under v would, and deletes the edges that
+    became self-loops (the parallels of the contracted edge, exactly the
+    ones a scan of every present edge finds) in ascending id order.  These
+    lists and sets are read-only outside the session.
     """
 
     def __init__(self, graph: UncertainGraph, source: str = "truth"):
         self._graph = graph
         self.ranking: Ranking = graph.ranking
         self._values: tuple[int, ...] = self.ranking.table(source)
-        self._present: set[int] = set(range(len(graph.edges)))
+        self.present: set[int] = set(range(len(graph.edges)))
         self.lo: list[int] = list(self.ranking.lo)
         self.hi: list[int] = list(self.ranking.hi)
         self.lower: list[int] = [3 * a + (a != b) for a, b in zip(self.lo, self.hi)]
@@ -558,32 +565,32 @@ class QueryRun:
     # -- structure --------------------------------------------------------
 
     def endpoints(self, eid: int) -> tuple[int, int]:
-        if eid not in self._present:
+        if eid not in self.present:
             raise UnknownEdge(eid)
         return self.ends[eid]
 
     def present_ids(self) -> list[int]:
-        return sorted(self._present)
+        return sorted(self.present)
 
     def is_present(self, eid: int) -> bool:
-        return eid in self._present
+        return eid in self.present
 
     def current_vertices(self) -> set[int]:
         return {v for v, edges in enumerate(self._incident) if edges is not None}
 
     def interval(self, eid: int) -> Interval:
-        if eid not in self._present:
+        if eid not in self.present:
             raise UnknownEdge(eid)
         values = self.ranking.values
         return Interval(values[self.lo[eid]], values[self.hi[eid]])
 
     def predicted(self, eid: int) -> Fraction:
-        if eid not in self._present:
+        if eid not in self.present:
             raise UnknownEdge(eid)
         return self._graph.edge(eid).predicted_value
 
     def is_trivial(self, eid: int) -> bool:
-        if eid not in self._present:
+        if eid not in self.present:
             raise UnknownEdge(eid)
         return self.lo[eid] == self.hi[eid]
 
@@ -601,7 +608,7 @@ class QueryRun:
 
     def non_trivial_ids(self) -> list[int]:
         lo, hi = self.lo, self.hi
-        return sorted(e for e in self._present if lo[e] != hi[e])
+        return sorted(e for e in self.present if lo[e] != hi[e])
 
     @property
     def query_count(self) -> int:
@@ -619,15 +626,16 @@ class QueryRun:
         return self.ranking.values[r]
 
     def contract(self, eid: int) -> None:
-        if eid not in self._present:
+        if eid not in self.present:
             raise UnknownEdge(eid)
-        ru, rv = self.ends[eid]
+        ends, incident = self.ends, self._incident
+        ru, rv = ends[eid]
         if ru == rv:
             raise ValidationError(f"edge {eid} is a self-loop; cannot contract")
         self._remove(eid, "contracted")
         self.vertex_count -= 1
-        ends, kept = self.ends, self._incident[rv]
-        absorbed, self._incident[ru] = self._incident[ru], None
+        kept, absorbed = incident[rv], incident[ru]
+        incident[ru] = None
         loops = []
         for other in absorbed:
             a, b = ends[other]
@@ -636,27 +644,30 @@ class QueryRun:
                 loops.append(other)
             else:
                 kept.add(other)
-        # the self-loops are the contracted edge's parallels; a scan of
-        # every present edge would delete them in ascending id order
-        for other in sorted(loops):
-            self._remove(other, "deleted")
+        if loops:
+            # the self-loops are the contracted edge's parallels; a scan of
+            # every present edge would delete them in ascending id order
+            for other in sorted(loops):
+                self._remove(other, "deleted")
 
     def delete(self, eid: int) -> None:
-        if eid not in self._present:
+        if eid not in self.present:
             raise UnknownEdge(eid)
         self._remove(eid, "deleted")
 
     def _remove(self, eid: int, kind: str) -> None:
-        self._present.remove(eid)
+        self.present.remove(eid)
         a, b = self.ends[eid]
-        self._incident[a].discard(eid)
-        self._incident[b].discard(eid)
+        incident = self._incident
+        incident[a].discard(eid)
+        incident[b].discard(eid)
         # only reveal turns an interval into a point, so an edge still open
         # is one that was never queried and was not trivial to begin with
         if self.lo[eid] != self.hi[eid]:
             self.removed_unqueried[eid] = kind
         self.removed[eid] = kind
-        self.transcript.record("contract" if kind == "contracted" else "delete", edge=eid)
+        events = self.transcript.events
+        events.append(Event(len(events), "contract" if kind == "contracted" else "delete", eid))
 
     def contracted_ids(self) -> list[int]:
         return sorted(e for e, kind in self.removed.items() if kind == "contracted")
@@ -676,7 +687,7 @@ class QueryRun:
         clone._graph = self._graph
         clone.ranking = self.ranking
         clone._values = self._values if source is None else self.ranking.table(source)
-        clone._present = set(self._present)
+        clone.present = set(self.present)
         clone.lo, clone.hi = list(self.lo), list(self.hi)
         clone.lower, clone.upper = list(self.lower), list(self.upper)
         clone.ends = list(self.ends)
@@ -710,5 +721,5 @@ def rounds(run: QueryRun, loop: str):
         if len(run.queried) + len(run.removed) == before:
             raise NoProgress(
                 f"{loop}: a round revealed and removed nothing "
-                f"({len(run.queried)} queried, {len(run.present_ids())} present)"
+                f"({len(run.queried)} queried, {len(run.present)} present)"
             )

@@ -734,7 +734,7 @@ def reduce_verified(run: QueryRun) -> set[int]:
         # a non-tree edge is dominated, and a tree edge contractible, exactly
         # when it is in no bad pair; both lists are fixed before the first
         # move changes the held state
-        clear = [x for x in run.present_ids() if not bad[x]]
+        clear = sorted(x for x in run.present if not bad[x])
         dominated = [f for f in clear if f not in tree]
         contractible = [l for l in clear if l in tree]
     for f in dominated:

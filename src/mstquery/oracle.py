@@ -17,7 +17,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Union
+from math import lcm
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .graphcore import QueryRun, UncertainGraph
 from .limittrees import _joined_at_most, _kruskal, _least_covers, _rooted, is_solved
@@ -181,23 +182,43 @@ def sampled_tree_validation(
     tree = is_solved(run)
     if tree is None:
         return True
+    return _minimum_in_samples(run, frozenset(tree), samples, seed)
+
+
+def _minimum_in_samples(run: QueryRun, tree: frozenset[int], samples: int, seed: int) -> bool:
+    """Whether `tree` has minimum total weight in each of `samples` random
+    realizations of the present edges: an open interval (low, high) takes
+    the grid point low + (high - low) * k / 128 for a uniform k in 1..127,
+    drawn edge by edge in id order; a known edge keeps its value.
+
+    Every weight is scaled by 128 * D, D the lcm of the denominators of the
+    interval ends, so each is an int and the sums compare as ints.  A
+    positive scale orders trees and sums exactly as the rationals do."""
+    lo, hi, values = run.lo, run.hi, run.ranking.values
+    ids = run.present_ids()
+    scale = 128 * lcm(*(values[r].denominator for e in ids for r in (lo[e], hi[e])))
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (scale // x.denominator)
+
+    weights = [0] * len(lo)
+    grid = []  # (edge, scaled low end, scaled grid step) of the open edges, by id
+    for e in ids:
+        low = scaled(values[lo[e]])
+        weights[e] = low
+        if lo[e] != hi[e]:
+            grid.append((e, low, (scaled(values[hi[e]]) - low) // 128))
     rng = random.Random(seed)
-    intervals = [(eid, run.interval(eid)) for eid in run.present_ids()]
     for _ in range(samples):
-        weights: dict[int, Fraction] = {}
-        for eid, iv in intervals:
-            if iv.is_trivial:
-                weights[eid] = iv.low
-            else:
-                # uniform grid point strictly inside the interval
-                step = (iv.high - iv.low) / 128
-                weights[eid] = iv.low + step * rng.randint(1, 127)
+        for e, low, step in grid:
+            weights[e] = low + step * rng.randint(1, 127)
         if not _tree_is_minimum(run, tree, weights):
             return False
     return True
 
 
-def _tree_is_minimum(run: QueryRun, tree: frozenset[int], weights: Mapping[int, Fraction]) -> bool:
+def _tree_is_minimum(run: QueryRun, tree: frozenset[int], weights: Union[Sequence[int], Mapping[int, Fraction]]) -> bool:
+    """Whether `tree` is a spanning tree of least total weight under
+    `weights`, indexed by edge id (ints or Fractions)."""
     best = _kruskal(run, weights)
-    claimed = sum((weights[e] for e in tree), Fraction(0))
-    return len(tree) == len(best) and claimed == sum((weights[e] for e in best), Fraction(0))
+    return len(tree) == len(best) and sum(weights[e] for e in tree) == sum(weights[e] for e in best)

@@ -220,7 +220,7 @@ def run_baseline(run: QueryRun) -> None:
     """
     for _ in rounds(run, "run_baseline"):
         trees = unique_limit_trees(run)
-        if not run.present_ids():
+        if not run.present:
             return
         f = trees.nontree_order[0]
         candidates = [e for e in trees.paths[f] if run.intersects(e, f)]

@@ -164,6 +164,27 @@ def path_index_mandatory(graph, value_source="truth"):
     return mandatory
 
 
+def fraction_minimum_in_samples(run, tree, samples, seed):
+    """`oracle._minimum_in_samples` in Fractions: each sampled weight is
+    the rational grid point itself, and the tree sums are Fraction sums."""
+    rng = random.Random(seed)
+    intervals = [(eid, run.interval(eid)) for eid in run.present_ids()]
+    for _ in range(samples):
+        weights = {}
+        for eid, iv in intervals:
+            if iv.is_trivial:
+                weights[eid] = iv.low
+            else:
+                # uniform grid point strictly inside the interval
+                step = (iv.high - iv.low) / 128
+                weights[eid] = iv.low + step * rng.randint(1, 127)
+        best = _kruskal(run, weights)
+        claimed = sum((weights[e] for e in tree), Fraction(0))
+        if len(tree) != len(best) or claimed != sum((weights[e] for e in best), Fraction(0)):
+            return False
+    return True
+
+
 def tied_case(seed: int) -> UncertainGraph:
     """A random connected multigraph whose interval ends lie on the grid
     0..4 and whose values lie on the half grid, so that limit keys tie

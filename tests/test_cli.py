@@ -90,7 +90,6 @@ def test_bench_subcommand(tmp_path, capsys):
     cfg.write_text(
         json.dumps(
             {
-                "oracle_cap": 16,
                 "jobs": [
                     {
                         "family": "triangle-chain",
@@ -310,6 +309,34 @@ def test_bench_integer_fields_reject_floats_bools_and_strings(tmp_path, config, 
     cfg = tmp_path / "bench.json"
     cfg.write_text(json.dumps(config))
     _assert_one_error_line(_run_cli("bench", "--config", str(cfg)), text)
+
+
+@pytest.mark.parametrize(
+    "config, text",
+    [
+        ({"oracle_cap": 16, "jobs": [_TRIANGLE_JOB]}, "unknown config key 'oracle_cap'; expected one of jobs"),
+        ({"jobs": [dict(_TRIANGLE_JOB, seeds_typo=[1])]}, "unknown job key 'seeds_typo'"),
+        ({"jobs": [dict(_TRIANGLE_JOB, strategies=[{"alg": "baseline", "gama": 3}])]}, "unknown strategy key 'gama'"),
+        # a later job's strategy
+        ({"jobs": [_TRIANGLE_JOB, dict(_TRIANGLE_JOB, strategies=[{"alg": "baseline", "oracle_cap": 3}])]},
+         "unknown strategy key 'oracle_cap'; expected one of alg, gamma, seed"),
+    ],
+)
+def test_bench_rejects_unknown_keys(tmp_path, config, text):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps(config))
+    _assert_one_error_line(_run_cli("bench", "--config", str(cfg)), text)
+
+
+@pytest.mark.parametrize("gamma", [2.5, 2.0, True])
+def test_bench_gamma_rejects_floats_and_bools(tmp_path, gamma):
+    # README documents an integer or a "p/q" string; a float is not read
+    # as the rational it approximates
+    strategies = [{"alg": "error-sensitive", "gamma": gamma}]
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"jobs": [dict(_TRIANGLE_JOB, strategies=strategies)]}))
+    proc = _run_cli("bench", "--config", str(cfg))
+    _assert_one_error_line(proc, f'gamma must be an integer or a "p/q" string, got {gamma!r}')
 
 
 @pytest.mark.parametrize("command", ["opt"])  # the one command with an oracle cap

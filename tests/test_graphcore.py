@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from mstquery import factory
 from mstquery.graphcore import (
     AlreadyRevealed,
+    Event,
     Interval,
     NoProgress,
     ParseError,
@@ -14,6 +16,7 @@ from mstquery.graphcore import (
     UncertainGraph,
     UnknownEdge,
     ValidationError,
+    find,
     kruskal,
     load_instance,
     rounds,
@@ -79,6 +82,47 @@ def test_kruskal_keeps_edges_that_join_components():
     parent = list(range(4))
     assert kruskal([2, 0, 1, 3], ends, parent) == [2, 0, 3]
     assert kruskal([1], ends, parent) == []
+
+
+def find_kruskal(order, ends, parent):
+    """`kruskal` through `find`: the loop before the union-find was inlined."""
+    tree = []
+    for eid in order:
+        a, b = ends[eid]
+        ra, rb = find(parent, a), find(parent, b)
+        if ra != rb:
+            parent[ra] = rb
+            tree.append(eid)
+    return tree
+
+
+def components(parent):
+    groups = {}
+    for v in range(len(parent)):
+        groups.setdefault(find(parent, v), []).append(v)
+    return sorted(groups.values())
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_kruskal_matches_the_find_reference(seed):
+    # multigraphs with parallel edges, self-loops and keys from a small range
+    # (so many tie), over a forest some of whose vertices are merged already
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    ends = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+    ends += [ends[i] for i in range(0, len(ends), 3)]
+    keys = [rng.randint(0, 3) for _ in ends]
+    order = sorted(range(len(ends)), key=keys.__getitem__)
+    merged = list(range(n))
+    for _ in range(rng.randint(0, n)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        merged[find(merged, a)] = find(merged, b)
+    inlined, reference = list(merged), list(merged)
+    tree = kruskal(order, ends, inlined)
+    assert tree == find_kruskal(order, ends, reference)
+    assert components(inlined) == components(reference)
+    # each tree edge joins two components of the pre-merged forest
+    assert len(components(merged)) - len(tree) == len(components(inlined))
 
 
 def test_sparse_edge_ids_rejected():
@@ -215,6 +259,32 @@ def test_transcript_sequence_is_monotone():
     assert seqs == sorted(seqs) == list(range(len(seqs)))
     body = json.loads(run.transcript.to_json())
     assert [ev["kind"] for ev in body["events"]] == ["reveal", "reveal", "delete"]
+
+
+def test_transcript_events_are_event_tuples_with_the_same_json():
+    edges = [
+        make_edge(0, 0, 1, 0, 2, 1, 1),
+        make_edge(1, 0, 1, 10, 12, 11, 11),
+        make_edge(2, 1, 2, 20, 22, 21, 21),
+    ]
+    run = QueryRun(UncertainGraph(3, edges))
+    run.reveal(2)
+    run.transcript.record("phase", tag="phase2")
+    run.contract(0)  # deletes its parallel partner 1
+    run.transcript.set_final_tree([0, 2])
+    events = run.transcript.events
+    assert all(type(ev) is Event for ev in events)
+    assert events == [(0, "reveal", 2, None), (1, "phase", None, "phase2"), (2, "contract", 0, None), (3, "delete", 1, None)]
+    expected = {
+        "events": [
+            {"seq": 0, "kind": "reveal", "edge": 2},
+            {"seq": 1, "kind": "phase", "tag": "phase2"},
+            {"seq": 2, "kind": "contract", "edge": 0},
+            {"seq": 3, "kind": "delete", "edge": 1},
+        ],
+        "final_tree": [0, 2],
+    }
+    assert run.transcript.to_json() == json.dumps(expected, indent=2)
 
 
 def test_reveal_under_prediction_values():

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from cases import ERROR_RATES, build_corpus, kernel_case
+from cases import ERROR_RATES, build_corpus, fraction_minimum_in_samples, kernel_case
 from mstquery import factory, oracle
 from mstquery.graphcore import Interval, QueryRun, UncertainEdge, UncertainGraph
-from mstquery.limittrees import is_solved, limit_trees_unique
+from mstquery.limittrees import _kruskal, _path_index, is_solved, limit_trees_unique
 from mstquery.oracle import (
     CapExceeded,
+    _minimum_in_samples,
     _tree_is_minimum,
     is_feasible,
     mandatory_edges,
@@ -133,6 +134,47 @@ def test_tree_is_minimum_rejects_heavier_and_wrong_size_sets():
     assert not _tree_is_minimum(run, frozenset({0, 1, 3}), weights)
     # same total weight as the minimum tree, but one edge, not three
     assert not _tree_is_minimum(run, frozenset({3}), weights)
+
+
+def sampled_trees(graph, opt):
+    """(session, tree) pairs whose sampled verdict can go either way: the
+    verified tree after revealing an optimal set; that tree with one edge
+    swapped for a non-tree edge whose cycle holds it; and the lower limit
+    tree of the unrevealed instance, whose intervals are all still open."""
+    revealed = QueryRun(graph)
+    for eid in sorted(opt.one_optimal_set):
+        revealed.reveal(eid)
+    tree = frozenset(is_solved(revealed))
+    out = [(revealed, tree)]
+    paths = _path_index(revealed, set(tree)).paths
+    if paths:
+        f = min(paths)
+        out.append((revealed, tree - {paths[f][0]} | {f}))
+    fresh = QueryRun(graph)
+    out.append((fresh, frozenset(_kruskal(fresh, fresh.lower))))
+    return out
+
+
+def test_integer_samples_give_the_fraction_verdicts(corpus_by_rate, cached_opt):
+    graphs = [g for instances in corpus_by_rate.values() for g in instances]
+    verdicts = {True: 0, False: 0}
+    for i, g in enumerate(graphs):
+        for run, tree in sampled_trees(g, cached_opt(g)):
+            verdict = _minimum_in_samples(run, tree, 5, i)
+            assert verdict == fraction_minimum_in_samples(run, tree, 5, i)
+            verdicts[verdict] += 1
+    # the 2,000 verified trees are minimum in every sample; the mutated and
+    # the unrevealed trees give both verdicts (2,528 True, 3,472 False)
+    assert verdicts[True] >= 2_400 and verdicts[False] >= 3_000, verdicts
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_integer_samples_scale_mixed_denominators(seed):
+    # kernel cases put values on sixteenths of intervals with other ends
+    g, _ = kernel_case(seed)
+    run = QueryRun(g)
+    for tree in (frozenset(_kruskal(run, run.lower)), frozenset(_kruskal(run, run.upper))):
+        assert _minimum_in_samples(run, tree, 50, seed) == fraction_minimum_in_samples(run, tree, 50, seed)
 
 
 # -- one-MST mandatory detection against the fork-per-edge reference ---------
