@@ -83,10 +83,11 @@ def kruskal(order: Iterable[int], ends, parent) -> list[int]:
 
 
 def parse_rational(value) -> Fraction:
-    """Parse an integer or a bit-exact "p/q" string into a Fraction."""
+    """Parse an integer or a bit-exact "p/q" string into a Fraction; a bool
+    is rejected, not read as 1 or 0."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -267,6 +268,9 @@ class UncertainEdge:
     def validate(self) -> None:
         if self.u == self.v:
             raise ValidationError(f"edge {self.eid}: self-loops are rejected")
+        for value in (self.interval.low, self.interval.high, self.true_value, self.predicted_value):
+            if not isinstance(value, (int, Fraction)):
+                raise ValidationError(f"edge {self.eid}: value {value} is not rational")
         if self.interval.is_trivial:
             w = self.interval.low
             if self.true_value != w or self.predicted_value != w:
@@ -327,7 +331,7 @@ class UncertainGraph:
             if not (0 <= e.u < self.vertex_count and 0 <= e.v < self.vertex_count):
                 raise ValidationError(f"edge {e.eid}: endpoint out of range")
             if not _valid_on_pairs(e):
-                e.validate()  # raises, or passes a value that is not an int or a Fraction
+                e.validate()  # raises with the message of the first fault
         if not self._connected():
             raise ValidationError("graph is not connected")
 

@@ -45,7 +45,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Mapping, Optional
 
-from .errormetrics import RelationKernel, mismatches, relation_mismatches
+from .errormetrics import RelationKernel, mismatches
 from .graphcore import ParseError, Ranking, UncertainGraph, ValidationError, format_rational, parse_rational, unique_keys
 
 
@@ -119,7 +119,7 @@ class RealizationSampler:
             ln, ld = e.interval.low.numerator, e.interval.low.denominator
             hn, hd = e.interval.high.numerator, e.interval.high.denominator
             for v in values:
-                if not isinstance(v, (int, Fraction)):
+                if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
                     raise ValidationError(f"edge {e.eid}: mixture value {v!r} is not rational")
                 n, d = v.numerator, v.denominator
                 if (ln, ld) == (hn, hd):
@@ -173,9 +173,6 @@ class RealizationSampler:
             eid: values[bisect_right(cum, rand() * (cum[-1] + 0.0), 0, len(values) - 1)]
             for eid, values, cum in self._draws
         }
-
-
-_edge_loss = relation_mismatches
 
 
 def _pairs(values: Iterable[Fraction]) -> Iterable[tuple[int, int]]:

@@ -22,9 +22,10 @@ tree path of every non-tree edge f, which with f is its cycle, and for
 every tree edge l the non-tree edges whose path covers it, which with l are
 its cut.  :class:`LimitTrees` hands strategies a copy of exactly these.
 
-The session holds the lower limit tree, its path index and the index's
-blocking-pair counts (:class:`_Tally`), together or not at all, valid at a
-length of the session's transcript.  The transcript is a complete log of
+The session holds the path index of the lower limit tree with its
+blocking-pair counts (:class:`_Tally`), or nothing, valid at a length of the
+session's transcript.  The keys of the index's covers are the tree, which
+is recorded nowhere else.  The transcript is a complete log of
 the moves, since :meth:`~mstquery.graphcore.QueryRun.reveal`, ``contract``
 and ``delete`` each record one event per edge they change (a contraction
 also records the deletion of every self-loop it leaves), and nothing else
@@ -52,7 +53,7 @@ applied to the held state, each in O(the paths it changes) time:
 
 Deleting a tree edge or contracting a non-tree edge drops the held state
 too, and the next read rebuilds it with Kruskal and :func:`_path_index`.
-Readers get copies; the held sets and index stay private to this module.
+Readers get copies; the held index stays private to this module.
 The keys a held tree was built on change only by a reveal; a fork gets a
 new transcript and starts with nothing held.
 
@@ -70,9 +71,8 @@ one path or cover its verdict comes from.
 No upper tree is held.  The lower tree is the upper one too exactly when
 each non-tree edge lies above every edge of its path in the order (upper
 key, edge id); :func:`_uniqueness_gap` checks this on the held index.
-Only when it reports "differ" does the upper tree get built, and then by
-a Kruskal over the tree and the non-tree edges with a "differ" pair alone:
-every other non-tree edge is the largest of its cycle.
+Only when it reports "differ" does the upper tree get built, by one
+Kruskal over every present edge.
 
 Verified reduction moves on one tree: deleting a non-tree edge changes
 neither the tree nor another edge's path, and contracting tree edge l
@@ -93,10 +93,9 @@ from typing import NamedTuple, Optional
 from .graphcore import PreconditionViolated, QueryRun, find, kruskal, rounds
 
 
-def _kruskal(run: QueryRun, keys, ids: Optional[list[int]] = None) -> set[int]:
-    """Minimum spanning tree of the present edges, or of the ascending
-    present `ids`, by (keys[eid], edge id)."""
-    ids = run.present_ids() if ids is None else ids
+def _kruskal(run: QueryRun, keys) -> set[int]:
+    """Minimum spanning tree of the present edges by (keys[eid], edge id)."""
+    ids = run.present_ids()
     parent = list(range(run.graph_readonly().vertex_count))
     # ids ascend, so a stable sort by key breaks ties by id
     tree = set(kruskal(sorted(ids, key=keys.__getitem__), run.ends, parent))
@@ -106,7 +105,7 @@ def _kruskal(run: QueryRun, keys, ids: Optional[list[int]] = None) -> set[int]:
 
 
 def lower_limit_tree(run: QueryRun) -> set[int]:
-    return set(_held_lower(run).lower)
+    return set(_held_lower(run).index.covers)
 
 
 def upper_limit_tree(run: QueryRun) -> set[int]:
@@ -173,12 +172,12 @@ def tree_cut(run: QueryRun, tree: set[int], eid: int) -> list[int]:
 
 
 class PathIndex(NamedTuple):
-    """Fundamental paths of a spanning tree and their transpose, with the
-    blocking-pair counts when the session holds it."""
+    """Fundamental paths of a spanning tree, their transpose and their
+    blocking-pair counts."""
 
     paths: dict[int, list[int]]         # non-tree edge -> its tree path
     covers: dict[int, set[int]]         # tree edge -> non-tree edges whose path holds it
-    tally: Optional["_Tally"] = None
+    tally: _Tally
 
 
 @dataclass
@@ -235,19 +234,18 @@ def _rooted(run: QueryRun, tree: set[int]) -> tuple[list[int], list[int], list[i
     return parent, edge, depth
 
 
-def _path_index(run: QueryRun, tree: set[int], counted: bool = False, rooted=None) -> PathIndex:
+def _path_index(run: QueryRun, tree: set[int], rooted=None) -> PathIndex:
     """Tree path of every present non-tree edge, in :func:`_tree_path` order,
     so that tree_cycle(f) == [f] + paths[f] and
-    tree_cut(l) == sorted(covers[l] | {l}); with `counted`, also the
-    blocking-pair counts at the session's current ranks.  `rooted` is the
-    tree rooted by :func:`_rooted`, when the caller has it."""
+    tree_cut(l) == sorted(covers[l] | {l}), with the blocking-pair counts
+    at the session's current ranks.  `rooted` is the tree rooted by
+    :func:`_rooted`, when the caller has it."""
     parent, edge, depth = rooted or _rooted(run, tree)
     paths: dict[int, list[int]] = {}
     covers: dict[int, set[int]] = {l: set() for l in tree}
-    if counted:
-        lo, hi, upper, lower = list(run.lo), list(run.hi), list(run.upper), list(run.lower)
-        bad, differ, tie_up, tie_low = ([0] * len(lo) for _ in range(4))
-        bad_pairs, differ_ids, upper_ids, lower_ids = 0, set(), set(), set()
+    lo, hi, upper, lower = list(run.lo), list(run.hi), list(run.upper), list(run.lower)
+    bad, differ, tie_up, tie_low = ([0] * len(lo) for _ in range(4))
+    bad_pairs, differ_ids, upper_ids, lower_ids = 0, set(), set(), set()
     ends = run.ends
     for f in run.present_ids():
         if f in tree:
@@ -264,30 +262,26 @@ def _path_index(run: QueryRun, tree: set[int], counted: bool = False, rooted=Non
                 a = parent[a]
         path = from_b + from_a[::-1]
         paths[f] = path
-        for l in path:
-            covers[l].add(f)
-        if counted:
-            # the pairs of f, counted as _tally counts them
-            lf, uf, wf, open_f = lo[f], upper[f], lower[f], lo[f] != hi[f]
-            for e in path:
-                if hi[e] > lf:
-                    bad[f] += 1
-                    bad[e] += 1
-                    bad_pairs += 1
-                ue = upper[e]
-                if ue >= uf:
-                    if ue > uf or e > f:
-                        differ[f] += 1
-                        differ_ids.add(f)
-                    elif open_f or lo[e] != hi[e]:
-                        tie_up[f] += 1
-                        upper_ids.add(f)
-                we = lower[e]
-                if wf < we or wf == we and (open_f or lo[e] != hi[e]):
-                    tie_low[e] += 1
-                    lower_ids.add(e)
-    if not counted:
-        return PathIndex(paths, covers)
+        # the pairs of f, counted as _tally counts them
+        lf, uf, wf, open_f = lo[f], upper[f], lower[f], lo[f] != hi[f]
+        for e in path:
+            covers[e].add(f)
+            if hi[e] > lf:
+                bad[f] += 1
+                bad[e] += 1
+                bad_pairs += 1
+            ue = upper[e]
+            if ue >= uf:
+                if ue > uf or e > f:
+                    differ[f] += 1
+                    differ_ids.add(f)
+                elif open_f or lo[e] != hi[e]:
+                    tie_up[f] += 1
+                    upper_ids.add(f)
+            we = lower[e]
+            if wf < we or wf == we and (open_f or lo[e] != hi[e]):
+                tie_low[e] += 1
+                lower_ids.add(e)
     tally = _Tally(
         lo, hi, upper, lower, bad, bad_pairs, differ, tie_up, tie_low, differ_ids, upper_ids, lower_ids
     )
@@ -390,22 +384,27 @@ def _tally(t: _Tally, pairs, sign: int) -> None:
 
 @dataclass
 class _Held:
-    """The lower limit tree a session holds and its counted index, valid
-    after its first `at` transcript events; None once a move may have
-    changed them."""
+    """The path index of the lower limit tree a session holds, valid after
+    its first `at` transcript events; None once a move may have changed
+    it."""
 
     at: int
-    lower: Optional[set[int]] = None
-    index: Optional[PathIndex] = None   # of `lower`; None exactly when it is
+    index: Optional[PathIndex] = None
+
+    @property
+    def lower(self):
+        """The held lower limit tree, a read-only view of the keys of its
+        covers, or None."""
+        return None if self.index is None else self.index.covers.keys()
 
 
-def _stays(tree: set[int], index: PathIndex, keys: list[int], e: int) -> bool:
-    """Whether `tree`, the minimum spanning tree under `keys` before the key
-    of edge e changed, still is one: every cover of e is above it (e in the
-    tree), or every edge on e's path is below it (e outside), in the order
-    (key, edge id)."""
+def _stays(index: PathIndex, keys: list[int], e: int) -> bool:
+    """Whether the tree of `index`, the minimum spanning tree under `keys`
+    before the key of edge e changed, still is one: every cover of e is
+    above it (e in the tree), or every edge on e's path is below it (e
+    outside), in the order (key, edge id)."""
     k = keys[e]
-    if e in tree:
+    if e in index.covers:
         return all(keys[x] > k or keys[x] == k and x > e for x in index.covers[e])
     return all(keys[x] < k or keys[x] == k and x < e for x in index.paths[e])
 
@@ -423,10 +422,10 @@ def _see(run: QueryRun, t: _Tally, e: int) -> None:
     t.lo[e], t.hi[e], t.upper[e], t.lower[e] = run.lo[e], run.hi[e], run.upper[e], run.lower[e]
 
 
-def _recount(run: QueryRun, tree: set[int], index: PathIndex, e: int) -> None:
+def _recount(run: QueryRun, index: PathIndex, e: int) -> None:
     """Move the pairs of revealed edge e from its old ranks to its new ones."""
-    t = index.tally
-    pairs = [(f, e) for f in index.covers[e]] if e in tree else [(e, x) for x in index.paths[e]]
+    t, covers = index.tally, index.covers
+    pairs = [(f, e) for f in covers[e]] if e in covers else [(e, x) for x in index.paths[e]]
     _tally(t, pairs, -1)
     _see(run, t, e)
     _tally(t, pairs, 1)
@@ -441,7 +440,7 @@ def _entry(ends, walk: list[int], i: int, start: int) -> int:
     return a if a in ends[walk[i - 1]] else b
 
 
-def _swap(run: QueryRun, tree: set[int], index: PathIndex, e: int) -> None:
+def _swap(run: QueryRun, index: PathIndex, e: int) -> None:
     """Apply the one swap that revealing e makes, when :func:`_stays`
     rejects the tree: tree edge e leaves for its lightest cover, or
     non-tree edge e enters for the heaviest edge on its path, in the order
@@ -451,7 +450,7 @@ def _swap(run: QueryRun, tree: set[int], index: PathIndex, e: int) -> None:
     backtracks cancelled, so it is the walk :func:`_path_index` writes."""
     paths, covers, tally = index
     keys = run.lower
-    if e in tree:
+    if e in covers:
         out, enter = e, min(covers[e], key=lambda x: (keys[x], x))
     else:
         out, enter = max(paths[e], key=lambda x: (keys[x], x)), e
@@ -464,8 +463,6 @@ def _swap(run: QueryRun, tree: set[int], index: PathIndex, e: int) -> None:
     removed, added = [(enter, l) for l in cycle], []
     for l in cycle:
         covers[l].discard(enter)
-    tree.remove(out)
-    tree.add(enter)
     covers[enter] = set()
     for f in covers.pop(out):
         old = paths[f]
@@ -508,19 +505,19 @@ def _synced(run: QueryRun) -> Optional[_Held]:
         return held
     pending = events[held.at:]
     for i, ev in enumerate(pending):
-        e, kind, tree, index = ev.edge, ev.kind, held.lower, held.index
-        if tree is None:
+        e, kind, index = ev.edge, ev.kind, held.index
+        if index is None:
             break
         if kind == "reveal":
-            if _stays(tree, index, run.lower, e):
-                _recount(run, tree, index, e)
+            if _stays(index, run.lower, e):
+                _recount(run, index, e)
             elif _lone(pending, i):
-                _swap(run, tree, index, e)
+                _swap(run, index, e)
             else:
-                held.lower = held.index = None
+                held.index = None
         elif kind == "delete":
-            if e in tree:
-                held.lower = held.index = None
+            if e in index.covers:
+                held.index = None
             else:
                 path, t = index.paths.pop(e), index.tally
                 # e's pairs count somewhere only if e has a bad pair or a
@@ -530,10 +527,9 @@ def _synced(run: QueryRun) -> Optional[_Held]:
                 for l in path:
                     index.covers[l].discard(e)
         elif kind == "contract":
-            if e not in tree:
-                held.lower = held.index = None
+            if e not in index.covers:
+                held.index = None
             else:
-                tree.discard(e)
                 cover, t = index.covers.pop(e), index.tally
                 # e's pairs count somewhere only if e has a bad pair or a
                 # count of its own, or some non-tree edge holds a differ
@@ -551,9 +547,8 @@ def _held_lower(run: QueryRun) -> _Held:
     held = _synced(run)
     if held is None:
         held = run._limit_trees = _Held(len(run.transcript.events))
-    if held.lower is None:
-        held.lower = _kruskal(run, run.lower)
-        held.index = _path_index(run, held.lower, counted=True)
+    if held.index is None:
+        held.index = _path_index(run, _kruskal(run, run.lower))
     return held
 
 
@@ -583,13 +578,12 @@ def _uniqueness_gap(run: QueryRun, index: PathIndex):
     Ties between two point intervals cannot be separated by queries and are
     resolved by edge id, so they do not count as violations.
 
-    The verdict comes from the counts (:class:`_Tally`) of `index`, which
-    must be counted, as the session's held index is: the least id with a
-    "differ" pair, else with an upper tie, else with a lower tie or
-    violation.  Only that one path or cover is scanned for its first such
-    pair, in the order a scan of every path in id order, then every cover
-    in id order, would meet it; a cover edge below the tree edge's lower
-    key raises.
+    The verdict comes from the counts (:class:`_Tally`) of `index`: the
+    least id with a "differ" pair, else with an upper tie, else with a
+    lower tie or violation.  Only that one path or cover is scanned for its
+    first such pair, in the order a scan of every path in id order, then
+    every cover in id order, would meet it; a cover edge below the tree
+    edge's lower key raises.
     """
     lo, hi, upper, lower = run.lo, run.hi, run.upper, run.lower
     paths, covers, tally = index
@@ -617,12 +611,12 @@ def limit_trees_unique(run: QueryRun) -> bool:
     return _uniqueness_gap(run, _held_lower(run).index) is None
 
 
-def _normal_form(run: QueryRun, tree: set[int], index: PathIndex) -> LimitTrees:
+def _normal_form(run: QueryRun, index: PathIndex) -> LimitTrees:
     lower = run.lower
     nontree = sorted(index.paths, key=lambda e: (lower[e], e))
     paths = {f: list(path) for f, path in index.paths.items()}
     covers = {l: set(cover) for l, cover in index.covers.items()}
-    return LimitTrees(tree=tree, nontree_order=nontree, paths=paths, covers=covers)
+    return LimitTrees(tree=set(covers), nontree_order=nontree, paths=paths, covers=covers)
 
 
 def compute_limit_trees(run: QueryRun) -> LimitTrees:
@@ -637,7 +631,7 @@ def compute_limit_trees(run: QueryRun) -> LimitTrees:
     if gap is not None:
         what = "differ" if gap[0] == "differ" else "are not unique"
         raise PreconditionViolated(f"limit trees {what}; preprocessing required")
-    return _normal_form(run, set(held.lower), held.index)
+    return _normal_form(run, held.index)
 
 
 def is_solved(run: QueryRun) -> Optional[set[int]]:
@@ -657,8 +651,8 @@ def is_solved(run: QueryRun) -> Optional[set[int]]:
     union-find passes and no path walk.
     """
     held = _synced(run)
-    if held is not None and held.lower is not None:
-        return None if held.index.tally.bad_pairs else set(held.lower)
+    if held is not None and held.index is not None:
+        return None if held.index.tally.bad_pairs else set(held.index.covers)
     tree = _kruskal(run, run.lower)
     nontree, dominated = _dominated(run, tree)
     return tree if len(dominated) == len(nontree) else None
@@ -715,10 +709,10 @@ def reduce_verified(run: QueryRun) -> set[int]:
     the sweeps over one Kruskal tree: f is dominated when every edge of its
     path has high <= low(f), l contractible when it has no cover or its
     least cover by low end has low >= high(l).  It then holds the tree
-    minus the contracted edges, with one counted index of that remnant.
+    minus the contracted edges, with one path index of that remnant.
     """
     held = _synced(run)
-    fresh = held is None or held.lower is None
+    fresh = held is None or held.index is None
     if fresh:
         tree = _kruskal(run, run.lower)
         nontree, joined = _dominated(run, tree)
@@ -730,7 +724,7 @@ def reduce_verified(run: QueryRun) -> set[int]:
         first = _least_covers(run, rooted, [f for _, f in nontree])
         contractible = [l for l in sorted(tree) if l not in first or lo[first[l]] >= hi[l]]
     else:
-        tree, bad = held.lower, held.index.tally.bad
+        tree, bad = held.index.covers, held.index.tally.bad
         # a non-tree edge is dominated, and a tree edge contractible, exactly
         # when it is in no bad pair; both lists are fixed before the first
         # move changes the held state
@@ -745,9 +739,9 @@ def reduce_verified(run: QueryRun) -> set[int]:
         # deletions leave the tree and its ends, so it stays rooted as it
         # was unless an edge was contracted
         tree = tree.difference(contractible)
-        index = _path_index(run, tree, True, None if contractible else rooted)
-        run._limit_trees = _Held(len(run.transcript.events), tree, index)
-    return set(_held_lower(run).lower)
+        index = _path_index(run, tree, None if contractible else rooted)
+        run._limit_trees = _Held(len(run.transcript.events), index)
+    return set(_held_lower(run).index.covers)
 
 
 def ensure_unique_limit_trees(run: QueryRun, reduce: bool = True) -> list[int]:
@@ -768,35 +762,33 @@ def unique_limit_trees(run: QueryRun) -> LimitTrees:
     """:func:`ensure_unique_limit_trees` with reduction, then the limit
     trees of the result, built from the tree and path index that its final
     round certified; equal to :func:`compute_limit_trees` afterwards."""
-    return _normal_form(run, *_certify(run, True))
+    return _normal_form(run, _certify(run, True))
 
 
-def _differ_partner(run: QueryRun, tree: set[int], differ_ids: set[int]) -> int:
+def _differ_partner(run: QueryRun, tree) -> int:
     """The least non-trivial edge of the lower limit tree `tree` outside the
-    upper limit tree.  The upper Kruskal runs over the tree and the non-tree
-    edges in `differ_ids` only: any other non-tree edge lies above every
-    edge of its path in the order (upper key, edge id), so it is the
-    largest of its cycle and outside the upper tree."""
-    upper = _kruskal(run, run.upper, sorted(tree | differ_ids))
+    upper limit tree, which one Kruskal over every present edge builds."""
+    upper = _kruskal(run, run.upper)
     diff = [e for e in tree - upper if not run.is_trivial(e)]
     if not diff:
         raise PreconditionViolated("limit trees differ only in trivial edges; cannot requery")
     return min(diff)
 
 
-def _certify(run: QueryRun, reduce: bool) -> tuple[set[int], PathIndex]:
-    """The rounds of :func:`ensure_unique_limit_trees`; returns the unique
-    limit tree and the held path index, which callers must not keep."""
+def _certify(run: QueryRun, reduce: bool) -> PathIndex:
+    """The rounds of :func:`ensure_unique_limit_trees`; returns the held path
+    index of the unique limit tree, which callers must not keep."""
     for _ in rounds(run, "ensure_unique_limit_trees"):
-        tree = reduce_verified(run) if reduce else lower_limit_tree(run)
+        if reduce:
+            reduce_verified(run)
         index = _held_lower(run).index
         gap = _uniqueness_gap(run, index)
         if gap is None:
-            return tree, index
+            return index
         # upper-side tie: swapping the tied tree edge out of the upper tree
         # yields a tree pair whose difference is exactly that edge, so it is
         # mandatory; lower-side tie: symmetrically the tied cut edge is.
         kind, _, partner = gap
         if kind == "differ":
-            partner = _differ_partner(run, tree, index.tally.differ_ids)
+            partner = _differ_partner(run, index.covers.keys())
         run.reveal(partner)

@@ -246,6 +246,22 @@ def test_bad_learn_inputs_are_one_error_line(tmp_path):
     _assert_one_error_line(proc, "edge 0")
 
 
+def test_a_boolean_value_is_one_error_line(tmp_path):
+    # JSON true and false are not the rationals 1 and 0
+    doc = factory.gen_triangle_chain(1).to_dict()
+    doc["edges"][0]["interval"]["L"] = False
+    doc["edges"][0]["true"] = True
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    for argv in (("run", "--alg", "baseline"), ("error",)):
+        _assert_one_error_line(_run_cli(*argv, "--instance", str(inst)), "not a rational: False")
+    factory.gen_triangle_chain(1).save(str(inst))
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({"edges": {"0": {"values": [True]}}}))
+    proc = _run_cli("learn", "--instance", str(inst), "--dist", str(dist), "--samples", "3")
+    _assert_one_error_line(proc, "not a rational: True")
+
+
 def test_two_mixtures_for_one_edge_are_one_error_line(tmp_path):
     inst = tmp_path / "inst.json"
     dist = tmp_path / "dist.json"

@@ -179,6 +179,30 @@ def test_invalid_values_in_a_document_keep_their_error():
         UncertainGraph.from_dict(doc)
 
 
+@pytest.mark.parametrize("field", ["L", "U", "true", "pred"])
+def test_a_boolean_value_in_a_document_is_not_a_rational(field):
+    doc = factory.demo_hop_cycle().to_dict()
+    edge = doc["edges"][0]
+    (edge["interval"] if field in ("L", "U") else edge)[field] = False
+    with pytest.raises(ParseError, match="^not a rational: False$"):
+        UncertainGraph.from_dict(doc)
+
+
+def test_a_float_value_in_a_graph_is_rejected_naming_the_edge():
+    # a float would pass the Fraction comparisons and fail later, in the
+    # integer ranking of a run
+    good = make_edge(0, 0, 1, 0, 2, 1, 1)
+    for iv, truth, pred, text in (
+        (Interval.open(0, 2), 1.5, Fraction(1), "1.5"),
+        (Interval.open(0, 2), Fraction(1), 0.5, "0.5"),
+        (Interval(Fraction(0), 2.0), Fraction(1), Fraction(1), "2.0"),
+        (Interval(1.0, 1.0), 1.0, 1.0, "1.0"),
+    ):
+        bad = UncertainEdge(1, 0, 1, iv, truth, pred)
+        with pytest.raises(ValidationError, match=f"^edge 1: value {text} is not rational$"):
+            UncertainGraph(2, [good, bad])
+
+
 def test_trivial_edge_requires_matching_values():
     iv = Interval.point(3)
     with pytest.raises(ValidationError):

@@ -9,7 +9,6 @@ from mstquery import factory
 from mstquery.graphcore import Interval, ParseError, UncertainEdge, UncertainGraph, ValidationError
 from mstquery.learner import (
     RealizationSampler,
-    _edge_loss,
     discretize,
     erm_train,
     expected_edge_loss,
@@ -17,7 +16,7 @@ from mstquery.learner import (
     grid_optimal,
     predictions_to_json,
 )
-from mstquery.errormetrics import hop_distance, relation
+from mstquery.errormetrics import hop_distance, relation, relation_mismatches
 
 
 def triangle():
@@ -117,10 +116,8 @@ def test_single_sample_training_has_zero_empirical_loss():
     sampler = RealizationSampler(g, mix, seed=11)
     sample_peek = RealizationSampler(g, mix, seed=11).sample()
     learned = erm_train(g, sampler, 1)
-    from mstquery.learner import _edge_loss
-
     for e in g.edges:
-        assert _edge_loss(g, e.eid, sample_peek[e.eid], learned[e.eid]) == 0
+        assert relation_mismatches(g, e.eid, sample_peek[e.eid], learned[e.eid]) == 0
 
 
 def test_learned_values_lie_inside_intervals():
@@ -188,6 +185,13 @@ def test_predictions_serialize():
 def test_sampler_from_json_rejects_malformed_mixture(spec):
     with pytest.raises(ParseError):
         RealizationSampler.from_json(triangle(), json.dumps({"edges": spec}))
+
+
+def test_a_boolean_mixture_value_is_not_a_rational():
+    with pytest.raises(ParseError, match="not a rational: True"):
+        RealizationSampler.from_json(triangle(), json.dumps({"edges": {"0": {"values": [True]}}}))
+    with pytest.raises(ValidationError, match="mixture value True is not rational"):
+        RealizationSampler(triangle(), {0: ([True], [1])})
 
 
 def test_sampler_rejects_mixture_for_unknown_edge():
@@ -271,7 +275,7 @@ def test_kernel_matches_pairwise_loop(seed):
             expected = _pairwise_expected(g, sampler, e.eid, c)
             assert expected_edge_loss(g, sampler, e.eid, c) == expected
             for v in sampler.mixtures[e.eid][0]:
-                assert _edge_loss(g, e.eid, v, c) == _pairwise_loss(g, e.eid, v, c)
+                assert relation_mismatches(g, e.eid, v, c) == _pairwise_loss(g, e.eid, v, c)
             losses.append((expected, c))
         optimum[e.eid] = min(losses)[1]
     assert grid_optimal(g, sampler) == optimum

@@ -161,9 +161,9 @@ def test_a_fresh_reduction_indexes_only_the_remnant(monkeypatch):
     calls = []
     path_index, tally = limittrees._path_index, limittrees._tally
 
-    def counted_path_index(run, tree, counted=False, up=None):
-        calls.append(("index", set(tree), counted))
-        return path_index(run, tree, counted, up)
+    def counted_path_index(run, tree, rooted=None):
+        calls.append(("index", set(tree)))
+        return path_index(run, tree, rooted)
 
     def counted_tally(*args):
         calls.append(("tally",))
@@ -173,5 +173,5 @@ def test_a_fresh_reduction_indexes_only_the_remnant(monkeypatch):
     monkeypatch.setattr(limittrees, "_tally", counted_tally)
     full = _kruskal(run, run.lower)
     left = reduce_verified(run)
-    assert calls == [("index", left, True)]
+    assert calls == [("index", left)]
     assert left < full and len(run.removed) > 200
