@@ -47,6 +47,7 @@ from .strategies import (
     randomized_gamma,
     run_baseline,
     run_combined,
+    solve,
 )
 from .learner import CandidateGrid, RealizationSampler, discretize, erm_train
 

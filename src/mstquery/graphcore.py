@@ -192,16 +192,16 @@ class Ranking:
     def rank(self) -> dict[Fraction, int]:
         return dict(zip(self.values, range(len(self.values))))
 
-    def position(self, value: Fraction, lo: int = 0, hi: Optional[int] = None) -> int:
+    def position(self, value: Fraction) -> int:
         """A doubled rank that orders any value among the ranked ones: a
         ranked value sits at 2*rank, any other at 2i-1, with i the index of
-        the first ranked value above it.  `lo` and `hi` bound the search as
-        bisect's do, for a caller that knows them."""
-        return self.place((value.numerator, value.denominator), lo, hi)
+        the first ranked value above it."""
+        return self.place((value.numerator, value.denominator))
 
     def place(self, pair: tuple[int, int], lo: int = 0, hi: Optional[int] = None) -> int:
         """:meth:`position` of the value with (numerator, denominator) `pair`,
-        in lowest terms."""
+        in lowest terms.  `lo` and `hi` bound the search as bisect's do, for
+        a caller that knows them."""
         if lo < 0:
             raise ValueError("lo must be non-negative")
         pairs = self.pairs
@@ -266,10 +266,13 @@ class UncertainEdge:
     predicted_value: Fraction
 
     def validate(self) -> None:
+        if not (_is_int(self.eid) and _is_int(self.u) and _is_int(self.v)):
+            got = (self.eid, self.u, self.v)
+            raise ValidationError(f"edge {self.eid}: id and endpoints must be integers, got {got}")
         if self.u == self.v:
             raise ValidationError(f"edge {self.eid}: self-loops are rejected")
         for value in (self.interval.low, self.interval.high, self.true_value, self.predicted_value):
-            if not isinstance(value, (int, Fraction)):
+            if not (isinstance(value, Fraction) or _is_int(value)):
                 raise ValidationError(f"edge {self.eid}: value {value} is not rational")
         if self.interval.is_trivial:
             w = self.interval.low
@@ -290,15 +293,20 @@ class UncertainEdge:
                 )
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool; `save` would write a bool as a JSON boolean."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _valid_on_pairs(e: UncertainEdge) -> bool:
     """Whether edge e passes :meth:`UncertainEdge.validate`, decided on the
     (numerator, denominator) pairs of its ends, truth and prediction by
-    exact integer cross-multiplication; False too when a value is not an
-    int or a Fraction."""
+    exact integer cross-multiplication; False too when its id or an
+    endpoint is not an int, or a value not an int or a Fraction."""
     low, high, t, p = e.interval.low, e.interval.high, e.true_value, e.predicted_value
-    rational = (int, Fraction)
     if e.u == e.v or not (
-        isinstance(low, rational) and isinstance(high, rational) and isinstance(t, rational) and isinstance(p, rational)
+        _is_int(e.eid) and _is_int(e.u) and _is_int(e.v)
+        and all(isinstance(x, Fraction) or _is_int(x) for x in (low, high, t, p))
     ):
         return False
     ln, ld, hn, hd = low.numerator, low.denominator, high.numerator, high.denominator
@@ -557,10 +565,6 @@ class QueryRun:
         self.removed: dict[int, str] = {}  # eid -> "deleted" | "contracted"
         self.removed_unqueried: dict[int, str] = {}
         self.transcript = Transcript()
-
-    @property
-    def rank(self) -> dict[Fraction, int]:
-        return self.ranking.rank
 
     @property
     def pred(self) -> tuple[int, ...]:

@@ -59,7 +59,9 @@ new transcript and starts with nothing held.
 
 The counts cover every pair (f, e) of a non-tree edge f and a tree edge e
 on its path: the bad pairs, high(e) > low(f), and the pairs behind each
-uniqueness verdict.  A move recounts only its own pairs: a reveal the
+uniqueness verdict.  Every count comes from :func:`_tally` alone, which
+counts a run of pairs in or out: a fresh index counts all of its pairs
+in one call, and a move recounts only its own pairs: a reveal the
 revealed edge's path or cover, out at its old ranks and in at its new
 ones; a deletion the deleted edge's path; a contraction the contracted
 edge's cover; a swap the pairs of the paths it changes, the old ones out
@@ -88,6 +90,7 @@ one Kruskal tree read, :func:`_joined_at_most` and :func:`_least_covers`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import NamedTuple, Optional
 
 from .graphcore import PreconditionViolated, QueryRun, find, kruskal, rounds
@@ -238,14 +241,11 @@ def _path_index(run: QueryRun, tree: set[int], rooted=None) -> PathIndex:
     """Tree path of every present non-tree edge, in :func:`_tree_path` order,
     so that tree_cycle(f) == [f] + paths[f] and
     tree_cut(l) == sorted(covers[l] | {l}), with the blocking-pair counts
-    at the session's current ranks.  `rooted` is the tree rooted by
-    :func:`_rooted`, when the caller has it."""
+    at the session's current ranks, which :func:`_tally` alone counts.
+    `rooted` is the tree rooted by :func:`_rooted`, when the caller has it."""
     parent, edge, depth = rooted or _rooted(run, tree)
     paths: dict[int, list[int]] = {}
     covers: dict[int, set[int]] = {l: set() for l in tree}
-    lo, hi, upper, lower = list(run.lo), list(run.hi), list(run.upper), list(run.lower)
-    bad, differ, tie_up, tie_low = ([0] * len(lo) for _ in range(4))
-    bad_pairs, differ_ids, upper_ids, lower_ids = 0, set(), set(), set()
     ends = run.ends
     for f in run.present_ids():
         if f in tree:
@@ -262,29 +262,13 @@ def _path_index(run: QueryRun, tree: set[int], rooted=None) -> PathIndex:
                 a = parent[a]
         path = from_b + from_a[::-1]
         paths[f] = path
-        # the pairs of f, counted as _tally counts them
-        lf, uf, wf, open_f = lo[f], upper[f], lower[f], lo[f] != hi[f]
         for e in path:
             covers[e].add(f)
-            if hi[e] > lf:
-                bad[f] += 1
-                bad[e] += 1
-                bad_pairs += 1
-            ue = upper[e]
-            if ue >= uf:
-                if ue > uf or e > f:
-                    differ[f] += 1
-                    differ_ids.add(f)
-                elif open_f or lo[e] != hi[e]:
-                    tie_up[f] += 1
-                    upper_ids.add(f)
-            we = lower[e]
-            if wf < we or wf == we and (open_f or lo[e] != hi[e]):
-                tie_low[e] += 1
-                lower_ids.add(e)
-    tally = _Tally(
-        lo, hi, upper, lower, bad, bad_pairs, differ, tie_up, tie_low, differ_ids, upper_ids, lower_ids
-    )
+    bad, differ, tie_up, tie_low = ([0] * len(run.lo) for _ in range(4))
+    ranks = list(run.lo), list(run.hi), list(run.upper), list(run.lower)
+    tally = _Tally(*ranks, bad, 0, differ, tie_up, tie_low, set(), set(), set())
+    # the pairs are drawn lazily, each from a path, not held in one list
+    _tally(tally, chain.from_iterable(zip(repeat(f), path) for f, path in paths.items()), 1)
     return PathIndex(paths, covers, tally)
 
 
@@ -351,19 +335,13 @@ def _dominated(run: QueryRun, tree: set[int]) -> tuple[list[tuple[int, int]], li
     return nontree, _joined_at_most(run, tree, run.hi, nontree)
 
 
-def _bump(count: list[int], ids: set[int], x: int, sign: int) -> None:
-    """count[x] += sign, keeping `ids` the ids whose count is not 0."""
-    c = count[x] = count[x] + sign
-    if c:
-        ids.add(x)
-    else:
-        ids.discard(x)
-
-
 def _tally(t: _Tally, pairs, sign: int) -> None:
     """Count the pairs (f, e) in (sign 1) or out (sign -1) at the ranks of
-    `t`, as :func:`_path_index` counts them."""
+    `t`: the one rule for every count of :class:`_Tally`.  Each id set keeps
+    the ids whose count is not 0."""
     lo, hi, upper, lower, bad = t.lo, t.hi, t.upper, t.lower, t.bad
+    differ, tie_up, tie_low = t.differ, t.tie_up, t.tie_low
+    differ_ids, upper_ids, lower_ids = t.differ_ids, t.upper_ids, t.lower_ids
     bad_pairs = 0
     for f, e in pairs:
         if hi[e] > lo[f]:
@@ -373,12 +351,15 @@ def _tally(t: _Tally, pairs, sign: int) -> None:
         uf, ue = upper[f], upper[e]
         if ue >= uf:
             if ue > uf or e > f:
-                _bump(t.differ, t.differ_ids, f, sign)
+                c = differ[f] = differ[f] + sign
+                differ_ids.add(f) if c else differ_ids.discard(f)
             elif lo[f] != hi[f] or lo[e] != hi[e]:
-                _bump(t.tie_up, t.upper_ids, f, sign)
+                c = tie_up[f] = tie_up[f] + sign
+                upper_ids.add(f) if c else upper_ids.discard(f)
         wf, we = lower[f], lower[e]
         if wf < we or wf == we and (lo[f] != hi[f] or lo[e] != hi[e]):
-            _bump(t.tie_low, t.lower_ids, e, sign)
+            c = tie_low[e] = tie_low[e] + sign
+            lower_ids.add(e) if c else lower_ids.discard(e)
     t.bad_pairs += bad_pairs
 
 

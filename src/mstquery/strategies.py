@@ -599,7 +599,7 @@ class RunReport:
 
 @dataclass
 class RunOutcome:
-    report: RunReport
+    report: Optional[RunReport]  # None from solve, which computes no optimum
     run: QueryRun
     phase1: Optional[PhaseLedger] = None
     phase2: Optional[object] = None
@@ -625,15 +625,10 @@ def _evaluate_bounds(strategy: str, gamma: Optional[Fraction], queries: int, opt
     raise ValueError(strategy)
 
 
-def run_combined(
-    graph: UncertainGraph,
-    config: StrategyConfig,
-    instance_label: str = "",
-    seed: Optional[int] = None,
-) -> RunOutcome:
-    """Run the configured strategy on a fresh session and report query counts
-    against the optimum together with the guarantee checks."""
-    started = time.perf_counter()
+def solve(graph: UncertainGraph, config: StrategyConfig) -> RunOutcome:
+    """Run the configured strategy on a fresh session to a verified tree,
+    set as the transcript's final tree; the outcome carries no report, as
+    nothing here computes the optimum or the error measures."""
     run = QueryRun(graph)
     phase1 = None
     phase2: Optional[object] = None
@@ -655,24 +650,38 @@ def run_combined(
     if tree is None:
         raise RuntimeError("strategy finished on an unsolved instance")
     run.transcript.set_final_tree(tree)
+    return RunOutcome(report=None, run=run, phase1=phase1, phase2=phase2)
+
+
+def run_combined(
+    graph: UncertainGraph,
+    config: StrategyConfig,
+    instance_label: str = "",
+    seed: Optional[int] = None,
+) -> RunOutcome:
+    """:func:`solve`, reported: query counts against the optimum together
+    with the guarantee checks."""
+    started = time.perf_counter()
+    outcome = solve(graph, config)
     elapsed = (time.perf_counter() - started) * 1000
 
     # the brute-force oracle where it fits, an independent reference for
     # the instances it can enumerate; the exact pass at every other size
     opt = opt_brute_force(graph) if len(graph.non_trivial_ids()) <= DEFAULT_CAP else opt_exact(graph)
     report_err = hop_distance(graph)
+    queries = outcome.run.query_count
     gamma_val = None if config.mode == "baseline" else Fraction(config.gamma)
     cons, rob, err = _evaluate_bounds(
-        config.mode, gamma_val, run.query_count, opt.size, report_err.k_h, report_err.k_sharp
+        config.mode, gamma_val, queries, opt.size, report_err.k_h, report_err.k_sharp
     )
-    report = RunReport(
+    outcome.report = RunReport(
         instance=instance_label,
         strategy=config.mode,
         gamma=gamma_val,
         seed=seed,
-        queries=run.query_count,
+        queries=queries,
         opt=opt.size,
-        ratio=Fraction(run.query_count, opt.size) if opt.size else None,
+        ratio=Fraction(queries, opt.size) if opt.size else None,
         k_h=report_err.k_h,
         k_sharp=report_err.k_sharp,
         consistency_ok=cons,
@@ -680,7 +689,7 @@ def run_combined(
         error_bound_ok=err,
         runtime_ms=elapsed,
     )
-    return RunOutcome(report=report, run=run, phase1=phase1, phase2=phase2)
+    return outcome
 
 
 def randomized_gamma(

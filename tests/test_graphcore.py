@@ -190,16 +190,33 @@ def test_a_boolean_value_in_a_document_is_not_a_rational(field):
 
 def test_a_float_value_in_a_graph_is_rejected_naming_the_edge():
     # a float would pass the Fraction comparisons and fail later, in the
-    # integer ranking of a run
+    # integer ranking of a run; a bool would pass as an int, and `save`
+    # would write it as a JSON boolean, which `load_instance` rejects
     good = make_edge(0, 0, 1, 0, 2, 1, 1)
     for iv, truth, pred, text in (
         (Interval.open(0, 2), 1.5, Fraction(1), "1.5"),
         (Interval.open(0, 2), Fraction(1), 0.5, "0.5"),
         (Interval(Fraction(0), 2.0), Fraction(1), Fraction(1), "2.0"),
         (Interval(1.0, 1.0), 1.0, 1.0, "1.0"),
+        (Interval(Fraction(0), Fraction(2)), True, Fraction(1, 2), "True"),
+        (Interval(Fraction(0), Fraction(2)), Fraction(1, 2), True, "True"),
+        (Interval(True, Fraction(2)), Fraction(3, 2), Fraction(3, 2), "True"),
+        (Interval(False, False), False, False, "False"),
     ):
         bad = UncertainEdge(1, 0, 1, iv, truth, pred)
         with pytest.raises(ValidationError, match=f"^edge 1: value {text} is not rational$"):
+            UncertainGraph(2, [good, bad])
+    # an id or endpoint that is a bool or a float; a float endpoint used to
+    # fail inside the connectivity check with a TypeError
+    for eid, u, v, text in (
+        (True, 0, 1, r"edge True: .*\(True, 0, 1\)"),
+        (1.0, 0, 1, r"edge 1.0: .*\(1.0, 0, 1\)"),
+        (1, 0, True, r"edge 1: .*\(1, 0, True\)"),
+        (1, False, 1, r"edge 1: .*\(1, False, 1\)"),
+        (1, 0, 1.0, r"edge 1: .*\(1, 0, 1.0\)"),
+    ):
+        bad = UncertainEdge(eid, u, v, Interval.open(0, 2), Fraction(1), Fraction(1))
+        with pytest.raises(ValidationError, match=f"^{text}$"):
             UncertainGraph(2, [good, bad])
 
 

@@ -97,25 +97,13 @@ CONFIGS = [StrategyConfig(mode="baseline")] + [
 ]
 
 
-def run_strategy(g, config):
-    """The strategy part of run_combined, without the brute-force optimum."""
-    run = strategies.QueryRun(g)
-    if config.mode == "baseline":
-        strategies.run_baseline(run)
-    else:
-        strategies.make_prediction_mandatory_free(run, config.gamma)
-        phase2 = strategies.phase2_tradeoff if config.mode == "tradeoff" else strategies.phase2_error_sensitive
-        phase2(run)
-    ensure_unique_limit_trees(run)
-
-
 def run_live(graphs, large):
     for g in graphs:
         for config in CONFIGS:
             run_combined(g, config)
     for g in large:
         for config in CONFIGS:
-            run_strategy(g, config)
+            strategies.solve(g, config)
 
 
 class CheckedRun(QueryRun):

@@ -64,11 +64,12 @@ def test_position_equals_a_bisection_of_the_fractions(xs, extra, data):
     probes += [(a + b) / 2 for a, b in zip(ranked, ranked[1:])]
     for v in probes:
         assert ranking.position(v) == position_on_fractions(ranked, v), v
-        assert ranking.place((v.numerator, v.denominator)) == ranking.position(v)
+        pair = (v.numerator, v.denominator)
+        assert ranking.place(pair) == ranking.position(v)
         lo = data.draw(st.integers(0, len(ranked)))
         hi = data.draw(st.integers(lo, len(ranked)))
-        assert ranking.position(v, lo) == position_on_fractions(ranked, v, lo), (v, lo)
-        assert ranking.position(v, lo, hi) == position_on_fractions(ranked, v, lo, hi), (v, lo, hi)
+        assert ranking.place(pair, lo) == position_on_fractions(ranked, v, lo), (v, lo)
+        assert ranking.place(pair, lo, hi) == position_on_fractions(ranked, v, lo, hi), (v, lo, hi)
 
 
 def test_position_rejects_a_negative_lo_as_bisect_does():
@@ -76,7 +77,7 @@ def test_position_rejects_a_negative_lo_as_bisect_does():
     with pytest.raises(ValueError):
         bisect_left(ranking.values, Fraction(1), -1)
     with pytest.raises(ValueError):
-        ranking.position(Fraction(1), -1)
+        ranking.place((1, 1), -1)
 
 
 # -- draws against random.choices ----------------------------------------------

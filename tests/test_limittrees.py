@@ -19,14 +19,7 @@ from mstquery.limittrees import (
     verified_tree_of_original,
 )
 from mstquery.oracle import is_feasible, mandatory_edges
-from mstquery.strategies import (
-    StrategyConfig,
-    make_prediction_mandatory_free,
-    phase2_error_sensitive,
-    phase2_tradeoff,
-    run_baseline,
-    run_combined,
-)
+from mstquery.strategies import StrategyConfig, run_combined
 
 
 def make_edge(eid, u, v, low, high, pred=None, true=None):
@@ -322,22 +315,10 @@ def reduce_by_single_steps(run):
 
 
 def strategy_trace(graph, mode, gamma):
-    """The strategy part of run_combined, without the oracle, as a comparable
+    """The strategy run of run_combined, without the oracle, as a comparable
     record: events, verified tree, and both removal maps."""
-    run = QueryRun(graph)
-    if mode == "baseline":
-        run_baseline(run)
-    else:
-        make_prediction_mandatory_free(run, gamma)
-        run.transcript.record("phase", tag="phase2")
-        (phase2_tradeoff if mode == "tradeoff" else phase2_error_sensitive)(run)
-    ensure_unique_limit_trees(run)
-    return (
-        run.transcript.events,
-        verified_tree_of_original(run),
-        run.removed,
-        run.removed_unqueried,
-    )
+    run = strategies.solve(graph, StrategyConfig(gamma=gamma, mode=mode)).run
+    return run.transcript.events, run.transcript.final_tree, run.removed, run.removed_unqueried
 
 
 def equivalence_instances(corpus_by_rate):
@@ -412,7 +393,7 @@ def assert_ranks_match_values(run, table):
     edges: the limit keys against each other, the low and high ends, and a
     prediction (or known value) and the run's value-table entry against an
     end."""
-    lo, hi, pred, rank = run.lo, run.hi, run.pred, run.rank
+    lo, hi, pred, rank = run.lo, run.hi, run.pred, run.ranking.rank
     lower, upper = run.lower, run.upper
     ids = run.present_ids()
     iv = {e: run.interval(e) for e in ids}
@@ -448,7 +429,7 @@ def test_ranks_match_values_on_graphs():
     for g in rank_graphs():
         for source, values in (("truth", g.true_values()), ("predictions", g.predicted_values())):
             run = QueryRun(g, source)
-            assert run.rank is g.ranking.rank
+            assert run.ranking.rank is g.ranking.rank
             assert_ranks_match_values(run, values)
             for eid in run.non_trivial_ids():
                 run.reveal(eid)

@@ -10,7 +10,6 @@ from mstquery import factory, strategies
 from mstquery.errormetrics import ErrorReport, RelationKernel, hop_distance, relation
 from mstquery.graphcore import QueryRun, UncertainEdge, UncertainGraph
 from mstquery.learner import discretize
-from mstquery.limittrees import ensure_unique_limit_trees, verified_tree_of_original
 from mstquery.oracle import DEFAULT_CAP, is_feasible, mandatory_edges, opt_brute_force, sampled_tree_validation
 from mstquery.strategies import _observed_error
 
@@ -133,7 +132,7 @@ def test_bounded_position_matches_the_full_search_inside_each_interval():
             if lo == hi:
                 continue
             for v in vs[lo + 1:hi] + tuple(between[lo:hi]):
-                assert ranking.position(v, lo + 1, hi) == ranking.position(v), (seed, v)
+                assert ranking.place((v.numerator, v.denominator), lo + 1, hi) == ranking.position(v), (seed, v)
                 checked += 1
     assert checked > 1000
 
@@ -193,15 +192,7 @@ def test_the_strategy_path_hashes_no_fraction(monkeypatch):
     for g in graphs:
         for mode in ("baseline", "tradeoff", "error_sensitive"):
             for gamma in (2, 4):
-                run = QueryRun(g)
-                if mode == "baseline":
-                    strategies.run_baseline(run)
-                else:
-                    strategies.make_prediction_mandatory_free(run, gamma)
-                    phase2 = strategies.phase2_tradeoff if mode == "tradeoff" else strategies.phase2_error_sensitive
-                    phase2(run)
-                ensure_unique_limit_trees(run)
-                assert verified_tree_of_original(run) is not None
+                strategies.solve(g, strategies.StrategyConfig(gamma=gamma, mode=mode))
                 runs += 1
     assert runs == 6 * len(graphs)
 

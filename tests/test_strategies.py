@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from mstquery import factory
+from cases import large_graphs, live_graphs
+from mstquery import factory, strategies
 from mstquery.graphcore import (
     Interval, NoProgress, PreconditionViolated, QueryRun, UncertainEdge, UncertainGraph,
 )
@@ -492,3 +493,29 @@ def test_randomized_gamma_is_seed_deterministic():
     a = randomized_gamma(g, Fraction(5, 2), seed=11).report.gamma_effective
     b = randomized_gamma(g, Fraction(5, 2), seed=11).report.gamma_effective
     assert a == b
+
+
+def test_solve_computes_no_optimum_and_makes_the_run_of_run_combined(monkeypatch):
+    configs = [StrategyConfig(mode="baseline")] + [
+        StrategyConfig(gamma=gamma, mode=mode) for mode in ("tradeoff", "error_sensitive") for gamma in (2, 3)
+    ]
+    graphs = live_graphs() + large_graphs()
+    want = []
+    for g in graphs:
+        for config in configs:
+            transcript = run_combined(g, config).run.transcript
+            want.append((transcript.to_json(), transcript.final_tree))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve computed an optimum or an error measure")
+
+    for name in ("opt_brute_force", "opt_exact", "hop_distance"):
+        monkeypatch.setattr(strategies, name, forbidden)
+    got = []
+    for g in graphs:
+        for config in configs:
+            outcome = strategies.solve(g, config)
+            assert outcome.report is None
+            got.append((outcome.run.transcript.to_json(), outcome.run.transcript.final_tree))
+    assert got == want
+    assert len(got) == 5 * len(graphs)

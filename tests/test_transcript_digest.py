@@ -12,14 +12,7 @@ import hashlib
 
 from cases import ERROR_RATES, build_corpus
 from mstquery import factory
-from mstquery.graphcore import QueryRun
-from mstquery.limittrees import ensure_unique_limit_trees, verified_tree_of_original
-from mstquery.strategies import (
-    make_prediction_mandatory_free,
-    phase2_error_sensitive,
-    phase2_tradeoff,
-    run_baseline,
-)
+from mstquery.strategies import StrategyConfig, solve
 
 DIGEST = "82bb80130424593b9baed9f89505382a9d098a4b6bc561411b0e77b1914d3ace"
 
@@ -51,17 +44,8 @@ def digest_corpus():
 
 
 def transcript(graph, mode, gamma) -> str:
-    """The strategy part of run_combined, without the optimum and error report."""
-    run = QueryRun(graph)
-    if mode == "baseline":
-        run_baseline(run)
-    else:
-        make_prediction_mandatory_free(run, gamma)
-        run.transcript.record("phase", tag="phase2")
-        (phase2_tradeoff if mode == "tradeoff" else phase2_error_sensitive)(run)
-    ensure_unique_limit_trees(run)
-    run.transcript.set_final_tree(verified_tree_of_original(run))
-    return run.transcript.to_json()
+    """The strategy run of run_combined, without the optimum and error report."""
+    return solve(graph, StrategyConfig(gamma=gamma, mode=mode)).run.transcript.to_json()
 
 
 def test_transcripts_are_unchanged():
