@@ -325,7 +325,15 @@ class UncertainGraph:
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[UncertainEdge]):
-        self.vertex_count = int(vertex_count)
+        if not _is_int(vertex_count):
+            raise ValidationError(f"vertex count must be an integer, got {vertex_count!r}")
+        self.vertex_count = vertex_count
+        edges = tuple(edges)
+        # ids and endpoints are checked before the sort by id and the range
+        # check compare them
+        for e in edges:
+            if not (_is_int(e.eid) and _is_int(e.u) and _is_int(e.v)):
+                e.validate()  # raises naming the edge, its id and endpoints
         self.edges: tuple[UncertainEdge, ...] = tuple(sorted(edges, key=lambda e: e.eid))
         self._validate()
 

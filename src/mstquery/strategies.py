@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 import time
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -653,6 +654,23 @@ def solve(graph: UncertainGraph, config: StrategyConfig) -> RunOutcome:
     return RunOutcome(report=None, run=run, phase1=phase1, phase2=phase2)
 
 
+# (OPT, k_h, k_sharp) of each reported graph, held while the graph lives
+_REPORT_FACTS: weakref.WeakKeyDictionary[UncertainGraph, tuple[int, int, int]] = weakref.WeakKeyDictionary()
+
+
+def _report_facts(graph: UncertainGraph) -> tuple[int, int, int]:
+    """(OPT, k_h, k_sharp) of the graph, which no strategy changes:
+    computed on the graph's first report and shared by every later one."""
+    facts = _REPORT_FACTS.get(graph)
+    if facts is None:
+        # the brute-force oracle where it fits, an independent reference for
+        # the instances it can enumerate; the exact pass at every other size
+        opt = opt_brute_force(graph) if len(graph.non_trivial_ids()) <= DEFAULT_CAP else opt_exact(graph)
+        errors = hop_distance(graph)
+        facts = _REPORT_FACTS[graph] = (opt.size, errors.k_h, errors.k_sharp)
+    return facts
+
+
 def run_combined(
     graph: UncertainGraph,
     config: StrategyConfig,
@@ -660,30 +678,27 @@ def run_combined(
     seed: Optional[int] = None,
 ) -> RunOutcome:
     """:func:`solve`, reported: query counts against the optimum together
-    with the guarantee checks."""
+    with the guarantee checks.  OPT and the hop distance are computed on the
+    graph's first report only; every later run on the same graph object,
+    whatever its strategy, reuses them."""
     started = time.perf_counter()
     outcome = solve(graph, config)
     elapsed = (time.perf_counter() - started) * 1000
 
-    # the brute-force oracle where it fits, an independent reference for
-    # the instances it can enumerate; the exact pass at every other size
-    opt = opt_brute_force(graph) if len(graph.non_trivial_ids()) <= DEFAULT_CAP else opt_exact(graph)
-    report_err = hop_distance(graph)
+    opt, k_h, k_sharp = _report_facts(graph)
     queries = outcome.run.query_count
     gamma_val = None if config.mode == "baseline" else Fraction(config.gamma)
-    cons, rob, err = _evaluate_bounds(
-        config.mode, gamma_val, queries, opt.size, report_err.k_h, report_err.k_sharp
-    )
+    cons, rob, err = _evaluate_bounds(config.mode, gamma_val, queries, opt, k_h, k_sharp)
     outcome.report = RunReport(
         instance=instance_label,
         strategy=config.mode,
         gamma=gamma_val,
         seed=seed,
         queries=queries,
-        opt=opt.size,
-        ratio=Fraction(queries, opt.size) if opt.size else None,
-        k_h=report_err.k_h,
-        k_sharp=report_err.k_sharp,
+        opt=opt,
+        ratio=Fraction(queries, opt) if opt else None,
+        k_h=k_h,
+        k_sharp=k_sharp,
         consistency_ok=cons,
         robustness_ok=rob,
         error_bound_ok=err,

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cases import kernel_case
+from cases import kernel_case, tied_case
 from mstquery import factory
 from mstquery.errormetrics import (
     LEFT, INSIDE, RIGHT, ErrorReport, hop_distance, hop_indicator, relation, relation_mismatches,
@@ -132,3 +132,48 @@ def test_hop_distance_matches_pairwise_loop(seed):
     assert hop_distance(g) == reference
     for e in g.edges:
         assert relation_mismatches(g, e.eid, e.true_value, e.predicted_value) == reference.jo[e.eid]
+
+
+def all_known_triangle():
+    """A triangle of point intervals: no open interval separates anything."""
+    edges = [
+        UncertainEdge(eid, u, v, Interval.point(w), Fraction(w), Fraction(w))
+        for eid, (u, v, w) in enumerate([(0, 1, 1), (1, 2, 2), (0, 2, 2)])
+    ]
+    return UncertainGraph(3, edges)
+
+
+COUNTED_CASES = (
+    [(f"tied[{s}]", lambda s=s: tied_case(s)) for s in range(60)]
+    + [(f"path-parallel[{n}]", lambda n=n: factory.gen_path_parallel(n)) for n in (1, 2, 5, 8)]
+    + [(f"triangle-chain[{n}]", lambda n=n: factory.gen_triangle_chain(n)) for n in (1, 2, 5, 8)]
+    + [(f"vc-flip[{n},{v}]", lambda n=n, v=v: factory.gen_vc_flip(n, v)) for n in (4, 8) for v in ("ex1", "ex2")]
+    + [
+        (f"tradeoff[{b},{a}]", lambda b=b, a=a: factory.gen_tradeoff_cycle(b, a))
+        for b in (2, 3, 5) for a in (False, True)
+    ]
+    + [
+        (f"random30[{overlap},{s}]", lambda o=overlap, s=s: factory.gen_random(30, 30, o, 1.0, s))
+        for overlap in (1.0, 0.9) for s in range(6)
+    ]
+    + [
+        ("all-right", lambda: factory.with_correct_predictions(factory.gen_random(12, 12, 0.95, 1.0, 2))),
+        ("all-known", all_known_triangle),
+    ]
+)
+
+
+@pytest.mark.parametrize("build", [b for _, b in COUNTED_CASES], ids=[name for name, _ in COUNTED_CASES])
+def test_counted_hop_distance_matches_the_pairwise_reference(build):
+    g = build()
+    assert hop_distance(g) == _pairwise_hop_distance(g)
+
+
+def test_counted_hop_distance_without_open_intervals_or_separations():
+    zeros = dict.fromkeys(range(3), 0)
+    assert hop_distance(all_known_triangle()) == ErrorReport(jo=zeros, oj=zeros, k_h=0, k_sharp=0)
+    # at overlap 1.0 every interval is (0, 2): every value lies inside every
+    # interval, so 59 wrong predictions mispredict no relation
+    same = hop_distance(factory.gen_random(30, 30, 1.0, 1.0, 0))
+    assert same.k_sharp == 59 and same.k_h == 0
+    assert hop_distance(factory.gen_random(30, 30, 0.9, 1.0, 0)).k_h > 0

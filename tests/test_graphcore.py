@@ -220,6 +220,26 @@ def test_a_float_value_in_a_graph_is_rejected_naming_the_edge():
             UncertainGraph(2, [good, bad])
 
 
+def test_a_non_integer_id_endpoint_or_vertex_count_is_a_validation_error():
+    # a str or None id used to fail in the sort by id, a str endpoint in the
+    # range check, both with a TypeError; a float, bool or str vertex count
+    # used to build, truncated by int()
+    good = make_edge(0, 0, 1, 0, 2, 1, 1)
+    for eid, u, v, text in (
+        ("0", 1, 2, r"edge 0: .*\('0', 1, 2\)"),
+        (None, 1, 2, r"edge None: .*\(None, 1, 2\)"),
+        (1, "1", 2, r"edge 1: .*\(1, '1', 2\)"),
+        (1, 1, "2", r"edge 1: .*\(1, 1, '2'\)"),
+    ):
+        bad = UncertainEdge(eid, u, v, Interval.open(0, 2), Fraction(1), Fraction(1))
+        for edges in ([good, bad], [bad, good]):
+            with pytest.raises(ValidationError, match=f"^{text}$"):
+                UncertainGraph(3, edges)
+    for count in (2.5, True, "3", None):
+        with pytest.raises(ValidationError, match=f"^vertex count must be an integer, got {count!r}$"):
+            UncertainGraph(count, [good])
+
+
 def test_trivial_edge_requires_matching_values():
     iv = Interval.point(3)
     with pytest.raises(ValidationError):

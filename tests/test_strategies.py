@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -519,3 +521,75 @@ def test_solve_computes_no_optimum_and_makes_the_run_of_run_combined(monkeypatch
             got.append((outcome.run.transcript.to_json(), outcome.run.transcript.final_tree))
     assert got == want
     assert len(got) == 5 * len(graphs)
+
+
+# -- report facts held once per graph ---------------------------------------------
+
+# the six configs of every oracle-grid graph: rational gamma runs through
+# randomized_gamma, as the CLI routes it; tradeoff at 5/2 is added
+HELD_CONFIGS = [
+    ("baseline", 2), ("tradeoff", 2), ("tradeoff", 3), ("error_sensitive", 2), ("error_sensitive", 3),
+    ("error_sensitive", Fraction(5, 2)), ("tradeoff", Fraction(5, 2)),
+]
+
+
+def counted(monkeypatch, *names):
+    """Replace each named function of `strategies` by a wrapper that counts
+    its calls; returns the counts by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapper(*args, _name=name, _original=getattr(strategies, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(strategies, name, wrapper)
+    return calls
+
+
+def reports_of_every_config(g):
+    reports = []
+    for mode, gamma in HELD_CONFIGS:
+        if gamma == int(gamma):
+            reports.append(run_combined(g, StrategyConfig(gamma=int(gamma), mode=mode)).report)
+        else:
+            reports.append(randomized_gamma(g, gamma, seed=1, mode=mode).report)
+    return reports
+
+
+def direct_facts(g, opt):
+    """(OPT, k_h, k_sharp) of a fresh copy of g, from the library's functions."""
+    copy = UncertainGraph(g.vertex_count, g.edges)
+    errors = hop_distance(copy)
+    return opt(copy).size, errors.k_h, errors.k_sharp
+
+
+@pytest.mark.parametrize("shape, opt, filler", [
+    ((6, 6, 0.9, 0.5, 3), opt_brute_force, "opt_brute_force"),
+    ((40, 40, 0.98, 0.3, 3), strategies.opt_exact, "opt_exact"),
+], ids=["brute-force", "beyond-the-cap"])
+def test_report_facts_are_computed_once_per_graph(monkeypatch, shape, opt, filler):
+    g = factory.gen_random(*shape)
+    calls = counted(monkeypatch, "opt_brute_force", "opt_exact", "hop_distance")
+    reports = reports_of_every_config(g)
+    assert calls == {"opt_brute_force": 0, "opt_exact": 0, "hop_distance": 1, filler: 1}
+    want = direct_facts(g, opt)
+    assert [(r.opt, r.k_h, r.k_sharp) for r in reports] == [want] * len(HELD_CONFIGS)
+
+
+def test_report_facts_stay_with_their_graph():
+    wrong = factory.gen_random(6, 6, 0.9, 1.0, 4)
+    right = factory.with_correct_predictions(wrong)  # same structure, other truths
+    for _ in range(2):
+        for g in (wrong, right):
+            rep = run_combined(g, StrategyConfig(gamma=2, mode="error_sensitive")).report
+            assert (rep.opt, rep.k_h, rep.k_sharp) == direct_facts(g, opt_brute_force)
+    assert direct_facts(wrong, opt_brute_force)[1:] != direct_facts(right, opt_brute_force)[1:]
+
+
+def test_report_facts_do_not_keep_a_graph_alive():
+    g = factory.gen_triangle_chain(2)
+    run_combined(g, StrategyConfig(gamma=2, mode="tradeoff"))
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
