@@ -3,7 +3,6 @@
 from .graphcore import (
     AlreadyRevealed,
     Interval,
-    LimitValue,
     NoProgress,
     ParseError,
     PreconditionViolated,
@@ -32,7 +31,7 @@ from .oracle import (
     opt_brute_force,
     prediction_mandatory_edges,
 )
-from .errormetrics import ErrorReport, hop_distance, hop_indicator
+from .errormetrics import ErrorReport, hop_distance
 from .strategies import (
     PhaseLedger,
     RunOutcome,

@@ -215,17 +215,21 @@ def _objects(value, what):
     return value
 
 
-_BENCH_KEYS = {
-    "config": ("jobs",),
-    "job": ("family", "params", "seeds", "strategies"),
-    "strategy": ("alg", "gamma", "seed"),
+# by family, the params that _family_instance reads
+_FAMILY_PARAMS = {
+    "random": ("vertices", "extra_edges", "overlap_density", "error_rate"),
+    "tradeoff-cycle": ("beta", "adversarial"),
+    "path-parallel": ("n",),
+    "triangle-chain": ("n",),
+    "vc-flip": ("n", "variant"),
+    "file": ("path",),
 }
 
 
-def _known_keys(obj, what):
-    """Reject a key of a bench config, job or strategy object that bench
-    does not read, so that a misspelled or retired key is never ignored."""
-    allowed = _BENCH_KEYS[what]
+def _known_keys(obj, what, allowed):
+    """Reject a key of a bench config, job, strategy or params object that
+    bench does not read, so that a misspelled or retired key is never
+    ignored."""
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"unknown {what} key {key!r}; expected one of {', '.join(allowed)}")
@@ -241,11 +245,9 @@ def _bench_gamma(strat, mode):
 
 
 def _bench_instances(job):
-    family = job.get("family")
     params = _field(job, "params", {}, dict, "an object")
-    seeds = _field(job, "seeds", [0], _integers, "a list of integers") if family == "random" else [0]
-    for seed in seeds:
-        yield _family_instance(family, params, seed)
+    for seed in _field(job, "seeds", [0], _integers, "a list of integers"):
+        yield _family_instance(job["family"], params, seed)
 
 
 def _cmd_bench(args) -> int:
@@ -256,18 +258,26 @@ def _cmd_bench(args) -> int:
         raise ConfigError(f"invalid config JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    _known_keys(config, "config")
+    _known_keys(config, "config", ("jobs",))
     jobs = _objects(config.get("jobs", []), "jobs")
     if not jobs:
         raise ConfigError("config lists no jobs")
     # every key is checked before the first job runs
     for job in jobs:
-        _known_keys(job, "job")
+        _known_keys(job, "job", ("family", "params", "seeds", "strategies"))
+        family = job.get("family")
+        if not isinstance(family, str) or family not in _FAMILY_PARAMS:
+            raise ConfigError(f"unknown family {family!r}")
+        _known_keys(_field(job, "params", {}, dict, "an object"), f"{family} params", _FAMILY_PARAMS[family])
+        if "seeds" in job and family != "random":
+            raise ConfigError(f"family {family} takes no seeds; only random does")
+        if not _field(job, "seeds", [0], _integers, "a list of integers"):
+            raise ConfigError("job lists no seeds")
         strategies = _objects(job.get("strategies", []), "strategies")
         if not strategies:
             raise ConfigError("job lists no strategies")
         for strat in strategies:
-            _known_keys(strat, "strategy")
+            _known_keys(strat, "strategy", ("alg", "gamma", "seed"))
     rows = []
     all_ok = True
     for job in jobs:

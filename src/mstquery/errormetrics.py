@@ -14,14 +14,8 @@ one Fenwick-tree sweep answers for every edge at once; each interval's count
 is the same with the roles swapped.  That is O((m + k#) log m) for m edges
 and k# wrong predictions.
 
-Every other relation-mismatch count (:func:`relation_mismatches` and the
-learner's loss) goes through one kernel, :class:`RelationKernel`.  The
-signature of a value, for edge e, is its relation to every other open
-interval, in ``graph.edges`` order; two values disagree on e's relations
-exactly where their signatures differ.  Callers compute one signature per
-(edge, distinct value) and compare signatures, instead of re-deriving
-relations for every pair of values.  The kernel compares positions read from
-the graph's ranking, not the values.
+A single count, for one edge and two values, is :func:`relation_mismatches`:
+the same rule on the values' positions, in one pass over the open intervals.
 """
 
 from __future__ import annotations
@@ -29,83 +23,24 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import ne
 from typing import Iterable
 
-from .graphcore import Interval, UncertainGraph
-
-LEFT, INSIDE, RIGHT = -1, 0, 1
-
-
-def relation(value: Fraction, interval: Interval) -> int:
-    """Position of a value relative to an open interval."""
-    if interval.is_trivial:
-        raise ValueError("relations are defined against open intervals only")
-    if value <= interval.low:
-        return LEFT
-    if value >= interval.high:
-        return RIGHT
-    return INSIDE
-
-
-class RelationKernel:
-    """Relation signatures against the open intervals of one graph.
-
-    Positions come from the graph's ranking (:meth:`Ranking.position`): a
-    ranked value sits at 2*rank, so every open end does too, and any other
-    value at 2i-1, with i the index of the first ranked value above it.
-    Positions compare with the ends' positions exactly as the values compare
-    with the ends, so each relation costs two integer comparisons.
-    :func:`hop_distance` does not use the kernel: it counts separating
-    intervals by bisection instead of listing relations.
-    """
-
-    def __init__(self, graph: UncertainGraph):
-        self.ranking = ranking = graph.ranking
-        # (eid, low position, high position) of every open interval
-        self.open = [
-            (e.eid, 2 * lo, 2 * hi) for e, lo, hi in zip(graph.edges, ranking.lo, ranking.hi) if lo != hi
-        ]
-
-    def others(self, eid: int) -> list[tuple[int, int, int]]:
-        """The open intervals of every edge but eid, in ``graph.edges`` order."""
-        return [t for t in self.open if t[0] != eid]
-
-    def signature(self, value: Fraction, others: list[tuple[int, int, int]]) -> list[int]:
-        """:func:`relation` of value to each interval of `others`."""
-        return self.relations(self.ranking.position(value), others)
-
-    @staticmethod
-    def relations(p: int, others: list[tuple[int, int, int]]) -> list[int]:
-        """The relations of position p to each interval of `others`.  A list,
-        not a tuple: freed short tuples stay on CPython's tuple free lists and
-        keep their memory."""
-        return [LEFT if p <= lo else RIGHT if p >= hi else INSIDE for _, lo, hi in others]
-
-
-def mismatches(sig_a: list[int], sig_b: list[int]) -> int:
-    """Number of positions where two signatures over the same intervals differ."""
-    return sum(map(ne, sig_a, sig_b))
+from .graphcore import UncertainGraph
 
 
 def relation_mismatches(graph: UncertainGraph, eid: int, value_a: Fraction, value_b: Fraction) -> int:
-    """Number of other open intervals that separate value_a from value_b."""
-    kernel = RelationKernel(graph)
-    others = kernel.others(eid)
-    return mismatches(kernel.signature(value_a, others), kernel.signature(value_b, others))
-
-
-def hop_indicator(graph: UncertainGraph, eid: int, other_eid: int) -> int:
-    """1 iff the predicted relation of edge eid's value to the other edge's
-    interval is wrong.  Point intervals admit a single relation, so they
-    contribute 0 on the interval side."""
-    if eid == other_eid:
-        raise ValueError("hop indicator needs two distinct edges")
-    other = graph.edge(other_eid)
-    if other.interval.is_trivial:
-        return 0
-    e = graph.edge(eid)
-    return int(relation(e.true_value, other.interval) != relation(e.predicted_value, other.interval))
+    """Number of open intervals of edges other than eid that separate value_a
+    from value_b.  With A <= B the values' positions
+    (:meth:`Ranking.position`), an open interval (lo, hi) separates them
+    exactly when A <= 2*lo < B or A < 2*hi <= B, the rule that
+    :func:`hop_distance` counts for every edge at once."""
+    ranking = graph.ranking
+    a, b = sorted((ranking.position(value_a), ranking.position(value_b)))
+    return sum(
+        a <= 2 * lo < b or a < 2 * hi <= b
+        for e, lo, hi in zip(graph.edges, ranking.lo, ranking.hi)
+        if lo != hi and e.eid != eid
+    )
 
 
 @dataclass(frozen=True)

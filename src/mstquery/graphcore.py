@@ -98,24 +98,17 @@ def parse_rational(value) -> Fraction:
 
 
 def _parse_integer(value, field: str) -> int:
-    """An integer field of an instance document; a float or a bool is
-    rejected, not truncated."""
-    if isinstance(value, (bool, float)):
+    """An integer field of a JSON document: a JSON integer only.  A float, a
+    bool or a string is rejected, not converted."""
+    if not _is_int(value):
         raise ParseError(f"field {field!r} must be an integer, got {value!r}")
-    return int(value)
+    return value
 
 
 def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-class LimitValue(NamedTuple):
-    """Exact weight plus infinitesimal offset; tuple order is the total order."""
-
-    base: Fraction
-    eps: int
 
 
 @dataclass(frozen=True)
@@ -153,13 +146,6 @@ class Interval:
         if other.is_trivial:
             return self.contains(other.low)
         return max(self.low, other.low) < min(self.high, other.high)
-
-    # Lexicographic (base, eps) keys realizing the L+eps / U-eps perturbations.
-    def lower_key(self) -> LimitValue:
-        return LimitValue(self.low, 0 if self.is_trivial else 1)
-
-    def upper_key(self) -> LimitValue:
-        return LimitValue(self.high, 0 if self.is_trivial else -1)
 
 
 def _compare(a: tuple[int, int], b: tuple[int, int]) -> int:

@@ -15,9 +15,9 @@ where the sweep crosses one of that interval's ends, and every candidate
 lies strictly inside e's interval, so only the ends strictly inside it
 matter: an interval with no such end keeps one relation to every candidate
 and adds the same loss to each (e's own interval among them).  At each such
-end r, the intervals whose high end is r turn from INSIDE to RIGHT before
-candidate 2r is scored, and those whose low end is r turn from LEFT to
-INSIDE before gap 2r+1 is scored.  Each turn adds the weight of the drawn
+end r, the intervals whose high end is r turn from inside to right before
+candidate 2r is scored, and those whose low end is r turn from left to
+inside before gap 2r+1 is scored.  Each turn adds the weight of the drawn
 values that agree with the new relation and takes away the weight of those
 that agreed with the old one, so the score is the agreement up to a
 constant per edge.  The best score wins on strict improvement only, so ties
@@ -28,9 +28,8 @@ and place it with :meth:`Ranking.place`, by integer cross-multiplication,
 so the learner neither hashes nor compares a Fraction; the sampler checks
 its mixtures and draws the same way (:class:`RealizationSampler`).
 
-Expected losses come from the relation-signature kernel of
-:mod:`.errormetrics`: a candidate's loss is the weighted sum of its
-signature's mismatches with the signature of each mixture value.
+A candidate's expected loss is the weighted sum, over its edge's mixture,
+of :func:`~.errormetrics.relation_mismatches` with each mixture value.
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Mapping, Optional
 
-from .errormetrics import RelationKernel, mismatches
-from .graphcore import ParseError, Ranking, UncertainGraph, ValidationError, format_rational, parse_rational, unique_keys
+from .errormetrics import relation_mismatches
+from .graphcore import ParseError, Ranking, UncertainGraph, ValidationError, _parse_integer, format_rational, parse_rational, unique_keys
 
 
 @dataclass(frozen=True)
@@ -151,9 +150,7 @@ class RealizationSampler:
                 if not isinstance(weights, list):
                     raise TypeError(f"weights must be a list, got {weights!r}")
                 values = [parse_rational(v) for v in values]
-                if any(isinstance(w, (bool, float)) for w in weights):
-                    raise TypeError(f"weights must be integers, got {weights}")
-                weights = [int(w) for w in weights]
+                weights = [_parse_integer(w, "weights") for w in weights]
                 eid = int(key)
             except KeyError as exc:
                 raise ParseError(f"edge {key}: mixture lacks {exc}") from exc
@@ -161,6 +158,8 @@ class RealizationSampler:
                 raise ParseError(f"edge {key}: malformed mixture: {exc}") from exc
             if eid in keys:
                 raise ParseError(f"edge {eid}: two mixtures, keyed {keys[eid]!r} and {key!r}")
+            if str(eid) != key:
+                raise ParseError(f"edge key {key!r} is not the decimal form of an edge id")
             keys[eid] = key
             mixtures[eid] = (values, weights)
         return cls(graph, mixtures, seed=seed)
@@ -209,12 +208,12 @@ def _sweep(graph: UncertainGraph, weighted: Mapping[int, Iterable[tuple[tuple[in
         for k in range(1, len(cuts) - 1):
             r = cuts[k]
             below = acc[bisect_left(at, 2 * r)]
-            for a in stops[r]:  # INSIDE -> RIGHT: + right - inside
+            for a in stops[r]:  # inside -> right: + right - inside
                 score += total - 2 * below + acc[bisect_right(at, 2 * a)]
             if score > top:
                 top, win = score, (r, r)
             upto = acc[bisect_right(at, 2 * r)]
-            for b in starts[r]:  # LEFT -> INSIDE: + inside - left
+            for b in starts[r]:  # left -> inside: + inside - left
                 score += acc[bisect_left(at, 2 * b)] - 2 * upto
             if score > top:
                 top, win = score, (r, cuts[k + 1])
@@ -235,23 +234,15 @@ def erm_train(graph: UncertainGraph, sampler: RealizationSampler, m: int) -> dic
     return _sweep(graph, {e.eid: Counter(_pairs(s[e.eid] for s in samples)).items() for e in graph.edges})
 
 
-def _expected_loss(kernel: RelationKernel, sampler: RealizationSampler, eid: int, candidate: Fraction) -> Fraction:
-    """Exact expected hop loss of candidate under eid's mixture."""
-    others = kernel.others(eid)
+def expected_edge_loss(graph: UncertainGraph, sampler: RealizationSampler, eid: int, candidate: Fraction) -> Fraction:
+    """Exact expectation of the per-edge hop loss under the sampler's mixture."""
     values, weights = sampler.mixtures[eid]
-    sig = kernel.signature(candidate, others)
-    loss = sum(w * mismatches(kernel.signature(v, others), sig) for v, w in zip(values, weights))
+    loss = sum(w * relation_mismatches(graph, eid, v, candidate) for v, w in zip(values, weights))
     return Fraction(loss, sum(weights))
 
 
-def expected_edge_loss(graph: UncertainGraph, sampler: RealizationSampler, eid: int, candidate: Fraction) -> Fraction:
-    """Exact expectation of the per-edge hop loss under the sampler's mixture."""
-    return _expected_loss(RelationKernel(graph), sampler, eid, candidate)
-
-
 def expected_hop_loss(graph: UncertainGraph, sampler: RealizationSampler, predictions: Mapping[int, Fraction]) -> Fraction:
-    kernel = RelationKernel(graph)
-    return sum((_expected_loss(kernel, sampler, e.eid, predictions[e.eid]) for e in graph.edges), Fraction(0))
+    return sum((expected_edge_loss(graph, sampler, e.eid, predictions[e.eid]) for e in graph.edges), Fraction(0))
 
 
 def grid_optimal(graph: UncertainGraph, sampler: RealizationSampler) -> dict[int, Fraction]:

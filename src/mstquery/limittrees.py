@@ -14,8 +14,8 @@ ties, and eps only breaks ties between equal bases, so the ints order
 exactly as the pairs do; a low or high end compares as its rank.  The
 session stores these keys (``run.lower``/``run.upper``, by edge id) and
 the endpoint table, so Kruskal reads both without building a per-call map.
-The `Interval` keys ``Interval.lower_key``/``upper_key`` stay the exact
-definition that the tests hold the ints to.
+The tests hold the ints to the exact (base, eps) pairs on the values,
+defined in ``tests/cases.py``.
 
 Cycles and cuts come from the tree's path index (:func:`_path_index`): the
 tree path of every non-tree edge f, which with f is its cycle, and for

@@ -1,14 +1,54 @@
-"""Test instances, seeded corpora and full-scan references shared by several
-test modules."""
+"""Test instances, seeded corpora, full-scan references and the value-level
+definitions shared by several test modules."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 from mstquery import factory
 from mstquery.graphcore import Interval, PreconditionViolated, QueryRun, UncertainEdge, UncertainGraph
 from mstquery.limittrees import _kruskal, _path_index, _tree_adjacency, _tree_path
+
+
+# -- definitions on the values: the references the rank forms are held to ----
+
+LEFT, INSIDE, RIGHT = -1, 0, 1
+
+
+def relation(value: Fraction, interval: Interval) -> int:
+    """Position of a value relative to an open interval."""
+    if interval.is_trivial:
+        raise ValueError("relations are defined against open intervals only")
+    if value <= interval.low:
+        return LEFT
+    if value >= interval.high:
+        return RIGHT
+    return INSIDE
+
+
+def signature(graph: UncertainGraph, eid: int, value: Fraction) -> list[int]:
+    """`relation` of value to the open interval of every edge but eid, in
+    ``graph.edges`` order: two values disagree on eid's relations exactly
+    where their signatures differ."""
+    return [relation(value, e.interval) for e in graph.edges if e.eid != eid and not e.interval.is_trivial]
+
+
+class LimitValue(NamedTuple):
+    """Exact weight plus infinitesimal offset; tuple order is the total order."""
+
+    base: Fraction
+    eps: int
+
+
+# Lexicographic (base, eps) keys realizing the L+eps / U-eps perturbations.
+def lower_key(interval: Interval) -> LimitValue:
+    return LimitValue(interval.low, 0 if interval.is_trivial else 1)
+
+
+def upper_key(interval: Interval) -> LimitValue:
+    return LimitValue(interval.high, 0 if interval.is_trivial else -1)
 
 
 CORPUS_SIZE = 500

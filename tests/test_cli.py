@@ -297,6 +297,10 @@ _TRIANGLE_JOB = {"family": "triangle-chain", "params": {"n": 1}, "strategies": [
         ({"jobs": [dict(_TRIANGLE_JOB, params={})]}, "triangle-chain needs parameter 'n'"),
         ({"jobs": [dict(_TRIANGLE_JOB, family="random", params={"vertices": "a"})]}, "wrong type"),
         ({"jobs": [dict(_TRIANGLE_JOB, params={"n": 0})]}, "n must be at least 1"),
+        # seeds only on the random family, and never none
+        ({"jobs": [dict(_TRIANGLE_JOB, seeds=[1, 2, 3])]}, "family triangle-chain takes no seeds; only random does"),
+        ({"jobs": [dict(_TRIANGLE_JOB, family="random", params={}, seeds=[])]}, "job lists no seeds"),
+        ({"jobs": [dict(_TRIANGLE_JOB, family="triangle")]}, "unknown family 'triangle'"),
     ],
 )
 def test_malformed_bench_config_is_one_error_line(tmp_path, config, text):
@@ -336,6 +340,11 @@ def test_bench_integer_fields_reject_floats_bools_and_strings(tmp_path, config, 
         # a later job's strategy
         ({"jobs": [_TRIANGLE_JOB, dict(_TRIANGLE_JOB, strategies=[{"alg": "baseline", "oracle_cap": 3}])]},
          "unknown strategy key 'oracle_cap'; expected one of alg, gamma, seed"),
+        # a params key its family does not read
+        ({"jobs": [dict(_TRIANGLE_JOB, family="random", params={"extra_edge": 10})]},
+         "unknown random params key 'extra_edge'; expected one of vertices, extra_edges, overlap_density, error_rate"),
+        ({"jobs": [dict(_TRIANGLE_JOB, family="path-parallel", params={"n": 2, "beta": 3})]},
+         "unknown path-parallel params key 'beta'; expected one of n"),
     ],
 )
 def test_bench_rejects_unknown_keys(tmp_path, config, text):

@@ -3,11 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cases import kernel_case, tied_case
+from cases import INSIDE, LEFT, RIGHT, kernel_case, relation, tied_case
 from mstquery import factory
-from mstquery.errormetrics import (
-    LEFT, INSIDE, RIGHT, ErrorReport, hop_distance, hop_indicator, relation, relation_mismatches,
-)
+from mstquery.errormetrics import ErrorReport, hop_distance, relation_mismatches
 from mstquery.graphcore import Interval, UncertainEdge, UncertainGraph
 from mstquery.oracle import mandatory_edges, prediction_mandatory_edges
 
@@ -27,10 +25,11 @@ def test_demo_hop_cycle_per_edge_counts():
     assert [report.jo[i] for i in range(4)] == [2, 3, 0, 0]
     assert [report.oj[i] for i in range(4)] == [1, 1, 2, 1]
     assert report.k_h == 5
-    assert hop_indicator(g, 0, 1) == 1
-    assert hop_indicator(g, 0, 3) == 0
-    with pytest.raises(ValueError):
-        hop_indicator(g, 0, 0)
+    # edge 0's prediction gets its relation to edge 1's interval wrong, and
+    # its relation to edge 3's right
+    e0 = g.edge(0)
+    assert relation(e0.true_value, g.edge(1).interval) != relation(e0.predicted_value, g.edge(1).interval)
+    assert relation(e0.true_value, g.edge(3).interval) == relation(e0.predicted_value, g.edge(3).interval)
 
 
 def test_perfect_predictions_have_zero_error():
@@ -59,7 +58,8 @@ def test_point_intervals_contribute_nothing():
         UncertainEdge(2, 0, 2, Interval.open(0, 2), Fraction(1), Fraction(1)),
     ]
     g = UncertainGraph(3, edges)
-    assert hop_indicator(g, 0, 1) == 0
+    # the point 1 lies between edge 0's truth and prediction, and counts for nothing
+    assert relation_mismatches(g, 0, Fraction(1, 2), Fraction(3, 2)) == 0
     # edge 0's wrong value flips no relation: both sides are inside (0, 2)
     assert hop_distance(g).k_h == 0
 

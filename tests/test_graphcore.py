@@ -156,7 +156,11 @@ def test_malformed_instance_document_is_a_parse_error(change):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("vertices", 4.5), ("vertices", 4.0), ("vertices", True), ("id", 1.9), ("id", 0.0), ("id", False), ("u", 0.5), ("v", True)],
+    [
+        ("vertices", 4.5), ("vertices", 4.0), ("vertices", True), ("id", 1.9), ("id", 0.0), ("id", False), ("u", 0.5), ("v", True),
+        # a string is not read as the integer it spells
+        ("vertices", "3"), ("id", "0"), ("u", " 1 "),
+    ],
 )
 def test_non_integral_numbers_are_a_parse_error_naming_the_field(field, value):
     doc = factory.demo_hop_cycle().to_dict()

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cases import kernel_case
+from cases import kernel_case, relation
 from mstquery import factory
 from mstquery.graphcore import Interval, ParseError, UncertainEdge, UncertainGraph, ValidationError
 from mstquery.learner import (
@@ -16,7 +16,7 @@ from mstquery.learner import (
     grid_optimal,
     predictions_to_json,
 )
-from mstquery.errormetrics import hop_distance, relation, relation_mismatches
+from mstquery.errormetrics import hop_distance, relation_mismatches
 
 
 def triangle():
@@ -180,6 +180,11 @@ def test_predictions_serialize():
         {"0": {"values": ["1/2", "y"]}},               # value is not a rational
         {"0": ["1/2"]},                                # spec is not an object
         {"0": {"values": ["1/2"]}, "00": {"values": ["1/3"]}},  # two keys name edge 0
+        {"0": {"values": ["1/2"], "weights": ["3"]}},  # weight is a string
+        {"0": {"values": ["1/2"], "weights": [" 3 "]}},
+        {"1_0": {"values": ["1/2"]}},                  # edge key is not the decimal form of an id
+        {" 1": {"values": ["1/2"]}},
+        {"01": {"values": ["1/2"]}},
     ],
 )
 def test_sampler_from_json_rejects_malformed_mixture(spec):
@@ -204,7 +209,7 @@ def test_sampler_from_json_rejects_non_object_edges():
         RealizationSampler.from_json(triangle(), json.dumps({"edges": ["1/2"]}))
 
 
-# -- the relation-signature kernel against the pairwise loop ------------------
+# -- the relation-mismatch count against the pairwise loop -------------------
 
 
 def _pairwise_loss(graph, eid, a, b):

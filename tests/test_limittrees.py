@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from cases import ERROR_RATES, build_corpus, kernel_case
+from cases import ERROR_RATES, build_corpus, kernel_case, lower_key, upper_key
 from mstquery import factory, limittrees, strategies
 from mstquery.graphcore import Interval, QueryRun, UncertainEdge, UncertainGraph
 from mstquery.limittrees import (
@@ -104,7 +104,7 @@ def test_disjoint_intervals_give_classical_mst():
 def test_limit_trees_match_enumeration_oracle(seed):
     g = factory.gen_random(5, 3, 0.9, 0.3, seed=seed)
     run = QueryRun(g)
-    for key_fn, tree_fn in ((Interval.lower_key, lower_limit_tree), (Interval.upper_key, upper_limit_tree)):
+    for key_fn, tree_fn in ((lower_key, lower_limit_tree), (upper_key, upper_limit_tree)):
         tree = tree_fn(run)
         assert tree_weight(run, tree, key_fn) == brute_force_min_tree_weight(run, key_fn)
 
@@ -397,8 +397,8 @@ def assert_ranks_match_values(run, table):
     lower, upper = run.lower, run.upper
     ids = run.present_ids()
     iv = {e: run.interval(e) for e in ids}
-    exact_lower = {e: iv[e].lower_key() for e in ids}
-    exact_upper = {e: iv[e].upper_key() for e in ids}
+    exact_lower = {e: lower_key(iv[e]) for e in ids}
+    exact_upper = {e: upper_key(iv[e]) for e in ids}
     points = {}  # edge -> (rank, exact value) of its ends, prediction and table entry
     for e in ids:
         assert (lo[e] == hi[e]) == iv[e].is_trivial == run.is_trivial(e)

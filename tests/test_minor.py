@@ -4,14 +4,14 @@ The session stores each edge's current endpoints, each vertex's present
 edges and each edge's two int limit keys, and updates them move by move.
 These tests hold the stored state to an independent model after every
 move: a union-find replay of the contractions for the endpoints and the
-self-loops a contraction leaves, and the exact `Interval` keys for the
+self-loops a contraction leaves, and the exact (base, eps) keys for the
 limit keys.
 """
 
 import random
 from fractions import Fraction
 
-from cases import ERROR_RATES, build_corpus, kernel_case
+from cases import ERROR_RATES, build_corpus, kernel_case, lower_key, upper_key
 from mstquery import factory, strategies
 from mstquery.graphcore import Interval, QueryRun, UncertainEdge, UncertainGraph
 from mstquery.limittrees import ensure_unique_limit_trees, lower_limit_tree
@@ -55,8 +55,8 @@ def assert_minor_matches(run, parent):
         else:
             assert run._incident[v] is None
     lower, upper = run.lower, run.upper
-    exact_lower = {e: run.interval(e).lower_key() for e in ids}
-    exact_upper = {e: run.interval(e).upper_key() for e in ids}
+    exact_lower = {e: lower_key(run.interval(e)) for e in ids}
+    exact_upper = {e: upper_key(run.interval(e)) for e in ids}
     for e in ids:
         for f in ids:
             assert sign(lower[e], lower[f]) == sign(exact_lower[e], exact_lower[f])

@@ -1,13 +1,14 @@
-"""The rank forms of the hop kernel, the candidate grid and the strategies'
-observed-error check, held to their definitions on the values."""
+"""The rank forms of the relation-mismatch count, the candidate grid and the
+strategies' observed-error check, held to their definitions on the values."""
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from operator import ne
 
 import pytest
-from cases import ERROR_RATES, build_corpus, kernel_case
+from cases import ERROR_RATES, build_corpus, kernel_case, relation, signature
 from mstquery import factory, strategies
-from mstquery.errormetrics import ErrorReport, RelationKernel, hop_distance, relation
+from mstquery.errormetrics import ErrorReport, hop_distance, relation_mismatches
 from mstquery.graphcore import QueryRun, UncertainEdge, UncertainGraph
 from mstquery.learner import discretize
 from mstquery.oracle import DEFAULT_CAP, is_feasible, mandatory_edges, opt_brute_force, sampled_tree_validation
@@ -80,7 +81,7 @@ def test_observed_error_matches_relations_after_reveals_on_other_ends():
     assert min(outcomes.values()) > 200
 
 
-def test_kernel_signature_matches_relation_off_the_open_ends():
+def test_relation_mismatches_match_relation_off_the_open_ends():
     ranked_checked = unranked_checked = 0
     for seed in SEEDS:
         g, _ = kernel_case(seed)
@@ -94,12 +95,13 @@ def test_kernel_signature_matches_relation_off_the_open_ends():
         vs = ranking.values
         unranked = [vs[0] - 1, vs[-1] + 1] + [(a + b) / 2 for a, b in zip(vs, vs[1:])]
         assert not set(unranked) & set(vs)
-        kernel = RelationKernel(g)
+        values = ranked + unranked
         for e in g.edges:
-            others = kernel.others(e.eid)
-            intervals = [g.edge(o).interval for o, _, _ in others]
-            for v in ranked + unranked:
-                assert kernel.signature(v, others) == [relation(v, iv) for iv in intervals], (seed, e.eid, v)
+            sig = {v: signature(g, e.eid, v) for v in values + [e.predicted_value]}
+            # each value against the edge's prediction, and against the value before it
+            for v, w in zip(values + values, [e.predicted_value] * len(values) + values[-1:] + values[:-1]):
+                expected = sum(map(ne, sig[v], sig[w]))
+                assert relation_mismatches(g, e.eid, v, w) == expected, (seed, e.eid, v, w)
         ranked_checked += len(ranked)
         unranked_checked += len(unranked)
     assert ranked_checked > 500 and unranked_checked > 1000

@@ -3,11 +3,11 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import ne
 
 import pytest
 
-from cases import kernel_case
-from mstquery.errormetrics import RelationKernel, mismatches
+from cases import kernel_case, signature
 from mstquery.graphcore import Interval, UncertainEdge, UncertainGraph, ValidationError
 from mstquery.learner import RealizationSampler, discretize, erm_train, grid_optimal
 
@@ -16,7 +16,7 @@ from mstquery.learner import RealizationSampler, discretize, erm_train, grid_opt
 
 
 def _weighted_loss(weighted, sig):
-    return sum(w * mismatches(s, sig) for s, w in weighted)
+    return sum(w * sum(map(ne, s, sig)) for s, w in weighted)
 
 
 def _reference_erm(graph, sampler, m):
@@ -24,14 +24,12 @@ def _reference_erm(graph, sampler, m):
     distinct draw's, the first of the least loss kept."""
     grid = discretize(graph)
     samples = [sampler.sample() for _ in range(m)]
-    kernel = RelationKernel(graph)
     learned = {}
     for e in graph.edges:
-        others = kernel.others(e.eid)
-        draws = [(kernel.signature(v, others), n) for v, n in Counter(s[e.eid] for s in samples).items()]
+        draws = [(signature(graph, e.eid, v), n) for v, n in Counter(s[e.eid] for s in samples).items()]
         best = best_loss = None
         for candidate in grid.candidates(e.eid):
-            loss = _weighted_loss(draws, kernel.signature(candidate, others))
+            loss = _weighted_loss(draws, signature(graph, e.eid, candidate))
             if best_loss is None or loss < best_loss:
                 best, best_loss = candidate, loss
         learned[e.eid] = best
@@ -41,15 +39,13 @@ def _reference_erm(graph, sampler, m):
 def _reference_grid_optimal(graph, sampler):
     """The grid candidate of least exact expected loss, the smallest on ties."""
     grid = discretize(graph)
-    kernel = RelationKernel(graph)
     best = {}
     for e in graph.edges:
-        others = kernel.others(e.eid)
         values, weights = sampler.mixtures[e.eid]
-        mixture = [(kernel.signature(v, others), w) for v, w in zip(values, weights)]
+        mixture = [(signature(graph, e.eid, v), w) for v, w in zip(values, weights)]
         total = sum(weights)
         candidates = grid.candidates(e.eid)
-        losses = [Fraction(_weighted_loss(mixture, kernel.signature(c, others)), total) for c in candidates]
+        losses = [Fraction(_weighted_loss(mixture, signature(graph, e.eid, c)), total) for c in candidates]
         best[e.eid] = min(zip(losses, candidates))[1]
     return best
 
