@@ -262,7 +262,9 @@ def _cmd_bench(args) -> int:
     jobs = _objects(config.get("jobs", []), "jobs")
     if not jobs:
         raise ConfigError("config lists no jobs")
-    # every key is checked before the first job runs
+    # every key and value is checked, and every instance built, before the
+    # first job runs
+    plan = []
     for job in jobs:
         _known_keys(job, "job", ("family", "params", "seeds", "strategies"))
         family = job.get("family")
@@ -276,19 +278,20 @@ def _cmd_bench(args) -> int:
         strategies = _objects(job.get("strategies", []), "strategies")
         if not strategies:
             raise ConfigError("job lists no strategies")
+        runs = []
         for strat in strategies:
             _known_keys(strat, "strategy", ("alg", "gamma", "seed"))
+            alg = strat.get("alg")
+            if not isinstance(alg, str) or alg not in _MODE_BY_FLAG:
+                raise ConfigError(f"unknown strategy {alg!r}")
+            mode = _MODE_BY_FLAG[alg]
+            runs.append((mode, _bench_gamma(strat, mode), _field(strat, "seed", 0, int, "an integer")))
+        plan.append((list(_bench_instances(job)), runs))
     rows = []
     all_ok = True
-    for job in jobs:
-        for label, graph in _bench_instances(job):
-            for strat in job["strategies"]:
-                alg = strat.get("alg")
-                if not isinstance(alg, str) or alg not in _MODE_BY_FLAG:
-                    raise ConfigError(f"unknown strategy {alg!r}")
-                mode = _MODE_BY_FLAG[alg]
-                gamma = _bench_gamma(strat, mode)
-                seed = _field(strat, "seed", 0, int, "an integer")
+    for instances, runs in plan:
+        for label, graph in instances:
+            for mode, gamma, seed in runs:
                 outcome = _run_strategy(graph, mode, gamma, seed, label)
                 record = outcome.report.to_dict()
                 record["status"] = "ok" if outcome.report.bounds_hold() else "bound-violated"

@@ -20,7 +20,7 @@ defined in ``tests/cases.py``.
 Cycles and cuts come from the tree's path index (:func:`_path_index`): the
 tree path of every non-tree edge f, which with f is its cycle, and for
 every tree edge l the non-tree edges whose path covers it, which with l are
-its cut.  :class:`LimitTrees` hands strategies a copy of exactly these.
+its cut.  :class:`LimitTrees` hands strategies a view of exactly these.
 
 The session holds the path index of the lower limit tree with its
 blocking-pair counts (:class:`_Tally`), or nothing, valid at a length of the
@@ -53,9 +53,11 @@ applied to the held state, each in O(the paths it changes) time:
 
 Deleting a tree edge or contracting a non-tree edge drops the held state
 too, and the next read rebuilds it with Kruskal and :func:`_path_index`.
-Readers get copies; the held index stays private to this module.
-The keys a held tree was built on change only by a reveal; a fork gets a
-new transcript and starts with nothing held.
+Readers get a read-only view of the held index (:class:`LimitTrees`):
+a view, valid until the session's next move; do not mutate or keep it.
+The functions that return a tree as a set return a copy.  The keys a held
+tree was built on change only by a reveal; a fork gets a new transcript
+and starts with nothing held.
 
 The counts cover every pair (f, e) of a non-tree edge f and a tree edge e
 on its path: the bad pairs, high(e) > low(f), and the pairs behind each
@@ -91,7 +93,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import NamedTuple, Optional
+from types import MappingProxyType
+from typing import AbstractSet, Mapping, NamedTuple, Optional
 
 from .graphcore import PreconditionViolated, QueryRun, find, kruskal, rounds
 
@@ -536,13 +539,14 @@ def _held_lower(run: QueryRun) -> _Held:
 @dataclass
 class LimitTrees:
     """Normal form of an instance with unique coinciding limit trees: a
-    copy of the held tree and its path index.  Non-tree edge f's cycle is
-    f and paths[f]; tree edge l's cut is l and covers[l]."""
+    read-only view of the held tree and its path index, valid until the
+    session's next move; do not mutate or keep it.  Non-tree edge f's cycle
+    is f and paths[f]; tree edge l's cut is l and covers[l]."""
 
-    tree: set[int]                      # the common lower = upper limit tree
+    tree: AbstractSet[int]              # the common lower = upper limit tree
     nontree_order: list[int]            # non-tree edges by non-decreasing lower limit
-    paths: dict[int, list[int]]         # non-tree edge -> its tree path
-    covers: dict[int, set[int]]         # tree edge -> non-tree edges across its cut
+    paths: Mapping[int, list[int]]      # non-tree edge -> its tree path
+    covers: Mapping[int, set[int]]      # tree edge -> non-tree edges across its cut
 
 
 def _uniqueness_gap(run: QueryRun, index: PathIndex):
@@ -593,11 +597,15 @@ def limit_trees_unique(run: QueryRun) -> bool:
 
 
 def _normal_form(run: QueryRun, index: PathIndex) -> LimitTrees:
+    """Read-only views of the held `index`; nothing is copied."""
     lower = run.lower
     nontree = sorted(index.paths, key=lambda e: (lower[e], e))
-    paths = {f: list(path) for f, path in index.paths.items()}
-    covers = {l: set(cover) for l, cover in index.covers.items()}
-    return LimitTrees(tree=set(covers), nontree_order=nontree, paths=paths, covers=covers)
+    return LimitTrees(
+        tree=index.covers.keys(),
+        nontree_order=nontree,
+        paths=MappingProxyType(index.paths),
+        covers=MappingProxyType(index.covers),
+    )
 
 
 def compute_limit_trees(run: QueryRun) -> LimitTrees:

@@ -66,13 +66,14 @@ def _pred_rank(run: QueryRun, eid: int) -> int:
 def cycle_pred_mandatory_free(run: QueryRun, trees: LimitTrees, f: int) -> bool:
     """Cycle condition: the closing edge is predicted to dominate every cycle
     edge, and every cycle edge is predicted to stay below the closing edge.
-    Compared on ranks: a known value, else the prediction."""
-    lo, hi = run.lo, run.hi
-    f_pred = _pred_rank(run, f)
+    Compared on ranks: a known value, else the prediction (as
+    :func:`_pred_rank`, inlined)."""
+    lo, hi, pred = run.lo, run.hi, run.pred
+    lo_f = lo[f]
+    f_pred = lo_f if lo_f == hi[f] else pred[f]
     for e in trees.paths[f]:
-        if f_pred < hi[e]:
-            return False
-        if _pred_rank(run, e) > lo[f]:
+        lo_e, hi_e = lo[e], hi[e]
+        if f_pred < hi_e or (lo_e if lo_e == hi_e else pred[e]) > lo_f:
             return False
     return True
 
@@ -156,14 +157,24 @@ class VertexCoverInstance:
 
 
 def _vc_structure(run: QueryRun, trees: LimitTrees) -> tuple[list[int], list[int], dict[int, list[int]]]:
-    left = [l for l in sorted(trees.tree) if not run.is_trivial(l)]
-    right = [f for f in sorted(trees.nontree_order) if not run.is_trivial(f)]
+    """The open tree edges, the open non-tree edges and, by open tree edge,
+    the open non-tree edges whose cycle holds it and whose interval meets
+    its own, ascending as `right` does.
+
+    Compared on ranks, and on the lower limit tree: an edge e on the path
+    of f has a lower key at most f's, so lo[e] <= lo[f] if e is open and
+    hi[e] <= lo[f] if it is a point.  So e is open and its interval meets
+    the open one of f exactly when lo[f] < hi[e]."""
+    lo, hi, paths = run.lo, run.hi, trees.paths
+    left = [l for l in sorted(trees.tree) if lo[l] != hi[l]]
+    right = [f for f in sorted(trees.nontree_order) if lo[f] != hi[f]]
     adjacency: dict[int, list[int]] = {l: [] for l in left}
     for f in right:
-        for e in trees.paths[f]:
-            if not run.is_trivial(e) and run.intersects(e, f):
+        lo_f = lo[f]
+        for e in paths[f]:
+            if lo_f < hi[e]:
                 adjacency[e].append(f)
-    return left, right, {l: sorted(v) for l, v in adjacency.items()}
+    return left, right, adjacency
 
 
 def build_vc_instance(run: QueryRun, trees: Optional[LimitTrees] = None) -> VertexCoverInstance:
@@ -292,7 +303,8 @@ def _resolve_offending_cycle(run: QueryRun, trees: LimitTrees, f: int, ledger: P
         return Interval(lo[eid], hi[eid])
 
     f_pred = _pred_rank(run, f)
-    cycle_rest = trees.paths[f]
+    # `trees` is a view that the first reveal ends: copy what is read after
+    cycle_rest = list(trees.paths[f])
     l = min(cycle_rest, key=lambda e: (-hi[e], e))
     group: list[int] = []
     ledger.case_groups.append(group)
@@ -314,9 +326,10 @@ def _resolve_offending_cycle(run: QueryRun, trees: LimitTrees, f: int, ledger: P
         others = [e for e in cycle_rest if e != l]
         if any(snap(e).intersects(snap(f)) for e in others):
             third = min(others, key=lambda e: (-hi[e], e))
+            l_covers = list(trees.covers[l])
             values = reveal_pair(f, l)
             if snap(l).contains(values[f]) and all(
-                not snap(x).contains(values[l]) for x in trees.covers[l]
+                not snap(x).contains(values[l]) for x in l_covers
             ):
                 reveal(third)
         else:

@@ -51,6 +51,33 @@ def upper_key(interval: Interval) -> LimitValue:
     return LimitValue(interval.high, 0 if interval.is_trivial else -1)
 
 
+def vc_structure(run, trees):
+    """`strategies._vc_structure` on the intervals: the open tree edges, the
+    open non-tree edges, and by open tree edge l the open non-tree edges f,
+    ascending, whose cycle holds l and whose interval intersects l's."""
+    interval = {e: run.interval(e) for e in run.present_ids()}
+    left = sorted(l for l in trees.tree if not interval[l].is_trivial)
+    right = sorted(f for f in trees.paths if not interval[f].is_trivial)
+    adjacency = {
+        l: [f for f in right if l in trees.paths[f] and interval[l].intersects(interval[f])] for l in left
+    }
+    return left, right, adjacency
+
+
+def cycle_pred_free(run, trees, f):
+    """`strategies.cycle_pred_mandatory_free` on the values, a known value
+    standing for its own prediction: f's predicted value is at or above the
+    upper end of every edge on its cycle, and the predicted value of each of
+    them is at or below f's lower end."""
+
+    def predicted(e):
+        iv = run.interval(e)
+        return iv.low if iv.is_trivial else run.predicted(e)
+
+    f_low = run.interval(f).low
+    return all(predicted(f) >= run.interval(e).high and predicted(e) <= f_low for e in trees.paths[f])
+
+
 CORPUS_SIZE = 500
 ERROR_RATES = (0.0, 0.2, 0.5, 1.0)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mstquery import factory
+from mstquery import cli, factory
 from mstquery.cli import main
 from mstquery.oracle import DEFAULT_CAP, opt_brute_force
 
@@ -351,6 +351,31 @@ def test_bench_rejects_unknown_keys(tmp_path, config, text):
     cfg = tmp_path / "bench.json"
     cfg.write_text(json.dumps(config))
     _assert_one_error_line(_run_cli("bench", "--config", str(cfg)), text)
+
+
+@pytest.mark.parametrize(
+    "job, text",
+    [
+        (dict(_TRIANGLE_JOB, strategies=[{"alg": "errorsensitive"}]), "unknown strategy 'errorsensitive'"),
+        (dict(_TRIANGLE_JOB, strategies=[{"alg": "tradeoff", "gamma": "3/2"}]), "gamma must be at least 2, got 3/2"),
+        (dict(_TRIANGLE_JOB, strategies=[{"alg": "baseline", "seed": "x"}]), "seed must be an integer, got 'x'"),
+        (dict(_TRIANGLE_JOB, params={"n": 0}), "n must be at least 1"),
+    ],
+)
+def test_a_later_job_is_checked_before_the_first_one_runs(tmp_path, monkeypatch, capsys, job, text):
+    # a strategy's alg, gamma and seed, and a family parameter's value, are
+    # checked with every key, before any job runs
+    def unreachable(*args):
+        raise AssertionError("a job ran before every job was checked")
+
+    monkeypatch.setattr(cli, "_run_strategy", unreachable)
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"jobs": [_TRIANGLE_JOB, job]}))
+    assert main(["bench", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert text in captured.err
 
 
 @pytest.mark.parametrize("gamma", [2.5, 2.0, True])

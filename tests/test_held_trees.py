@@ -7,9 +7,10 @@ a read.  These tests hold that state to the from-scratch reference,
 recount of every pair, after every move of live strategy runs, at every
 read, after batched reveals, after moves that must drop the held state,
 across forks, and against callers that keep or change a tree they were
-handed.  The verdicts read from the counts are held to the full scans of
-`cases`.  The upper limit tree is not held; the "differ" verdict stands in
-for comparing it with the lower tree, and is held to that comparison too.
+handed as a set, or read the read-only view that a `LimitTrees` is.  The
+verdicts read from the counts are held to the full scans of `cases`.  The
+upper limit tree is not held; the "differ" verdict stands in for comparing
+it with the lower tree, and is held to that comparison too.
 """
 
 import random
@@ -483,22 +484,23 @@ def test_moves_in_a_fork_leave_the_held_trees_of_the_parent_correct():
 # -- trees handed to callers ---------------------------------------------------
 
 
+def handed_graphs():
+    """The corpus and kernel cases the trees handed to callers are checked on."""
+    graphs = [g for rate in ERROR_RATES for g in build_corpus(rate, 70)]
+    return graphs + [kernel_case(seed)[0] for seed in range(100)]
+
+
 def test_returned_trees_are_copies_of_the_held_state():
-    checked = checked_index = 0
-    graphs = [g for rate in ERROR_RATES for g in build_corpus(rate, 40)]
-    graphs += [kernel_case(seed)[0] for seed in range(60)]
-    for g in graphs:
+    # the functions that return a tree as a set return a copy; a LimitTrees
+    # is a view instead (below), so its tree is not kept here
+    checked = 0
+    for g in handed_graphs():
         run = QueryRun(g)
         kept = []  # (tree a caller was handed, its contents then)
-        kept_index = []  # (LimitTrees a caller was handed, its paths and covers then)
         while True:
-            trees = [unique_limit_trees(run), compute_limit_trees(run)]
-            handed = [
-                *(t.tree for t in trees),
-                lower_limit_tree(run),
-                upper_limit_tree(run),
-                reduce_verified(run),
-            ]
+            unique_limit_trees(run)
+            compute_limit_trees(run)
+            handed = [lower_limit_tree(run), upper_limit_tree(run), reduce_verified(run)]
             solved = is_solved(run)
             if solved is not None:
                 handed.append(solved)
@@ -506,25 +508,45 @@ def test_returned_trees_are_copies_of_the_held_state():
             for tree, contents in kept:
                 assert tree == contents
                 checked += 1
-            for t, contents in kept_index:
-                assert paths_and_covers(t) == contents
-                checked_index += 1
             kept += [(tree, set(tree)) for tree in handed]
-            kept_index += [(t, paths_and_covers(t)) for t in trees]
             # a caller that changes what it was handed changes nothing held
-            changed = [lower_limit_tree(run), upper_limit_tree(run), compute_limit_trees(run).tree]
+            changed = [lower_limit_tree(run), upper_limit_tree(run)]
             for tree in changed + ([is_solved(run)] if solved is not None else []):
                 tree.clear()
                 tree.add(-1)
-            for t in (unique_limit_trees(run), compute_limit_trees(run)):
-                for path in t.paths.values():
-                    path.append(-1)
-                for cover in t.covers.values():
-                    cover.add(-1)
             assert_held_matches_a_rebuild(run)
             open_ids = run.non_trivial_ids()
             if not open_ids:
                 break
             run.reveal(open_ids[len(open_ids) // 2])
     assert checked > 1200
-    assert checked_index > 500
+
+
+def test_limit_trees_are_read_only_views_of_the_held_state():
+    # a LimitTrees is a view of the held index, valid until the session's
+    # next move: when handed out it equals a rebuild, it cannot be changed
+    # through, and reading it leaves the held state as it was
+    checked = 0
+    for g in handed_graphs():
+        run = QueryRun(g)
+        while True:
+            for trees in (unique_limit_trees(run), compute_limit_trees(run)):
+                lower = _kruskal(run, run.lower)
+                assert trees.tree == lower
+                assert paths_and_covers(trees) == paths_and_covers(_path_index(run, lower))
+                assert trees.nontree_order == sorted(trees.paths, key=lambda f: (run.lower[f], f))
+                with pytest.raises(TypeError):
+                    trees.paths[-1] = []
+                with pytest.raises(TypeError):
+                    trees.covers[-1] = set()
+                with pytest.raises(AttributeError):
+                    trees.tree.clear()
+                strategies._vc_structure(run, trees)
+                strategies.instance_pred_mandatory_free(run, trees)
+                assert_held_matches_a_rebuild(run)
+                checked += 1
+            open_ids = run.non_trivial_ids()
+            if not open_ids:
+                break
+            run.reveal(open_ids[len(open_ids) // 2])
+    assert checked > 1000

@@ -1,18 +1,19 @@
 import gc
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from cases import large_graphs, live_graphs
+from cases import cycle_pred_free, kernel_case, large_graphs, live_graphs, tied_case, vc_structure
 from mstquery import factory, strategies
 from mstquery.graphcore import (
     Interval, NoProgress, PreconditionViolated, QueryRun, UncertainEdge, UncertainGraph,
 )
 from mstquery.errormetrics import hop_distance
 from mstquery.limittrees import (
-    compute_limit_trees, ensure_unique_limit_trees, is_solved, limit_trees_unique,
+    compute_limit_trees, ensure_unique_limit_trees, is_solved, limit_trees_unique, unique_limit_trees,
 )
 from mstquery.oracle import (
     mandatory_edges,
@@ -344,6 +345,65 @@ def test_koenig_cover_is_the_matched_set_split_once(seed):
     assert all(x in pair for x in cover)
     assert all((l in cover) != (r in cover) for l, r in pairs)
     assert set(cover) | {pair[c] for c in cover} == set(pair)
+
+
+def check_readers(run, trees, seen):
+    """_vc_structure and cycle_pred_mandatory_free, which compare ranks
+    inline, against the definitions on the intervals and predicted values."""
+    structure = strategies._vc_structure(run, trees)
+    assert structure == vc_structure(run, trees)
+    for f in trees.nontree_order:
+        free = strategies.cycle_pred_mandatory_free(run, trees, f)
+        assert free == cycle_pred_free(run, trees, f)
+        seen["free" if free else "offending"] += 1
+        seen["point closing edge"] += run.is_trivial(f)
+    seen["adjacent"] += sum(map(len, structure[2].values()))
+    seen["rounds"] += 1
+
+
+def reader_graphs(corpus_by_rate):
+    graphs = [g for corpus in corpus_by_rate.values() for g in corpus]
+    graphs += [factory.gen_vc_flip(8, "ex2"), factory.gen_path_parallel(8), factory.gen_triangle_chain(8)]
+    # ends and values that tie
+    return graphs + [kernel_case(seed)[0] for seed in range(100)] + [tied_case(seed) for seed in range(200)]
+
+
+@pytest.mark.parametrize("mode", ["baseline", "tradeoff", "error_sensitive"])
+def test_readers_match_the_interval_definitions_at_every_round(monkeypatch, corpus_by_rate, mode):
+    # on every LimitTrees a strategy run is handed
+    seen = Counter()
+
+    def checked(produce):
+        def handed(run):
+            trees = produce(run)
+            check_readers(run, trees, seen)
+            return trees
+
+        return handed
+
+    monkeypatch.setattr(strategies, "unique_limit_trees", checked(unique_limit_trees))
+    monkeypatch.setattr(strategies, "compute_limit_trees", checked(compute_limit_trees))
+    config = StrategyConfig(mode=mode) if mode == "baseline" else StrategyConfig(gamma=2, mode=mode)
+    for g in reader_graphs(corpus_by_rate):
+        strategies.solve(g, config)
+    floors = {"rounds": 3000, "adjacent": 2000, "offending": 1000, "free": 400}
+    assert all(seen[kind] > floor for kind, floor in floors.items()), seen
+
+
+def test_readers_match_the_interval_definitions_without_reduction(corpus_by_rate):
+    # unreduced sessions keep point edges on cycles, closing edges too
+    seen = Counter()
+    for g in reader_graphs(corpus_by_rate):
+        run = QueryRun(g)
+        while True:
+            ensure_unique_limit_trees(run, reduce=False)
+            check_readers(run, compute_limit_trees(run), seen)
+            open_ids = run.non_trivial_ids()
+            if not open_ids:
+                break
+            run.reveal(open_ids[len(open_ids) // 2])
+    floors = {"rounds": 8000, "adjacent": 4000, "offending": 2000, "free": 20000, "point closing edge": 10000}
+    assert all(seen[kind] > floor for kind, floor in floors.items()), seen
 
 
 def test_vc_requires_pred_free():
