@@ -13,7 +13,9 @@ from fractions import Fraction
 
 from . import factory, learner
 from .errormetrics import hop_distance
-from .graphcore import ParseError, PreconditionViolated, ValidationError, _parse_integer, load_instance, read_text, unique_keys
+from .graphcore import (
+    ParseError, PreconditionViolated, ValidationError, _parse_integer, known_keys, load_instance, read_text, unique_keys,
+)
 from .oracle import DEFAULT_CAP, CapExceeded, opt_brute_force
 from .strategies import StrategyConfig, randomized_gamma, run_combined
 
@@ -226,15 +228,6 @@ _FAMILY_PARAMS = {
 }
 
 
-def _known_keys(obj, what, allowed):
-    """Reject a key of a bench config, job, strategy or params object that
-    bench does not read, so that a misspelled or retired key is never
-    ignored."""
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"unknown {what} key {key!r}; expected one of {', '.join(allowed)}")
-
-
 def _bench_gamma(strat, mode):
     """A strategy's gamma: a JSON integer or a "p/q" string.  A float or a
     bool is rejected, not read as the rational it approximates."""
@@ -242,12 +235,6 @@ def _bench_gamma(strat, mode):
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ConfigError(f'gamma must be an integer or a "p/q" string, got {value!r}')
     return _parse_gamma(str(value), mode)
-
-
-def _bench_instances(job):
-    params = _field(job, "params", {}, dict, "an object")
-    for seed in _field(job, "seeds", [0], _integers, "a list of integers"):
-        yield _family_instance(job["family"], params, seed)
 
 
 def _cmd_bench(args) -> int:
@@ -258,7 +245,7 @@ def _cmd_bench(args) -> int:
         raise ConfigError(f"invalid config JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    _known_keys(config, "config", ("jobs",))
+    known_keys(config, "config", ("jobs",))
     jobs = _objects(config.get("jobs", []), "jobs")
     if not jobs:
         raise ConfigError("config lists no jobs")
@@ -266,27 +253,29 @@ def _cmd_bench(args) -> int:
     # first job runs
     plan = []
     for job in jobs:
-        _known_keys(job, "job", ("family", "params", "seeds", "strategies"))
+        known_keys(job, "job", ("family", "params", "seeds", "strategies"))
         family = job.get("family")
         if not isinstance(family, str) or family not in _FAMILY_PARAMS:
             raise ConfigError(f"unknown family {family!r}")
-        _known_keys(_field(job, "params", {}, dict, "an object"), f"{family} params", _FAMILY_PARAMS[family])
+        params = _field(job, "params", {}, dict, "an object")
+        known_keys(params, f"{family} params", _FAMILY_PARAMS[family])
         if "seeds" in job and family != "random":
             raise ConfigError(f"family {family} takes no seeds; only random does")
-        if not _field(job, "seeds", [0], _integers, "a list of integers"):
+        seeds = _field(job, "seeds", [0], _integers, "a list of integers")
+        if not seeds:
             raise ConfigError("job lists no seeds")
         strategies = _objects(job.get("strategies", []), "strategies")
         if not strategies:
             raise ConfigError("job lists no strategies")
         runs = []
         for strat in strategies:
-            _known_keys(strat, "strategy", ("alg", "gamma", "seed"))
+            known_keys(strat, "strategy", ("alg", "gamma", "seed"))
             alg = strat.get("alg")
             if not isinstance(alg, str) or alg not in _MODE_BY_FLAG:
                 raise ConfigError(f"unknown strategy {alg!r}")
             mode = _MODE_BY_FLAG[alg]
             runs.append((mode, _bench_gamma(strat, mode), _field(strat, "seed", 0, int, "an integer")))
-        plan.append((list(_bench_instances(job)), runs))
+        plan.append(([_family_instance(family, params, seed) for seed in seeds], runs))
     rows = []
     all_ok = True
     for instances, runs in plan:

@@ -401,21 +401,33 @@ class UncertainGraph:
 
     @staticmethod
     def from_dict(data: dict) -> "UncertainGraph":
+        """The graph of an instance document.  The document holds exactly
+        "vertices" and "edges", each edge record exactly the keys `to_dict`
+        writes, and each interval exactly {"w"} or {"L", "U"}; any other key
+        is a ParseError naming it, never ignored."""
         try:
             vertices = _parse_integer(data["vertices"], "vertices")
             raw_edges = list(data["edges"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed instance document: {exc}") from exc
+        known_keys(data, "instance document", ("vertices", "edges"))
         edges = []
         for raw in raw_edges:
+            if isinstance(raw, dict):
+                known_keys(raw, "edge record", ("id", "u", "v", "interval", "true", "pred"))
             try:
                 iv_raw = raw["interval"]
-                if "w" in iv_raw:
+                if not isinstance(iv_raw, dict):
+                    raise TypeError(iv_raw)
+                if iv_raw.keys() == {"w"}:
                     interval = Interval.point(parse_rational(iv_raw["w"]))
-                else:
+                elif iv_raw.keys() == {"L", "U"}:
                     interval = Interval.open(
                         parse_rational(iv_raw["L"]), parse_rational(iv_raw["U"])
                     )
+                else:
+                    got = ", ".join(repr(key) for key in iv_raw)
+                    raise ParseError(f"edge {raw['id']!r}: an interval holds 'w' alone or 'L' and 'U', got {got}")
                 edges.append(
                     UncertainEdge(
                         eid=_parse_integer(raw["id"], "id"),
@@ -455,6 +467,14 @@ def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
             raise ParseError(f"key {key!r} given twice in one object")
         obj[key] = value
     return obj
+
+
+def known_keys(obj: dict, what: str, allowed: tuple[str, ...]) -> None:
+    """Reject a key of a JSON object that its reader does not read, so that
+    a misspelled or stray key is a ParseError naming it, never ignored."""
+    for key in obj:
+        if key not in allowed:
+            raise ParseError(f"unknown {what} key {key!r}; expected one of {', '.join(allowed)}")
 
 
 def load_instance(path_or_text: str) -> UncertainGraph:
@@ -537,6 +557,12 @@ class QueryRun:
     became self-loops (the parallels of the contracted edge, exactly the
     ones a scan of every present edge finds) in ascending id order.  These
     lists and sets are read-only outside the session.
+
+    `_limit_trees` is the path index of the lower limit tree that
+    :mod:`.limittrees` holds for the session, or None.  Each move hands
+    itself to the held index as it is made, after its event is recorded;
+    the index updates itself, or drops itself by setting `_limit_trees`
+    to None.
     """
 
     def __init__(self, graph: UncertainGraph, source: str = "truth"):
@@ -559,6 +585,7 @@ class QueryRun:
         self.removed: dict[int, str] = {}  # eid -> "deleted" | "contracted"
         self.removed_unqueried: dict[int, str] = {}
         self.transcript = Transcript()
+        self._limit_trees = None
 
     @property
     def pred(self) -> tuple[int, ...]:
@@ -625,6 +652,8 @@ class QueryRun:
         self.lower[eid] = self.upper[eid] = 3 * r
         self.queried.append(eid)
         self.transcript.record("reveal", edge=eid)
+        if self._limit_trees is not None:
+            self._limit_trees.moved(self, "reveal", eid)
         return self.ranking.values[r]
 
     def contract(self, eid: int) -> None:
@@ -669,7 +698,10 @@ class QueryRun:
             self.removed_unqueried[eid] = kind
         self.removed[eid] = kind
         events = self.transcript.events
-        events.append(Event(len(events), "contract" if kind == "contracted" else "delete", eid))
+        event = "contract" if kind == "contracted" else "delete"
+        events.append(Event(len(events), event, eid))
+        if self._limit_trees is not None:
+            self._limit_trees.moved(self, event, eid)
 
     def contracted_ids(self) -> list[int]:
         return sorted(e for e, kind in self.removed.items() if kind == "contracted")
@@ -683,7 +715,7 @@ class QueryRun:
         names another table of it ("truth" or "predictions"); the values
         already revealed stay.  It copies the ranks, keys, endpoint table
         and incidence sets, so a move on either side leaves the other as
-        it was.  It starts a new transcript and holds no limit trees (see
+        it was.  It starts a new transcript and holds no limit tree (see
         :mod:`.limittrees`)."""
         clone = QueryRun.__new__(QueryRun)
         clone._graph = self._graph
@@ -699,6 +731,7 @@ class QueryRun:
         clone.removed = dict(self.removed)
         clone.removed_unqueried = dict(self.removed_unqueried)
         clone.transcript = Transcript()
+        clone._limit_trees = None
         return clone
 
     def graph_readonly(self) -> UncertainGraph:

@@ -45,7 +45,10 @@ from itertools import accumulate
 from typing import Iterable, Mapping, Optional
 
 from .errormetrics import relation_mismatches
-from .graphcore import ParseError, Ranking, UncertainGraph, ValidationError, _parse_integer, format_rational, parse_rational, unique_keys
+from .graphcore import (
+    ParseError, Ranking, UncertainGraph, ValidationError, _parse_integer, format_rational, known_keys, parse_rational,
+    unique_keys,
+)
 
 
 @dataclass(frozen=True)
@@ -133,6 +136,9 @@ class RealizationSampler:
 
     @classmethod
     def from_json(cls, graph: UncertainGraph, text: str, seed: int = 0) -> "RealizationSampler":
+        """The sampler of a distribution document: {"edges": {id: mixture}},
+        each mixture {"values": [...]} with optional integer "weights".  Any
+        other key is a ParseError naming it, never ignored."""
         try:
             raw = json.loads(text, object_pairs_hook=unique_keys)
             entries = raw["edges"]
@@ -140,8 +146,11 @@ class RealizationSampler:
             raise ParseError(f"malformed distribution document: {exc}") from exc
         if not isinstance(entries, dict):
             raise ParseError("malformed distribution document: 'edges' must be an object")
+        known_keys(raw, "distribution document", ("edges",))
         mixtures, keys = {}, {}
         for key, spec in entries.items():
+            if isinstance(spec, dict):
+                known_keys(spec, f"edge {key} mixture", ("values", "weights"))
             try:
                 values = spec["values"]
                 if not isinstance(values, list):

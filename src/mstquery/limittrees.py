@@ -23,14 +23,13 @@ every tree edge l the non-tree edges whose path covers it, which with l are
 its cut.  :class:`LimitTrees` hands strategies a view of exactly these.
 
 The session holds the path index of the lower limit tree with its
-blocking-pair counts (:class:`_Tally`), or nothing, valid at a length of the
-session's transcript.  The keys of the index's covers are the tree, which
-is recorded nowhere else.  The transcript is a complete log of
-the moves, since :meth:`~mstquery.graphcore.QueryRun.reveal`, ``contract``
-and ``delete`` each record one event per edge they change (a contraction
-also records the deletion of every self-loop it leaves), and nothing else
-changes a key or the minor.  Before a read, the moves recorded since are
-applied to the held state, each in O(the paths it changes) time:
+blocking-pair counts (:class:`_Tally`), or nothing.  The keys of the
+index's covers are the tree, which is recorded nowhere else.  Every move
+hands itself to the held index as it is made:
+:meth:`~mstquery.graphcore.QueryRun.reveal`, ``contract`` and ``delete``
+call :meth:`PathIndex.moved` once per edge they change (a contraction also
+for the deletion of every self-loop it leaves), and nothing else changes a
+key or the minor.  Each move costs O(the paths it changes):
 
 - deleting a non-tree edge leaves the tree; its path goes, and its id
   leaves the covers;
@@ -46,18 +45,15 @@ applied to the held state, each in O(the paths it changes) time:
   or non-tree edge e enters for the heaviest edge on its path.  Only the
   leaving edge's new path and the paths that held it change, and
   :func:`_swap` splices each along the entering edge's cycle into the one
-  walk :func:`_path_index` writes.  A swap reads the current keys and
-  endpoints, which are those right after its reveal only when it is the
-  one reveal pending and no contraction follows it; otherwise the held
-  state is dropped.
+  walk :func:`_path_index` writes.  It reads the keys and endpoints right
+  after the reveal, which are the current ones.
 
-Deleting a tree edge or contracting a non-tree edge drops the held state
-too, and the next read rebuilds it with Kruskal and :func:`_path_index`.
+Deleting a tree edge or contracting a non-tree edge drops the held index,
+and the next read rebuilds it with Kruskal and :func:`_path_index`.
 Readers get a read-only view of the held index (:class:`LimitTrees`):
 a view, valid until the session's next move; do not mutate or keep it.
-The functions that return a tree as a set return a copy.  The keys a held
-tree was built on change only by a reveal; a fork gets a new transcript
-and starts with nothing held.
+The functions that return a tree as a set return a copy.  A fork starts
+with nothing held.
 
 The counts cover every pair (f, e) of a non-tree edge f and a tree edge e
 on its path: the bad pairs, high(e) > low(f), and the pairs behind each
@@ -111,7 +107,7 @@ def _kruskal(run: QueryRun, keys) -> set[int]:
 
 
 def lower_limit_tree(run: QueryRun) -> set[int]:
-    return set(_held_lower(run).index.covers)
+    return set(_held_lower(run).covers)
 
 
 def upper_limit_tree(run: QueryRun) -> set[int]:
@@ -184,6 +180,37 @@ class PathIndex(NamedTuple):
     paths: dict[int, list[int]]         # non-tree edge -> its tree path
     covers: dict[int, set[int]]         # tree edge -> non-tree edges whose path holds it
     tally: _Tally
+
+    def moved(self, run: QueryRun, kind: str, e: int) -> None:
+        """Apply the move `run` just made, "reveal", "delete" or "contract"
+        of edge e, to this index, which `run` holds; a move that changes
+        the tree other than by a swap drops it from `run` instead."""
+        paths, covers, t = self
+        if kind == "reveal":
+            if _stays(self, run.lower, e):
+                _recount(run, self, e)
+            else:
+                _swap(run, self, e)
+        elif (kind == "delete") == (e in covers):
+            # a tree edge deleted or a non-tree edge contracted
+            run._limit_trees = None
+        elif kind == "delete":
+            path = paths.pop(e)
+            # e's pairs count somewhere only if e has a bad pair or a count
+            # of its own, or some tree edge holds a lower tie
+            if t.bad[e] or t.differ[e] or t.tie_up[e] or t.lower_ids:
+                _tally(t, [(e, l) for l in path], -1)
+            for l in path:
+                covers[l].discard(e)
+        else:
+            cover = covers.pop(e)
+            # e's pairs count somewhere only if e has a bad pair or a count
+            # of its own, or some non-tree edge holds a differ pair or an
+            # upper tie
+            if t.bad[e] or t.tie_low[e] or t.differ_ids or t.upper_ids:
+                _tally(t, [(f, e) for f in cover], -1)
+            for f in cover:
+                paths[f].remove(e)
 
 
 @dataclass
@@ -366,22 +393,6 @@ def _tally(t: _Tally, pairs, sign: int) -> None:
     t.bad_pairs += bad_pairs
 
 
-@dataclass
-class _Held:
-    """The path index of the lower limit tree a session holds, valid after
-    its first `at` transcript events; None once a move may have changed
-    it."""
-
-    at: int
-    index: Optional[PathIndex] = None
-
-    @property
-    def lower(self):
-        """The held lower limit tree, a read-only view of the keys of its
-        covers, or None."""
-        return None if self.index is None else self.index.covers.keys()
-
-
 def _stays(index: PathIndex, keys: list[int], e: int) -> bool:
     """Whether the tree of `index`, the minimum spanning tree under `keys`
     before the key of edge e changed, still is one: every cover of e is
@@ -391,14 +402,6 @@ def _stays(index: PathIndex, keys: list[int], e: int) -> bool:
     if e in index.covers:
         return all(keys[x] > k or keys[x] == k and x > e for x in index.covers[e])
     return all(keys[x] < k or keys[x] == k and x < e for x in index.paths[e])
-
-
-def _lone(pending, i: int) -> bool:
-    """Whether the reveal at pending[i] is the only reveal pending and no
-    contraction follows it: then the current keys and endpoints are those
-    right after it, which :func:`_swap` reads."""
-    kinds = [ev.kind for ev in pending]
-    return kinds.count("reveal") == 1 and "contract" not in kinds[i + 1:]
 
 
 def _see(run: QueryRun, t: _Tally, e: int) -> None:
@@ -478,62 +481,12 @@ def _swap(run: QueryRun, index: PathIndex, e: int) -> None:
     _tally(tally, added, 1)
 
 
-def _synced(run: QueryRun) -> Optional[_Held]:
-    """The session's held limit tree with every move recorded since
-    applied, or None if it holds none."""
-    held: Optional[_Held] = getattr(run, "_limit_trees", None)
-    if held is None:
-        return None
-    events = run.transcript.events
-    if held.at == len(events):
-        return held
-    pending = events[held.at:]
-    for i, ev in enumerate(pending):
-        e, kind, index = ev.edge, ev.kind, held.index
-        if index is None:
-            break
-        if kind == "reveal":
-            if _stays(index, run.lower, e):
-                _recount(run, index, e)
-            elif _lone(pending, i):
-                _swap(run, index, e)
-            else:
-                held.index = None
-        elif kind == "delete":
-            if e in index.covers:
-                held.index = None
-            else:
-                path, t = index.paths.pop(e), index.tally
-                # e's pairs count somewhere only if e has a bad pair or a
-                # count of its own, or some tree edge holds a lower tie
-                if t.bad[e] or t.differ[e] or t.tie_up[e] or t.lower_ids:
-                    _tally(t, [(e, l) for l in path], -1)
-                for l in path:
-                    index.covers[l].discard(e)
-        elif kind == "contract":
-            if e not in index.covers:
-                held.index = None
-            else:
-                cover, t = index.covers.pop(e), index.tally
-                # e's pairs count somewhere only if e has a bad pair or a
-                # count of its own, or some non-tree edge holds a differ
-                # pair or an upper tie
-                if t.bad[e] or t.tie_low[e] or t.differ_ids or t.upper_ids:
-                    _tally(t, [(f, e) for f in cover], -1)
-                for f in cover:
-                    index.paths[f].remove(e)
-    held.at = len(events)
-    return held
-
-
-def _held_lower(run: QueryRun) -> _Held:
-    """The held state with the lower limit tree and its path index built."""
-    held = _synced(run)
-    if held is None:
-        held = run._limit_trees = _Held(len(run.transcript.events))
-    if held.index is None:
-        held.index = _path_index(run, _kruskal(run, run.lower))
-    return held
+def _held_lower(run: QueryRun) -> PathIndex:
+    """The held path index of the lower limit tree, built if none is held."""
+    index = run._limit_trees
+    if index is None:
+        index = run._limit_trees = _path_index(run, _kruskal(run, run.lower))
+    return index
 
 
 @dataclass
@@ -593,7 +546,7 @@ def _uniqueness_gap(run: QueryRun, index: PathIndex):
 
 
 def limit_trees_unique(run: QueryRun) -> bool:
-    return _uniqueness_gap(run, _held_lower(run).index) is None
+    return _uniqueness_gap(run, _held_lower(run)) is None
 
 
 def _normal_form(run: QueryRun, index: PathIndex) -> LimitTrees:
@@ -615,12 +568,12 @@ def compute_limit_trees(run: QueryRun) -> LimitTrees:
     :func:`ensure_unique_limit_trees` first, or call
     :func:`unique_limit_trees`, which does both).
     """
-    held = _held_lower(run)
-    gap = _uniqueness_gap(run, held.index)
+    index = _held_lower(run)
+    gap = _uniqueness_gap(run, index)
     if gap is not None:
         what = "differ" if gap[0] == "differ" else "are not unique"
         raise PreconditionViolated(f"limit trees {what}; preprocessing required")
-    return _normal_form(run, held.index)
+    return _normal_form(run, index)
 
 
 def is_solved(run: QueryRun) -> Optional[set[int]]:
@@ -639,9 +592,9 @@ def is_solved(run: QueryRun) -> Optional[set[int]]:
     (:func:`_joined_at_most`) and holds nothing, so a fresh fork costs two
     union-find passes and no path walk.
     """
-    held = _synced(run)
-    if held is not None and held.index is not None:
-        return None if held.index.tally.bad_pairs else set(held.index.covers)
+    index = run._limit_trees
+    if index is not None:
+        return None if index.tally.bad_pairs else set(index.covers)
     tree = _kruskal(run, run.lower)
     nontree, dominated = _dominated(run, tree)
     return tree if len(dominated) == len(nontree) else None
@@ -693,15 +646,16 @@ def reduce_verified(run: QueryRun) -> set[int]:
     therefore the tree minus the contracted edges.
 
     A session that holds the lower limit tree reads both lists from its
-    bad-pair counts, and applies the moves on the next read.  One that
-    holds none (fresh, or dropped by a batch of reveals) reads them from
+    bad-pair counts; each move then updates the held index as it is made,
+    and none drops it.  One that holds none (fresh, a fork, or dropped by
+    deleting a tree edge or contracting a non-tree edge) reads them from
     the sweeps over one Kruskal tree: f is dominated when every edge of its
     path has high <= low(f), l contractible when it has no cover or its
     least cover by low end has low >= high(l).  It then holds the tree
     minus the contracted edges, with one path index of that remnant.
     """
-    held = _synced(run)
-    fresh = held is None or held.index is None
+    index = run._limit_trees
+    fresh = index is None
     if fresh:
         tree = _kruskal(run, run.lower)
         nontree, joined = _dominated(run, tree)
@@ -713,7 +667,7 @@ def reduce_verified(run: QueryRun) -> set[int]:
         first = _least_covers(run, rooted, [f for _, f in nontree])
         contractible = [l for l in sorted(tree) if l not in first or lo[first[l]] >= hi[l]]
     else:
-        tree, bad = held.index.covers, held.index.tally.bad
+        tree, bad = index.covers, index.tally.bad
         # a non-tree edge is dominated, and a tree edge contractible, exactly
         # when it is in no bad pair; both lists are fixed before the first
         # move changes the held state
@@ -728,9 +682,8 @@ def reduce_verified(run: QueryRun) -> set[int]:
         # deletions leave the tree and its ends, so it stays rooted as it
         # was unless an edge was contracted
         tree = tree.difference(contractible)
-        index = _path_index(run, tree, None if contractible else rooted)
-        run._limit_trees = _Held(len(run.transcript.events), index)
-    return set(_held_lower(run).index.covers)
+        index = run._limit_trees = _path_index(run, tree, None if contractible else rooted)
+    return set(index.covers)
 
 
 def ensure_unique_limit_trees(run: QueryRun, reduce: bool = True) -> list[int]:
@@ -770,7 +723,7 @@ def _certify(run: QueryRun, reduce: bool) -> PathIndex:
     for _ in rounds(run, "ensure_unique_limit_trees"):
         if reduce:
             reduce_verified(run)
-        index = _held_lower(run).index
+        index = _held_lower(run)
         gap = _uniqueness_gap(run, index)
         if gap is None:
             return index

@@ -246,6 +246,25 @@ def test_bad_learn_inputs_are_one_error_line(tmp_path):
     _assert_one_error_line(proc, "edge 0")
 
 
+def test_an_unread_key_is_one_error_line(tmp_path):
+    # an interval with both forms, a stray edge key and a misspelled
+    # mixture key are each rejected, not ignored
+    inst = tmp_path / "inst.json"
+    for change, key in (
+        (lambda doc: doc["edges"][0].update(interval={"L": "0", "U": "2", "w": "1"}, true="1", pred="1"), "'w'"),
+        (lambda doc: doc["edges"][0].update(prediction="1"), "'prediction'"),
+    ):
+        doc = factory.gen_triangle_chain(1).to_dict()
+        change(doc)
+        inst.write_text(json.dumps(doc))
+        _assert_one_error_line(_run_cli("run", "--alg", "baseline", "--instance", str(inst)), key)
+    factory.gen_triangle_chain(1).save(str(inst))
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({"edges": {"0": {"values": ["1/2", "1"], "weight": [3, 1]}}}))
+    proc = _run_cli("learn", "--instance", str(inst), "--dist", str(dist), "--samples", "3")
+    _assert_one_error_line(proc, "'weight'")
+
+
 def test_a_boolean_value_is_one_error_line(tmp_path):
     # JSON true and false are not the rationals 1 and 0
     doc = factory.gen_triangle_chain(1).to_dict()

@@ -144,13 +144,39 @@ def test_malformed_json_rejected():
         lambda doc: doc["edges"][0].update(id="a"),
         lambda doc: doc["edges"][0].update(u=[0]),
         lambda doc: doc["edges"][0].update(interval=3),
+        # a key the reader does not read is rejected, not ignored
+        # with true = pred = w, so that the point alone would load
+        lambda doc: doc["edges"][0].update(interval={"L": "0", "U": "4", "w": "1"}, true="1", pred="1"),
+        lambda doc: doc["edges"][0].update(interval={"w": "1", "U": "4"}, true="1", pred="1"),
+        lambda doc: doc["edges"][0].update(interval={"L": "0", "u": "2"}),
+        lambda doc: doc["edges"][0].update(prediction="1"),
+        lambda doc: doc.update(extra=1),
     ],
-    ids=["edges-not-a-list", "id-not-an-integer", "endpoint-a-list", "interval-not-an-object"],
+    ids=[
+        "edges-not-a-list", "id-not-an-integer", "endpoint-a-list", "interval-not-an-object",
+        "interval-with-w-and-L-U", "interval-with-w-and-U", "interval-with-lowercase-u",
+        "unread-edge-key", "unread-document-key",
+    ],
 )
 def test_malformed_instance_document_is_a_parse_error(change):
     doc = factory.demo_hop_cycle().to_dict()
     change(doc)
     with pytest.raises(ParseError):
+        UncertainGraph.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        (lambda doc: doc["edges"][0].update(interval={"L": "0", "U": "4", "w": "1"}, true="1", pred="1"), "'w'"),
+        (lambda doc: doc["edges"][0].update(prediction="1"), "'prediction'"),
+        (lambda doc: doc.update(extra=1), "'extra'"),
+    ],
+)
+def test_an_unread_instance_key_is_named(change, key):
+    doc = factory.demo_hop_cycle().to_dict()
+    change(doc)
+    with pytest.raises(ParseError, match=key):
         UncertainGraph.from_dict(doc)
 
 

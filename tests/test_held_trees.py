@@ -1,11 +1,11 @@
 """The limit trees a session holds between reads, against a rebuild.
 
 `limittrees` keeps each session's lower limit tree, its path index and the
-index's blocking-pair counts, and applies every recorded move to them before
-a read.  These tests hold that state to the from-scratch reference,
-`_kruskal` over the session's keys, `_path_index` over the lower tree and a
-recount of every pair, after every move of live strategy runs, at every
-read, after batched reveals, after moves that must drop the held state,
+index's blocking-pair counts, and each move updates them as it is made.
+These tests hold that state to the from-scratch reference, `_kruskal` over
+the session's keys, `_path_index` over the lower tree and a recount of
+every pair, after every move of live strategy runs, at every read, after
+batched reveals, after moves that must drop the held state,
 across forks, and against callers that keep or change a tree they were
 handed as a set, or read the read-only view that a `LimitTrees` is.  The
 verdicts read from the counts are held to the full scans of `cases`.  The
@@ -33,7 +33,6 @@ from mstquery.graphcore import Interval, PreconditionViolated, QueryRun, Uncerta
 from mstquery.limittrees import (
     _kruskal,
     _path_index,
-    _synced,
     compute_limit_trees,
     ensure_unique_limit_trees,
     is_solved,
@@ -75,22 +74,20 @@ def assert_held_matches_a_rebuild(run, seen=None):
     """Every part the session holds equals its from-scratch reference: the
     lower tree, each path in order, each cover, and every pair count and
     nonzero set, counted at the session's current ranks."""
-    held = _synced(run)
-    if held is None:
+    index = run._limit_trees
+    if index is None:
         return
-    assert (held.lower is None) == (held.index is None)
-    if held.lower is not None:
-        lower = _kruskal(run, run.lower)
-        assert held.lower == lower
-        reference = _path_index(run, lower)
-        assert held.index.paths == reference.paths
-        assert held.index.covers == reference.covers
-        tally = held.index.tally
-        assert (tally.lo, tally.hi, tally.upper, tally.lower) == (run.lo, run.hi, run.upper, run.lower)
-        expected = recount(run, reference)
-        assert {name: getattr(tally, name) for name in expected} == expected
-        if seen is not None:
-            seen["index"] += 1
+    lower = _kruskal(run, run.lower)
+    assert index.covers.keys() == lower
+    reference = _path_index(run, lower)
+    assert index.paths == reference.paths
+    assert index.covers == reference.covers
+    tally = index.tally
+    assert (tally.lo, tally.hi, tally.upper, tally.lower) == (run.lo, run.hi, run.upper, run.lower)
+    expected = recount(run, reference)
+    assert {name: getattr(tally, name) for name in expected} == expected
+    if seen is not None:
+        seen["index"] += 1
 
 
 CONFIGS = [StrategyConfig(mode="baseline")] + [
@@ -113,20 +110,19 @@ class CheckedRun(QueryRun):
     seen = Counter()
 
     def _check(self, kind, before=None):
-        held = _synced(self)
-        if held is not None:
-            # a tree still held after a reveal went through the cover or
-            # path rule, or a swap, rather than a rebuild
-            if kind == "reveal" and held.lower is not None:
-                CheckedRun.seen["lower kept by a reveal"] += 1
-                if before is not None and held.lower != before:
-                    CheckedRun.seen["swapped"] += 1
+        index = self._limit_trees
+        # a tree still held after a reveal went through the cover or path
+        # rule, or a swap, rather than a rebuild
+        if kind == "reveal" and index is not None:
+            CheckedRun.seen["lower kept by a reveal"] += 1
+            if before is not None and index.covers.keys() != before:
+                CheckedRun.seen["swapped"] += 1
         assert_held_matches_a_rebuild(self, CheckedRun.seen)
         CheckedRun.seen[kind] += 1
 
     def reveal(self, eid):
-        held = _synced(self)
-        before = None if held is None or held.lower is None else set(held.lower)
+        index = self._limit_trees
+        before = None if index is None else set(index.covers)
         value = super().reveal(eid)
         self._check("reveal", before)
         return value
@@ -155,18 +151,19 @@ def test_held_trees_match_a_rebuild_after_every_move_of_live_runs(monkeypatch):
 
 
 def test_held_trees_match_a_rebuild_at_every_read_of_live_runs(monkeypatch):
-    # no check between moves here: each read applies every move since the
-    # last one at once, as a plain session does
-    synced = limittrees._synced
+    # no check between moves here, as in a plain session: the held state
+    # is checked on entry to each function that reads it
     seen = Counter()
 
-    def checked(run):
-        held = synced(run)
-        if held is not None:
+    def checked(read):
+        def wrapper(run, *args):
             assert_held_matches_a_rebuild(run, seen)
-        return held
+            return read(run, *args)
+        return wrapper
 
-    monkeypatch.setattr(limittrees, "_synced", checked)
+    for module, name in ((limittrees, "_held_lower"), (limittrees, "reduce_verified"),
+                         (limittrees, "is_solved"), (strategies, "is_solved")):
+        monkeypatch.setattr(module, name, checked(getattr(module, name)))
     run_live(live_graphs(), large_graphs()[::2])
     assert seen["index"] > 20000
 
@@ -180,12 +177,12 @@ def test_the_differ_verdict_matches_the_upper_kruskal_at_every_round_of_live_run
 
     def checked(run, index):
         verdict = gap(run, index)
-        held = _synced(run)
-        assert held.index is index
+        assert run._limit_trees is index
+        lower = index.covers.keys()
         upper = _kruskal(run, run.upper)
-        assert (verdict is not None and verdict[0] == "differ") == (upper != held.lower)
+        assert (verdict is not None and verdict[0] == "differ") == (upper != lower)
         assert upper_limit_tree(run) == upper
-        seen["differ" if upper != held.lower else "same"] += 1
+        seen["differ" if upper != lower else "same"] += 1
         return verdict
 
     monkeypatch.setattr(limittrees, "_uniqueness_gap", checked)
@@ -229,8 +226,8 @@ def test_held_verdicts_and_reductions_match_the_scans_of_live_runs(monkeypatch):
         return verdict
 
     def checked_reduce(run):
-        held = limittrees._held_lower(run)
-        want = scan_verified(run, held.lower, held.index)
+        index = limittrees._held_lower(run)
+        want = scan_verified(run, index.covers.keys(), index)
         events = run.transcript.events
         start = len(events)
         tree = reduce(run)
@@ -298,9 +295,9 @@ def swaps_alone(run, e, tree):
 
 
 def test_batched_reveals_then_one_read_match_a_rebuild():
-    # a read after several reveals sees the keys of all of them: a swap
-    # applied for one reveal of the batch would read keys that are not
-    # those right after it, so the batch must rebuild instead
+    # each reveal of a batch updates the held state as it is made, a swap
+    # on the keys right after it, so a read after the batch sees the keys
+    # of all of them
     rng = random.Random(11)
     seen = Counter()
     graphs = [kernel_case(seed)[0] for seed in range(150)] + [tied_case(seed) for seed in range(300)]
@@ -322,9 +319,9 @@ def test_batched_reveals_then_one_read_match_a_rebuild():
 
 
 def test_removals_after_a_swapping_reveal_in_one_read():
-    # a swap reads the endpoints after every pending move: deletions after
-    # its reveal leave them as they were, so the swap is applied, while
-    # contractions relabel them, so the held tree is rebuilt instead
+    # a swap is applied at its reveal, on the endpoints before the moves
+    # after it: deleting non-tree edges and contracting tree edges then
+    # update the held tree, and neither kind drops it
     rng = random.Random(5)
     seen = Counter()
     graphs = [kernel_case(seed)[0] for seed in range(150)] + [tied_case(seed) for seed in range(300)]
@@ -342,11 +339,46 @@ def test_removals_after_a_swapping_reveal_in_one_read():
                 targets = sorted(after if kind == "contract" else set(run.present_ids()) - after)
                 if targets and run.vertex_count > 1:
                     getattr(run, kind)(rng.choice(targets))
-            assert (_synced(run).lower is not None) == (kind == "delete")
+            assert run._limit_trees is not None
             lower_limit_tree(run)
             assert_held_matches_a_rebuild(run)
             seen[kind] += 1
     assert seen["delete"] > 200 and seen["contract"] > 200, seen
+
+
+def test_a_batch_with_a_swap_then_a_contraction_is_read_without_a_rebuild(monkeypatch):
+    # each move updates the held tree as it is made: after a batch of
+    # reveals, one of which swaps alone, and the contraction of a tree
+    # edge, the read finds the tree held and builds nothing
+    rng = random.Random(3)
+    seen = Counter()
+    graphs = [kernel_case(seed)[0] for seed in range(150)] + [tied_case(seed) for seed in range(300)]
+
+    def rebuild(*args):
+        raise AssertionError("the read rebuilt the held tree")
+
+    for g in graphs:
+        run = QueryRun(g)
+        tree = lower_limit_tree(run)
+        open_ids = run.non_trivial_ids()
+        swapping = [e for e in open_ids if swaps_alone(run, e, tree)]
+        if len(open_ids) < 2 or not swapping:
+            continue
+        first = rng.choice(swapping)
+        rest = [e for e in open_ids if e != first]
+        batch = [first] + rng.sample(rest, rng.randint(1, min(3, len(rest))))
+        rng.shuffle(batch)
+        for e in batch:
+            run.reveal(e)
+        run.contract(rng.choice(sorted(_kruskal(run, run.lower))))
+        with monkeypatch.context() as patched:
+            patched.setattr(limittrees, "_kruskal", rebuild)
+            patched.setattr(limittrees, "_path_index", rebuild)
+            lower_limit_tree(run)
+        assert_held_matches_a_rebuild(run)
+        seen["batch"] += 1
+        seen["batch size"] += len(batch)
+    assert seen["batch"] > 200 and seen["batch size"] > 2.5 * seen["batch"], seen
 
 
 def test_an_upper_key_tie_broken_by_edge_id_is_a_differ_verdict():
@@ -359,7 +391,7 @@ def test_an_upper_key_tie_broken_by_edge_id_is_a_differ_verdict():
     ])
     run = QueryRun(g)
     assert lower_limit_tree(run) == {0, 2} and upper_limit_tree(run) == {0, 1}
-    index = limittrees._held_lower(run).index
+    index = limittrees._held_lower(run)
     assert limittrees._uniqueness_gap(run, index) == ("differ", 1, 2)
     assert not limittrees.limit_trees_unique(run)
     with pytest.raises(PreconditionViolated, match="differ"):
@@ -377,23 +409,22 @@ def held_session(g):
     run = QueryRun(g)
     ensure_unique_limit_trees(run, reduce=False)
     upper_limit_tree(run)
-    held = _synced(run)
-    assert held.lower is not None and held.index is not None
-    return run, held
+    index = run._limit_trees
+    assert index is not None
+    return run, index
 
 
 def test_contracting_a_non_tree_edge_rebuilds_the_trees():
     contracted = 0
     for seed in range(60):
         g, _ = kernel_case(seed)
-        run, held = held_session(g)
-        nontree = sorted(held.index.paths)
+        run, index = held_session(g)
+        nontree = sorted(index.paths)
         if not nontree:
             continue
         f = nontree[0]
         run.contract(f)
-        held = _synced(run)
-        assert held.lower is None and held.index is None
+        assert run._limit_trees is None
         assert lower_limit_tree(run) == _kruskal(run, run.lower)
         assert upper_limit_tree(run) == _kruskal(run, run.upper)
         ensure_unique_limit_trees(run, reduce=False)
@@ -406,15 +437,14 @@ def test_deleting_a_tree_edge_rebuilds_the_trees():
     deleted = 0
     for seed in range(60):
         g, _ = kernel_case(seed)
-        run, held = held_session(g)
+        run, index = held_session(g)
         # a tree edge with a cover is on a cycle, so the graph stays connected
-        covered = sorted(l for l, covers in held.index.covers.items() if covers)
+        covered = sorted(l for l, covers in index.covers.items() if covers)
         if not covered:
             continue
         l = covered[0]
         run.delete(l)
-        held = _synced(run)
-        assert held.lower is None and held.index is None
+        assert run._limit_trees is None
         assert lower_limit_tree(run) == _kruskal(run, run.lower)
         assert upper_limit_tree(run) == _kruskal(run, run.upper)
         ensure_unique_limit_trees(run, reduce=False)
@@ -435,8 +465,8 @@ def paths_and_covers(trees):
 
 
 def snapshot(run):
-    held = _synced(run)
-    return (set(held.lower), *paths_and_covers(held.index))
+    index = run._limit_trees
+    return (set(index.covers), *paths_and_covers(index))
 
 
 def churn(run):
@@ -467,7 +497,7 @@ def test_moves_in_a_fork_leave_the_held_trees_of_the_parent_correct():
         before = snapshot(parent)
         for source in (None, "truth", "predictions"):
             fork = parent.fork(source)
-            assert _synced(fork) is None
+            assert fork._limit_trees is None
             churn(fork)
             assert snapshot(parent) == before
             assert_held_matches_a_rebuild(parent)

@@ -185,11 +185,26 @@ def test_predictions_serialize():
         {"1_0": {"values": ["1/2"]}},                  # edge key is not the decimal form of an id
         {" 1": {"values": ["1/2"]}},
         {"01": {"values": ["1/2"]}},
+        {"0": {"values": ["1/2", "1/3"], "weight": [3, 1]}},  # a misspelled key is not ignored
+        {"0": {"values": ["1/2"], "weights": [1], "mean": "1/2"}},
     ],
 )
 def test_sampler_from_json_rejects_malformed_mixture(spec):
     with pytest.raises(ParseError):
         RealizationSampler.from_json(triangle(), json.dumps({"edges": spec}))
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"edges": {"0": {"values": ["1/2"], "weight": [3]}}}, "'weight'"),
+        ({"edges": {}, "edge": {"0": {"values": ["1/2"]}}}, "'edge'"),
+        ({"edges": {}, "seed": 3}, "'seed'"),
+    ],
+)
+def test_sampler_from_json_names_an_unread_key(doc, key):
+    with pytest.raises(ParseError, match=key):
+        RealizationSampler.from_json(triangle(), json.dumps(doc))
 
 
 def test_a_boolean_mixture_value_is_not_a_rational():

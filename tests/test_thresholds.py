@@ -31,7 +31,6 @@ from mstquery.limittrees import (
     _least_covers,
     _path_index,
     _rooted,
-    _synced,
     is_solved,
     lower_limit_tree,
     reduce_verified,
@@ -42,7 +41,7 @@ from test_held_trees import assert_held_matches_a_rebuild
 
 def sessions():
     """A fresh session of every graph, and sessions read once and then
-    given 1-4 seeded reveals in one batch, which may drop the held tree."""
+    given 1-4 seeded reveals in one batch, which the held tree follows."""
     rng = random.Random(18)
     for g in live_graphs() + large_graphs() + [tied_case(seed) for seed in range(200)]:
         yield QueryRun(g)
@@ -56,8 +55,7 @@ def sessions():
 
 
 def holds_a_tree(run):
-    held = _synced(run)
-    return held is not None and held.lower is not None
+    return run._limit_trees is not None
 
 
 def test_the_sweeps_match_the_path_index_on_any_spanning_tree():
@@ -93,8 +91,8 @@ def test_a_reduction_holding_no_tree_makes_the_moves_of_the_scans():
     for run in sessions():
         tree = _kruskal(run, run.lower)
         want = scan_verified(run, tree, _path_index(run, tree))
-        # the session as it is (holding a tree, a dropped one or none), and
-        # a fork of it, which holds none
+        # the session as it is (holding a tree or none), and a fork of it,
+        # which holds none
         for session in (run, run.fork()):
             seen["swept" if not holds_a_tree(session) else "held"] += 1
             events = session.transcript.events
