@@ -14,10 +14,15 @@ ints.  A value leaves it only by looking a rank up in the ranking.
 
 A session also keeps its minor instead of deriving it on every read: an
 endpoint table (edge id -> current endpoint pair) and, per vertex, the set
-of its present edges.  Contraction relabels only the absorbed vertex's
-edges, so it costs that vertex's degree, not a scan of every edge; it
-gives every vertex the name, and deletes the same self-loops in the same
-order, as a union-find over the original vertices would.
+of its present edges.  Contraction absorbs the endpoint with fewer present
+edges into the other and relabels only the absorbed vertex's edges, so it
+costs the smaller degree, not a scan of every edge (weighted union,
+Tarjan, JACM 1975).  Any sequence of contractions relabels O(m log m)
+entries in total, although one edge may be relabelled at many of them: a
+pendant edge at the end of a path that is contracted from that end.  The
+vertex names this gives are those of a union-find over the original
+vertices with the same rule, and the self-loops are deleted in the same
+order; nothing reads a name except to compare it with another.
 """
 
 from __future__ import annotations
@@ -552,11 +557,15 @@ class QueryRun:
     The minor is kept, not derived: `present` is the set of present edge
     ids, `ends[e]` is the current endpoint pair of edge e, and every vertex
     of the minor holds the set of its present edges' ids.  Contracting edge
-    (u, v) relabels u to v on u's edges only, which names every vertex as a
-    union-find with u merged under v would, and deletes the edges that
-    became self-loops (the parallels of the contracted edge, exactly the
-    ones a scan of every present edge finds) in ascending id order.  These
-    lists and sets are read-only outside the session.
+    (u, v) absorbs the end with fewer present edges, u on a tie: it
+    relabels the absorbed end to the kept one on the absorbed end's edges
+    only, keeping each pair's order, so a contraction costs the smaller
+    degree and a sequence of them O(m log m) relabels in total.  It names
+    every vertex as a union-find with the absorbed root merged under the
+    kept one would, and deletes the edges that became self-loops (the
+    parallels of the contracted edge, exactly the ones a scan of every
+    present edge finds) in ascending id order.  These lists and sets are
+    read-only outside the session.
 
     `_limit_trees` is the path index of the lower limit tree that
     :mod:`.limittrees` holds for the session, or None.  Each move hands
@@ -665,6 +674,10 @@ class QueryRun:
             raise ValidationError(f"edge {eid} is a self-loop; cannot contract")
         self._remove(eid, "contracted")
         self.vertex_count -= 1
+        # ru, the end absorbed, is the one with fewer present edges, the
+        # first end on a tie
+        if len(incident[ru]) > len(incident[rv]):
+            ru, rv = rv, ru
         kept, absorbed = incident[rv], incident[ru]
         incident[ru] = None
         loops = []

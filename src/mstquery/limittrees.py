@@ -58,12 +58,15 @@ with nothing held.
 The counts cover every pair (f, e) of a non-tree edge f and a tree edge e
 on its path: the bad pairs, high(e) > low(f), and the pairs behind each
 uniqueness verdict.  Every count comes from :func:`_tally` alone, which
-counts a run of pairs in or out: a fresh index counts all of its pairs
-in one call, and a move recounts only its own pairs: a reveal the
-revealed edge's path or cover, out at its old ranks and in at its new
-ones; a deletion the deleted edge's path; a contraction the contracted
-edge's cover; a swap the pairs of the paths it changes, the old ones out
-and the new ones in.  So no read scans every pair: :func:`reduce_verified`
+counts the pairs of one edge with a run of partners in or out, a
+non-tree edge with its path or a stretch of it or a tree edge with its
+cover, and builds no list of pairs.  A fresh index makes one call per
+path, and a move recounts only its own pairs: a reveal the revealed
+edge's path or cover, out at its old ranks and in at its new ones; a
+deletion the deleted edge's path; a contraction the contracted edge's
+cover; a swap the entering edge's old path and each stretch of a path it
+removes, out, then each stretch it adds and the leaving edge's new path,
+in.  So no read scans every pair: :func:`reduce_verified`
 removes the edges in no bad pair, :func:`is_solved` verifies the tree
 exactly when no pair is bad, and :func:`_uniqueness_gap` scans only the
 one path or cover its verdict comes from.
@@ -88,7 +91,6 @@ one Kruskal tree read, :func:`_joined_at_most` and :func:`_least_covers`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 from types import MappingProxyType
 from typing import AbstractSet, Mapping, NamedTuple, Optional
 
@@ -199,7 +201,7 @@ class PathIndex(NamedTuple):
             # e's pairs count somewhere only if e has a bad pair or a count
             # of its own, or some tree edge holds a lower tie
             if t.bad[e] or t.differ[e] or t.tie_up[e] or t.lower_ids:
-                _tally(t, [(e, l) for l in path], -1)
+                _tally(t, e, path, -1)
             for l in path:
                 covers[l].discard(e)
         else:
@@ -208,7 +210,7 @@ class PathIndex(NamedTuple):
             # of its own, or some non-tree edge holds a differ pair or an
             # upper tie
             if t.bad[e] or t.tie_low[e] or t.differ_ids or t.upper_ids:
-                _tally(t, [(f, e) for f in cover], -1)
+                _tally(t, e, cover, -1, cut=True)
             for f in cover:
                 paths[f].remove(e)
 
@@ -297,8 +299,8 @@ def _path_index(run: QueryRun, tree: set[int], rooted=None) -> PathIndex:
     bad, differ, tie_up, tie_low = ([0] * len(run.lo) for _ in range(4))
     ranks = list(run.lo), list(run.hi), list(run.upper), list(run.lower)
     tally = _Tally(*ranks, bad, 0, differ, tie_up, tie_low, set(), set(), set())
-    # the pairs are drawn lazily, each from a path, not held in one list
-    _tally(tally, chain.from_iterable(zip(repeat(f), path) for f, path in paths.items()), 1)
+    for f, path in paths.items():
+        _tally(tally, f, path, 1)
     return PathIndex(paths, covers, tally)
 
 
@@ -365,32 +367,65 @@ def _dominated(run: QueryRun, tree: set[int]) -> tuple[list[tuple[int, int]], li
     return nontree, _joined_at_most(run, tree, run.hi, nontree)
 
 
-def _tally(t: _Tally, pairs, sign: int) -> None:
-    """Count the pairs (f, e) in (sign 1) or out (sign -1) at the ranks of
-    `t`: the one rule for every count of :class:`_Tally`.  Each id set keeps
-    the ids whose count is not 0."""
+def _tally(t: _Tally, x: int, partners, sign: int, cut: bool = False) -> None:
+    """Count the pairs of edge x with each of `partners` in (sign 1) or out
+    (sign -1) at the ranks of `t`: the one rule for every count of
+    :class:`_Tally`.  x is a non-tree edge and `partners` edges of its path,
+    or with `cut` a tree edge and `partners` edges of its cover.  x's ranks
+    are read once and its own counts written once; both loops make the
+    same four comparisons, and each id set keeps the ids whose count is
+    not 0."""
     lo, hi, upper, lower, bad = t.lo, t.hi, t.upper, t.lower, t.bad
-    differ, tie_up, tie_low = t.differ, t.tie_up, t.tie_low
-    differ_ids, upper_ids, lower_ids = t.differ_ids, t.upper_ids, t.lower_ids
-    bad_pairs = 0
-    for f, e in pairs:
-        if hi[e] > lo[f]:
-            bad[f] += sign
-            bad[e] += sign
-            bad_pairs += sign
-        uf, ue = upper[f], upper[e]
-        if ue >= uf:
-            if ue > uf or e > f:
-                c = differ[f] = differ[f] + sign
-                differ_ids.add(f) if c else differ_ids.discard(f)
-            elif lo[f] != hi[f] or lo[e] != hi[e]:
-                c = tie_up[f] = tie_up[f] + sign
-                upper_ids.add(f) if c else upper_ids.discard(f)
-        wf, we = lower[f], lower[e]
-        if wf < we or wf == we and (lo[f] != hi[f] or lo[e] != hi[e]):
-            c = tie_low[e] = tie_low[e] + sign
-            lower_ids.add(e) if c else lower_ids.discard(e)
-    t.bad_pairs += bad_pairs
+    point = lo[x] == hi[x]
+    ux, wx = upper[x], lower[x]
+    n_bad = n_differ = n_tie = 0
+    if not cut:
+        f, lo_f = x, lo[x]
+        differ, tie_low, lower_ids = t.differ, t.tie_low, t.lower_ids
+        for e in partners:
+            if hi[e] > lo_f:
+                bad[e] += sign
+                n_bad += 1
+            ue = upper[e]
+            if ue >= ux:
+                if ue > ux or e > f:
+                    n_differ += 1
+                elif not point or lo[e] != hi[e]:
+                    n_tie += 1
+            we = lower[e]
+            if wx < we or wx == we and (not point or lo[e] != hi[e]):
+                c = tie_low[e] = tie_low[e] + sign
+                lower_ids.add(e) if c else lower_ids.discard(e)
+        if n_differ:
+            c = differ[f] = differ[f] + sign * n_differ
+            t.differ_ids.add(f) if c else t.differ_ids.discard(f)
+        if n_tie:
+            c = t.tie_up[f] = t.tie_up[f] + sign * n_tie
+            t.upper_ids.add(f) if c else t.upper_ids.discard(f)
+    else:
+        e, hi_e = x, hi[x]
+        differ, tie_up, differ_ids, upper_ids = t.differ, t.tie_up, t.differ_ids, t.upper_ids
+        for f in partners:
+            if hi_e > lo[f]:
+                bad[f] += sign
+                n_bad += 1
+            uf = upper[f]
+            if ux >= uf:
+                if ux > uf or e > f:
+                    c = differ[f] = differ[f] + sign
+                    differ_ids.add(f) if c else differ_ids.discard(f)
+                elif not point or lo[f] != hi[f]:
+                    c = tie_up[f] = tie_up[f] + sign
+                    upper_ids.add(f) if c else upper_ids.discard(f)
+            wf = lower[f]
+            if wf < wx or wf == wx and (not point or lo[f] != hi[f]):
+                n_tie += 1
+        if n_tie:
+            c = t.tie_low[e] = t.tie_low[e] + sign * n_tie
+            t.lower_ids.add(e) if c else t.lower_ids.discard(e)
+    if n_bad:
+        bad[x] += sign * n_bad
+        t.bad_pairs += sign * n_bad
 
 
 def _stays(index: PathIndex, keys: list[int], e: int) -> bool:
@@ -412,10 +447,11 @@ def _see(run: QueryRun, t: _Tally, e: int) -> None:
 def _recount(run: QueryRun, index: PathIndex, e: int) -> None:
     """Move the pairs of revealed edge e from its old ranks to its new ones."""
     t, covers = index.tally, index.covers
-    pairs = [(f, e) for f in covers[e]] if e in covers else [(e, x) for x in index.paths[e]]
-    _tally(t, pairs, -1)
+    cut = e in covers
+    partners = covers[e] if cut else index.paths[e]
+    _tally(t, e, partners, -1, cut)
     _see(run, t, e)
-    _tally(t, pairs, 1)
+    _tally(t, e, partners, 1, cut)
 
 
 def _entry(ends, walk: list[int], i: int, start: int) -> int:
@@ -447,7 +483,10 @@ def _swap(run: QueryRun, index: PathIndex, e: int) -> None:
     x = _entry(ends, cycle, j, ends[enter][1])
     rest = cycle[j + 1:] + [enter] + cycle[:j]  # from out's other end round to x
     back = rest[::-1]
-    removed, added = [(enter, l) for l in cycle], []
+    # every pair of e is counted out at e's old ranks before any is
+    # counted in at its new ones
+    _tally(tally, enter, cycle, -1)
+    added = []
     for l in cycle:
         covers[l].discard(enter)
     covers[enter] = set()
@@ -463,22 +502,22 @@ def _swap(run: QueryRun, index: PathIndex, e: int) -> None:
         b, t = i + 1, len(detour)
         while b < len(old) and old[b] == detour[t - 1]:
             b, t = b + 1, t - 1
-        paths[f] = old[:a] + detour[s:t] + old[b:]
-        for l in old[a:b]:
-            removed.append((f, l))
+        gone, new = old[a:b], detour[s:t]
+        paths[f] = old[:a] + new + old[b:]
+        _tally(tally, f, gone, -1)
+        for l in gone:
             if l != out:
                 covers[l].discard(f)
-        for l in detour[s:t]:
-            added.append((f, l))
+        for l in new:
             covers[l].add(f)
+        added.append((f, new))
     paths[out] = back if ends[out][1] == x else rest
     for l in paths[out]:
-        added.append((out, l))
         covers[l].add(out)
-    # every pair of e is among the removed ones, counted at e's old ranks
-    _tally(tally, removed, -1)
+    added.append((out, paths[out]))
     _see(run, tally, e)
-    _tally(tally, added, 1)
+    for f, new in added:
+        _tally(tally, f, new, 1)
 
 
 def _held_lower(run: QueryRun) -> PathIndex:

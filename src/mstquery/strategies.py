@@ -221,6 +221,22 @@ def opt_exact(graph: UncertainGraph) -> OptResult:
 # -- baseline (prediction-oblivious, 2-competitive) --------------------------
 
 
+def _meeting(run: QueryRun, f: int, path: list[int]) -> list[int]:
+    """The edges of `path`, non-tree edge f's path in the lower limit tree,
+    whose intervals meet f's, in path order: :meth:`QueryRun.intersects`
+    on ranks, one comparison per edge.
+
+    An edge e on the path has a lower key at most f's, so hi[e] <= lo[f]
+    if e is a point, and lo[e] <= lo[f] if it is open (lo[e] < lo[f] if f
+    is a point).  So e meets f exactly when lo[f] < hi[e], or when both
+    are points of one value."""
+    lo, hi = run.lo, run.hi
+    lo_f = lo[f]
+    if lo_f == hi[f]:
+        return [e for e in path if lo_f < hi[e] or lo[e] == hi[e] == lo_f]
+    return [e for e in path if lo_f < hi[e]]
+
+
 def run_baseline(run: QueryRun) -> None:
     """Resolve the instance one cycle at a time.
 
@@ -235,7 +251,7 @@ def run_baseline(run: QueryRun) -> None:
         if not run.present:
             return
         f = trees.nontree_order[0]
-        candidates = [e for e in trees.paths[f] if run.intersects(e, f)]
+        candidates = _meeting(run, f, trees.paths[f])
         if not candidates:
             raise RuntimeError("verified-maximal edge survived reduction")
         l = min(candidates, key=lambda e: (-run.hi[e], e))

@@ -179,6 +179,32 @@ def scan_uniqueness_gap(run, index):
     return None
 
 
+def pair_counts(lo, hi, upper, lower, pairs):
+    """The counts of `limittrees._Tally` by name, counted pair by pair over
+    `pairs`, each a non-tree edge f and a tree edge e on its path, at the
+    rank tables given by edge id: the per-pair reference for the counting
+    kernel `limittrees._tally`."""
+    counts = {name: [0] * len(lo) for name in ("bad", "differ", "tie_up", "tie_low")}
+    bad_pairs = 0
+    for f, e in pairs:
+        points = lo[e] == hi[e] and lo[f] == hi[f]
+        if hi[e] > lo[f]:
+            bad_pairs += 1
+            counts["bad"][f] += 1
+            counts["bad"][e] += 1
+        if (upper[e], e) > (upper[f], f):
+            counts["differ"][f] += 1
+        elif upper[e] == upper[f] and not points:
+            counts["tie_up"][f] += 1
+        if lower[f] < lower[e] or lower[f] == lower[e] and not points:
+            counts["tie_low"][e] += 1
+    ids = {
+        f"{kind}_ids": {x for x, c in enumerate(counts[name]) if c}
+        for kind, name in (("differ", "differ"), ("upper", "tie_up"), ("lower", "tie_low"))
+    }
+    return {**counts, "bad_pairs": bad_pairs, **ids}
+
+
 def scan_verified(run, tree, index):
     """The edges `limittrees.reduce_verified` removes, by a scan of every
     path and cover: the non-tree edges that dominate their path and the

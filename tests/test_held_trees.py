@@ -24,6 +24,7 @@ from cases import (
     kernel_case,
     large_graphs,
     live_graphs,
+    pair_counts,
     scan_uniqueness_gap,
     scan_verified,
     tied_case,
@@ -47,27 +48,8 @@ from mstquery.strategies import StrategyConfig, run_combined
 def recount(run, index):
     """The blocking-pair counts of `index` at the session's ranks, pair by
     pair: the reference for `limittrees._Tally`."""
-    lo, hi, upper, lower = run.lo, run.hi, run.upper, run.lower
-    counts = {name: [0] * len(lo) for name in ("bad", "differ", "tie_up", "tie_low")}
-    bad_pairs = 0
-    for f, path in index.paths.items():
-        for e in path:
-            points = lo[e] == hi[e] and lo[f] == hi[f]
-            if hi[e] > lo[f]:
-                bad_pairs += 1
-                counts["bad"][f] += 1
-                counts["bad"][e] += 1
-            if (upper[e], e) > (upper[f], f):
-                counts["differ"][f] += 1
-            elif upper[e] == upper[f] and not points:
-                counts["tie_up"][f] += 1
-            if lower[f] < lower[e] or lower[f] == lower[e] and not points:
-                counts["tie_low"][e] += 1
-    ids = {
-        f"{kind}_ids": {x for x, c in enumerate(counts[name]) if c}
-        for kind, name in (("differ", "differ"), ("upper", "tie_up"), ("lower", "tie_low"))
-    }
-    return {**counts, "bad_pairs": bad_pairs, **ids}
+    pairs = [(f, e) for f, path in index.paths.items() for e in path]
+    return pair_counts(run.lo, run.hi, run.upper, run.lower, pairs)
 
 
 def assert_held_matches_a_rebuild(run, seen=None):
@@ -284,6 +266,59 @@ def test_counted_verdicts_match_the_scans_on_any_spanning_tree():
             if open_ids:
                 run.reveal(rng.choice(open_ids))
     floors = {"raises": 50, "differ": 3000, "upper": 80, "lower": 20, "unique": 2000}
+    assert all(seen[kind] > floor for kind, floor in floors.items()), seen
+
+
+def kernel_counts(ranks, runs, cut):
+    """The counts `limittrees._tally` leaves on a fresh `_Tally` at
+    `ranks`, given each (x, partners, sign) of `runs` in turn."""
+    size = len(ranks[0])
+    bad, differ, tie_up, tie_low = ([0] * size for _ in range(4))
+    t = limittrees._Tally(*(list(r) for r in ranks), bad, 0, differ, tie_up, tie_low, set(), set(), set())
+    for x, partners, sign in runs:
+        limittrees._tally(t, x, partners, sign, cut)
+    names = ("bad", "differ", "tie_up", "tie_low", "bad_pairs", "differ_ids", "upper_ids", "lower_ids")
+    return {name: getattr(t, name) for name in names}
+
+
+def test_the_kernel_counts_a_path_or_a_cover_as_the_per_pair_rule_does():
+    # random rank tables on a few ranks, so keys tie often and points meet
+    # open ends; the pairs are counted in, then some of them out again,
+    # once by runs along a path and once by runs along a cover
+    rng = random.Random(5)
+    seen = Counter()
+    for _ in range(400):
+        size = rng.randint(2, 24)
+        lo, hi = [], []
+        for _ in range(size):
+            a = rng.randrange(5)
+            b = a if rng.random() < 0.3 else rng.randrange(a + 1, 7)
+            lo.append(a)
+            hi.append(b)
+        upper = [3 * b - (a != b) for a, b in zip(lo, hi)]
+        lower = [3 * a + (a != b) for a, b in zip(lo, hi)]
+        ids = list(range(size))
+        rng.shuffle(ids)
+        cut = rng.randint(1, size - 1)
+        nontree, tree = ids[:cut], ids[cut:]
+        pairs = [(f, e) for f in nontree for e in tree if rng.random() < 0.6]
+        rng.shuffle(pairs)
+        gone = pairs[: rng.randint(0, len(pairs))]
+        ranks = (lo, hi, upper, lower)
+        want = pair_counts(*ranks, pairs[len(gone):])
+        for side, by in (("path", 0), ("cover", 1)):
+            runs = []
+            for sign, counted in ((1, pairs), (-1, gone)):
+                grouped = {}
+                for pair in counted:
+                    grouped.setdefault(pair[by], []).append(pair[1 - by])
+                runs += [(x, partners, sign) for x, partners in grouped.items()]
+            assert kernel_counts(ranks, runs, by == 1) == want, side
+        seen["pairs"] += len(pairs) - len(gone)
+        for kind in ("differ_ids", "upper_ids", "lower_ids"):
+            seen[kind] += len(want[kind])
+        seen["bad"] += want["bad_pairs"]
+    floors = {"pairs": 4000, "bad": 2500, "differ_ids": 900, "upper_ids": 180, "lower_ids": 900}
     assert all(seen[kind] > floor for kind, floor in floors.items()), seen
 
 

@@ -28,11 +28,20 @@ def sign(a, b):
     return (a > b) - (a < b)
 
 
-def replay_contract(parent, graph, eid):
+def replay_contract(parent, graph, present, eid):
     """Merge edge eid's components in the model as the session names them:
-    the root of the first end goes under the root of the second."""
+    the root with fewer of the `present` edges (those present before the
+    contraction) goes under the other, and on a tie the root of the first
+    end goes under the root of the second."""
     edge = graph.edge(eid)
-    parent[root(parent, edge.u)] = root(parent, edge.v)
+    first, second = root(parent, edge.u), root(parent, edge.v)
+
+    def degree(r):
+        return sum(1 for e in present if r in (root(parent, graph.edge(e).u), root(parent, graph.edge(e).v)))
+
+    if degree(first) > degree(second):
+        first, second = second, first
+    parent[first] = second
 
 
 def assert_minor_matches(run, parent):
@@ -101,7 +110,7 @@ class CheckedRun(QueryRun):
     def contract(self, eid):
         present, seen = self.present_ids(), len(self.transcript.events)
         super().contract(eid)
-        replay_contract(self.model, self.graph_readonly(), eid)
+        replay_contract(self.model, self.graph_readonly(), present, eid)
         assert_contract_events(self, self.model, eid, present, seen)
         assert_minor_matches(self, self.model)
         CheckedRun.moves += 1
@@ -228,3 +237,49 @@ def test_random_contraction_sequences_on_multigraphs():
         while run.vertex_count > 1:
             run.contract(rng.choice(run.present_ids()))
         assert run.present_ids() == []
+
+
+# -- the smaller side is relabelled ---------------------------------------------
+
+
+def contract_counting(run, eid):
+    """Contract eid; returns how many endpoint entries changed, and the
+    smaller of its two ends' present edges other than eid."""
+    a, b = run.ends[eid]
+    smaller = min(len(run._incident[a]), len(run._incident[b])) - 1
+    before = list(run.ends)
+    run.contract(eid)
+    return sum(1 for x, y in zip(before, run.ends) if x != y), smaller
+
+
+def test_contracting_a_spoke_relabels_the_leaf_side():
+    # a star on centre 0 with leaves 1..6, and leaf 7 hung on leaf 1: the
+    # spoke to 1 joins the centre's six edges to leaf 1's two, in either
+    # order of its ends, so one edge (1-7) is relabelled and the centre
+    # keeps its name
+    for spoke in ((0, 1), (1, 0)):
+        pairs = [spoke] + [(0, v) for v in range(2, 7)] + [(1, 7)]
+        run = CheckedRun(multigraph(8, pairs))
+        changed, smaller = contract_counting(run, 0)
+        assert changed == smaller == 1
+        assert run.ends[len(pairs) - 1] == (0, 7)
+        assert run._incident[1] is None and len(run._incident[0]) == 6
+
+
+def test_contracting_a_spanning_tree_relabels_at_most_m_log_n_entries():
+    for seed in range(6):
+        g = factory.gen_random(40, 80, 0.9, 0.3, seed)
+        m, bound = len(g.edges), len(g.edges) * (g.vertex_count - 1).bit_length()
+        for order in ("ids", "shuffled"):
+            run = QueryRun(g)
+            tree = sorted(lower_limit_tree(run))
+            if order == "shuffled":
+                random.Random(seed).shuffle(tree)
+            total = 0
+            for eid in tree:
+                if run.is_present(eid):
+                    changed, smaller = contract_counting(run, eid)
+                    assert changed == smaller
+                    total += changed
+            assert run.vertex_count == 1 and m > 100
+            assert 0 < total <= bound, (seed, order, total, bound)

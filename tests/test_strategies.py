@@ -348,11 +348,17 @@ def test_koenig_cover_is_the_matched_set_split_once(seed):
 
 
 def check_readers(run, trees, seen):
-    """_vc_structure and cycle_pred_mandatory_free, which compare ranks
-    inline, against the definitions on the intervals and predicted values."""
+    """_vc_structure, cycle_pred_mandatory_free and _meeting, which compare
+    ranks inline, against the definitions on the intervals and predicted
+    values."""
     structure = strategies._vc_structure(run, trees)
     assert structure == vc_structure(run, trees)
     for f in trees.nontree_order:
+        path = trees.paths[f]
+        meeting = strategies._meeting(run, f, path)
+        assert meeting == [e for e in path if run.intersects(e, f)]
+        seen["apart"] += len(path) - len(meeting)
+        seen["points meet"] += sum(1 for e in meeting if run.lo[e] == run.hi[e])
         free = strategies.cycle_pred_mandatory_free(run, trees, f)
         assert free == cycle_pred_free(run, trees, f)
         seen["free" if free else "offending"] += 1
@@ -403,6 +409,28 @@ def test_readers_match_the_interval_definitions_without_reduction(corpus_by_rate
                 break
             run.reveal(open_ids[len(open_ids) // 2])
     floors = {"rounds": 8000, "adjacent": 4000, "offending": 2000, "free": 20000, "point closing edge": 10000}
+    floors.update({"apart": 50000, "points meet": 600})
+    assert all(seen[kind] > floor for kind, floor in floors.items()), seen
+
+
+def test_baseline_candidates_match_the_intersects_filter(monkeypatch, corpus_by_rate):
+    # the cycle edges run_baseline picks from, on every round of a run; on
+    # these reduced instances every path edge meets the closing edge, so
+    # the edges the filter passes over are met by the readers' tests
+    seen = Counter()
+    meeting = strategies._meeting
+
+    def checked(run, f, path):
+        got = meeting(run, f, path)
+        assert got == [e for e in path if run.intersects(e, f)]
+        seen["rounds"] += 1
+        seen["candidates"] += len(got)
+        return got
+
+    monkeypatch.setattr(strategies, "_meeting", checked)
+    for g in reader_graphs(corpus_by_rate):
+        strategies.solve(g, StrategyConfig(mode="baseline"))
+    floors = {"rounds": 1500, "candidates": 2000}
     assert all(seen[kind] > floor for kind, floor in floors.items()), seen
 
 

@@ -153,8 +153,8 @@ def test_mandatory_edges_match_the_path_index_thresholds():
 
 
 def test_a_fresh_reduction_indexes_only_the_remnant(monkeypatch):
-    # one index over what the moves leave, counted by one call, and no
-    # replay of the moves through the counts
+    # one index over what the moves leave, counted in from its own paths
+    # alone, and no replay of the moves through the counts
     run = QueryRun(factory.gen_random(160, 160, 0.98, 0.3, 0))
     calls = []
     path_index, tally = limittrees._path_index, limittrees._tally
@@ -163,13 +163,15 @@ def test_a_fresh_reduction_indexes_only_the_remnant(monkeypatch):
         calls.append(("index", set(tree)))
         return path_index(run, tree, rooted)
 
-    def counted_tally(t, pairs, sign):
-        calls.append(("tally", sign))
-        return tally(t, pairs, sign)
+    def counted_tally(t, x, partners, sign, cut=False):
+        calls.append(("tally", x, list(partners), sign, cut))
+        return tally(t, x, partners, sign, cut)
 
     monkeypatch.setattr(limittrees, "_path_index", counted_path_index)
     monkeypatch.setattr(limittrees, "_tally", counted_tally)
     full = _kruskal(run, run.lower)
     left = reduce_verified(run)
-    assert calls == [("index", left), ("tally", 1)]
+    paths = run._limit_trees.paths
+    assert calls == [("index", left)] + [("tally", f, path, 1, False) for f, path in paths.items()]
+    assert len(paths) > 10
     assert left < full and len(run.removed) > 200
