@@ -43,10 +43,14 @@ key or the minor.  Each move costs O(the paths it changes):
 - in those two cases exactly one edge swaps, the single-change update of
   Spira and Pan (SICOMP 1975): tree edge e leaves for its lightest cover,
   or non-tree edge e enters for the heaviest edge on its path.  Only the
-  leaving edge's new path and the paths that held it change, and
-  :func:`_swap` splices each along the entering edge's cycle into the one
-  walk :func:`_path_index` writes.  It reads the keys and endpoints right
-  after the reveal, which are the current ones.
+  leaving edge's new path and the paths that held it change.  When the
+  entering edge's path is the leaving edge alone, the two are parallel:
+  :func:`_swap` writes the entering id in place of the leaving one in
+  each such path, which keeps its walk, and hands the leaving edge's
+  cover to the entering edge.  Otherwise it splices each path along the
+  entering edge's cycle into the one walk :func:`_path_index` writes.  It
+  reads the keys and endpoints right after the reveal, which are the
+  current ones.
 
 Deleting a tree edge or contracting a non-tree edge drops the held index,
 and the next read rebuilds it with Kruskal and :func:`_path_index`.
@@ -66,7 +70,9 @@ edge's path or cover, out at its old ranks and in at its new ones; a
 deletion the deleted edge's path; a contraction the contracted edge's
 cover; a swap the entering edge's old path and each stretch of a path it
 removes, out, then each stretch it adds and the leaving edge's new path,
-in.  So no read scans every pair: :func:`reduce_verified`
+in, and a parallel swap the entering edge's old path and the leaving
+edge's cover, out, then the entering edge's new cover, in, whatever the
+cover's size.  So no read scans every pair: :func:`reduce_verified`
 removes the edges in no bad pair, :func:`is_solved` verifies the tree
 exactly when no pair is bad, and :func:`_uniqueness_gap` scans only the
 one path or cover its verdict comes from.
@@ -468,7 +474,15 @@ def _swap(run: QueryRun, index: PathIndex, e: int) -> None:
     rejects the tree: tree edge e leaves for its lightest cover, or
     non-tree edge e enters for the heaviest edge on its path, in the order
     (lower key, edge id).  Only `out`'s new path and the paths that held
-    `out` change.  Each is its old walk (from the edge's second end to its
+    `out` change.
+
+    When the entering edge's path is `out` alone, the two edges are
+    parallel: each path that held `out` takes `enter` at the same
+    position, edited in place, and its walk does not change; `out`'s new
+    path is `enter` alone, and `enter`'s cover is `out`'s old one with
+    `out` in place of `enter`.  So the moved pairs are counted by cut, one
+    call for `out` and one for `enter`, whatever the cover's size.
+    Otherwise each path is its old walk (from the edge's second end to its
     first) with `out` replaced by the rest of the entering edge's cycle,
     backtracks cancelled, so it is the walk :func:`_path_index` writes."""
     paths, covers, tally = index
@@ -477,15 +491,29 @@ def _swap(run: QueryRun, index: PathIndex, e: int) -> None:
         out, enter = e, min(covers[e], key=lambda x: (keys[x], x))
     else:
         out, enter = max(paths[e], key=lambda x: (keys[x], x)), e
-    ends = run.ends
     cycle = paths.pop(enter)
+    # every pair of e is counted out at e's old ranks before any is
+    # counted in at its new ones
+    _tally(tally, enter, cycle, -1)
+    if len(cycle) == 1:
+        held = covers.pop(out)
+        held.discard(enter)
+        if held:
+            _tally(tally, out, held, -1, cut=True)
+        for f in held:
+            path = paths[f]
+            path[path.index(out)] = enter
+        paths[out] = [enter]
+        held.add(out)
+        covers[enter] = held
+        _see(run, tally, e)
+        _tally(tally, enter, held, 1, cut=True)
+        return
+    ends = run.ends
     j = cycle.index(out)
     x = _entry(ends, cycle, j, ends[enter][1])
     rest = cycle[j + 1:] + [enter] + cycle[:j]  # from out's other end round to x
     back = rest[::-1]
-    # every pair of e is counted out at e's old ranks before any is
-    # counted in at its new ones
-    _tally(tally, enter, cycle, -1)
     added = []
     for l in cycle:
         covers[l].discard(enter)

@@ -95,27 +95,54 @@ def _max_matching(
 
     Deterministic: free left vertices are scanned in ascending id, neighbor
     lists are ascending.  The returned pair map is symmetric.
+
+    Each search is the depth-first one of the recursive form, on an
+    explicit stack: a matched neighbor's partner is searched next, and
+    when its neighbors run out the search resumes at its parent's next
+    neighbor.  So the matching is the recursive one, at any path length.
     """
     pair: dict[int, int] = {}
     for l, r in seed_pairs or ():
         pair[l] = r
         pair[r] = l
 
-    def augment(u: int, visited: set[int]) -> bool:
-        for v in adjacency.get(u, ()):
-            if v in visited:
-                continue
-            visited.add(v)
-            w = pair.get(v)
-            if w is None or augment(w, visited):
-                pair[u] = v
-                pair[v] = u
-                return True
-        return False
+    get, match = adjacency.get, pair.get
+
+    def augment(root: int) -> None:
+        visited: set[int] = set()
+        seen = visited.add
+        # the left vertices of the search path, the neighbor each one went
+        # on by, and each one's place in its neighbor list
+        path, via = [root], []
+        its = [iter(get(root, ()))]
+        it = its[0]
+        while True:
+            for v in it:
+                if v not in visited:
+                    seen(v)
+                    via.append(v)
+                    w = match(v)
+                    if w is None:
+                        # flip the alternating path
+                        for u, x in zip(path, via):
+                            pair[u] = x
+                            pair[x] = u
+                        return
+                    path.append(w)
+                    it = iter(get(w, ()))
+                    its.append(it)
+                    break
+            else:
+                its.pop()
+                path.pop()
+                if not path:
+                    return
+                via.pop()
+                it = its[-1]
 
     for u in left:
         if u not in pair:
-            augment(u, set())
+            augment(u)
     return pair
 
 
@@ -221,22 +248,6 @@ def opt_exact(graph: UncertainGraph) -> OptResult:
 # -- baseline (prediction-oblivious, 2-competitive) --------------------------
 
 
-def _meeting(run: QueryRun, f: int, path: list[int]) -> list[int]:
-    """The edges of `path`, non-tree edge f's path in the lower limit tree,
-    whose intervals meet f's, in path order: :meth:`QueryRun.intersects`
-    on ranks, one comparison per edge.
-
-    An edge e on the path has a lower key at most f's, so hi[e] <= lo[f]
-    if e is a point, and lo[e] <= lo[f] if it is open (lo[e] < lo[f] if f
-    is a point).  So e meets f exactly when lo[f] < hi[e], or when both
-    are points of one value."""
-    lo, hi = run.lo, run.hi
-    lo_f = lo[f]
-    if lo_f == hi[f]:
-        return [e for e in path if lo_f < hi[e] or lo[e] == hi[e] == lo_f]
-    return [e for e in path if lo_f < hi[e]]
-
-
 def run_baseline(run: QueryRun) -> None:
     """Resolve the instance one cycle at a time.
 
@@ -245,16 +256,18 @@ def run_baseline(run: QueryRun) -> None:
     edge form a witness set; if the former's interval is contained in the
     latter's, the closing edge is mandatory and queried alone, otherwise the
     cycle edge is queried and the closing edge only if still unresolved.
+
+    After reduction every cycle edge meets the closing edge f: a path edge
+    e that is not contractible has a cover g with lo[g] < hi[e], and f has
+    the least lower key, so lo[f] <= lo[g].  So the witness is read off
+    the whole path: largest high end, least id on ties.
     """
     for _ in rounds(run, "run_baseline"):
         trees = unique_limit_trees(run)
         if not run.present:
             return
         f = trees.nontree_order[0]
-        candidates = _meeting(run, f, trees.paths[f])
-        if not candidates:
-            raise RuntimeError("verified-maximal edge survived reduction")
-        l = min(candidates, key=lambda e: (-run.hi[e], e))
+        l = min(trees.paths[f], key=lambda e: (-run.hi[e], e))
         if run.lo[f] <= run.lo[l] and run.hi[l] <= run.hi[f]:
             run.reveal(f)
         else:

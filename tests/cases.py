@@ -216,6 +216,32 @@ def scan_verified(run, tree, index):
     return dominated, contractible
 
 
+def recursive_max_matching(left, adjacency, seed_pairs=None):
+    """`strategies._max_matching` in its recursive form, one call per edge
+    of an augmenting path: the reference its explicit stack is held to."""
+    pair = {}
+    for l, r in seed_pairs or ():
+        pair[l] = r
+        pair[r] = l
+
+    def augment(u, visited):
+        for v in adjacency.get(u, ()):
+            if v in visited:
+                continue
+            visited.add(v)
+            w = pair.get(v)
+            if w is None or augment(w, visited):
+                pair[u] = v
+                pair[v] = u
+                return True
+        return False
+
+    for u in left:
+        if u not in pair:
+            augment(u, set())
+    return pair
+
+
 def walk_is_solved(run):
     """`limittrees.is_solved` of a session holding no tree, by a walk of
     every cycle: Kruskal, then a depth-first search for each non-tree

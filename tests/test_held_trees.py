@@ -118,18 +118,75 @@ class CheckedRun(QueryRun):
         self._check("contract")
 
 
+def watch_swaps(monkeypatch, seen, calls=None):
+    """Wrap `limittrees._swap` to count in `seen` the swaps whose entering
+    edge is parallel to the leaving one (its path is that edge alone), the
+    other paths those move, and the other swaps; with `calls`, append the
+    `_tally` calls of each parallel swap."""
+    swap, tally = limittrees._swap, limittrees._tally
+    made = [0]
+
+    def counted(*args, **kwargs):
+        made[0] += 1
+        return tally(*args, **kwargs)
+
+    def watched(run, index, e):
+        paths, covers, keys = index.paths, index.covers, run.lower
+        if e in covers:
+            out, enter = e, min(covers[e], key=lambda x: (keys[x], x))
+        else:
+            out, enter = max(paths[e], key=lambda x: (keys[x], x)), e
+        parallel = paths[enter] == [out]
+        moved = len(covers[out]) - 1
+        made[0] = 0
+        swap(run, index, e)
+        if parallel:
+            seen["parallel"] += 1
+            seen["moved covers"] += moved
+            if calls is not None:
+                calls.append(made[0])
+        else:
+            seen["not parallel"] += 1
+
+    monkeypatch.setattr(limittrees, "_swap", watched)
+    monkeypatch.setattr(limittrees, "_tally", counted)
+
+
+def bundle_graphs():
+    """Graphs whose swaps are mostly between parallel edges."""
+    graphs = [factory.gen_path_parallel(n) for n in (8, 32, 64)]
+    graphs += [factory.gen_vc_flip(32, variant) for variant in ("ex1", "ex2")]
+    return graphs + [factory.gen_triangle_chain(32)]
+
+
 def test_held_trees_match_a_rebuild_after_every_move_of_live_runs(monkeypatch):
     monkeypatch.setattr(strategies, "QueryRun", CheckedRun)
     CheckedRun.seen = Counter()
+    swaps = Counter()
+    watch_swaps(monkeypatch, swaps)
     # a fresh reduction holds no tree while it moves, so its moves check
-    # nothing; three more graphs keep the count of checked states up
+    # nothing; more graphs keep the count of checked states up, and the
+    # bundles the count of parallel swaps
     more = [factory.gen_path_parallel(12), factory.gen_triangle_chain(12), factory.gen_random(60, 60, 0.95, 0.5, seed=9)]
-    run_live(live_graphs(), large_graphs() + more)
+    run_live(live_graphs(), large_graphs() + more + bundle_graphs())
     seen = CheckedRun.seen
     assert seen["reveal"] + seen["delete"] + seen["contract"] > 20000
     assert seen["lower kept by a reveal"] > 2000
     assert seen["swapped"] > 3000
     assert seen["index"] > 15000
+    floors = {"parallel": 2400, "moved covers": 10000, "not parallel": 1200}
+    assert all(swaps[kind] > floor for kind, floor in floors.items()), swaps
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_a_parallel_swap_makes_a_constant_number_of_kernel_calls(monkeypatch, n):
+    # on path-parallel every swap trades a path edge for a parallel one whose
+    # cover is up to n paths, which keep their walks and change one id each
+    seen, calls = Counter(), []
+    watch_swaps(monkeypatch, seen, calls)
+    strategies.solve(factory.gen_path_parallel(n), StrategyConfig(gamma=2, mode="error_sensitive"))
+    assert seen["parallel"] > n and seen["moved covers"] > n * n / 4, seen
+    assert set(calls) == {3}
 
 
 def test_held_trees_match_a_rebuild_at_every_read_of_live_runs(monkeypatch):

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from cases import cycle_pred_free, kernel_case, large_graphs, live_graphs, tied_case, vc_structure
+from cases import (
+    cycle_pred_free, kernel_case, large_graphs, live_graphs, recursive_max_matching, tied_case, vc_structure,
+)
 from mstquery import factory, strategies
 from mstquery.graphcore import (
     Interval, NoProgress, PreconditionViolated, QueryRun, UncertainEdge, UncertainGraph,
@@ -336,6 +338,8 @@ def test_koenig_cover_is_the_matched_set_split_once(seed):
                 seed_pairs.append((l, rng.choice(free)))
                 taken.add(seed_pairs[-1][1])
     pair = _max_matching(left, adjacency, seed_pairs)
+    # the explicit stack visits neighbors in the recursive order
+    assert pair == recursive_max_matching(left, adjacency, seed_pairs)
     cover = _koenig_cover(left, right, adjacency, pair)
     pairs = {(l, pair[l]) for l in left if l in pair}
     assert all(pair[r] == l for l, r in pairs)
@@ -347,16 +351,42 @@ def test_koenig_cover_is_the_matched_set_split_once(seed):
     assert set(cover) | {pair[c] for c in cover} == set(pair)
 
 
-def check_readers(run, trees, seen):
-    """_vc_structure, cycle_pred_mandatory_free and _meeting, which compare
-    ranks inline, against the definitions on the intervals and predicted
-    values."""
+def test_the_matching_returns_on_an_augmenting_path_past_the_recursion_limit():
+    # u_0: [v_0], u_k: [v_{k-1}, v_k]; each u_k first tries v_{k-1} and
+    # searches back down to u_0, so the search is n deep
+    n = 1200
+    left = list(range(n))
+    adjacency = {0: [n]}
+    adjacency.update({k: [n + k - 1, n + k] for k in range(1, n)})
+    pair = _max_matching(left, adjacency)
+    assert {u: pair[u] for u in left} == {k: n + k for k in range(n)}
+
+
+def assert_the_first_path_meets_its_edge(run, trees):
+    """On a reduced instance every path edge of the first non-tree edge
+    meets it, so `run_baseline` reads its witness off the whole path;
+    returns that path's length."""
+    if not trees.nontree_order:
+        return 0
+    f = trees.nontree_order[0]
+    path = trees.paths[f]
+    assert all(run.intersects(e, f) for e in path)
+    return len(path)
+
+
+def check_readers(run, trees, seen, reduced=False):
+    """_vc_structure and cycle_pred_mandatory_free, which compare ranks
+    inline, against the definitions on the intervals and predicted values;
+    on a `reduced` instance also the path `run_baseline` reads.  "apart"
+    and "points meet" count the path edges that miss their non-tree edge,
+    and the points that meet a point one, by `QueryRun.intersects`."""
     structure = strategies._vc_structure(run, trees)
     assert structure == vc_structure(run, trees)
+    if reduced:
+        seen["first path"] += assert_the_first_path_meets_its_edge(run, trees)
     for f in trees.nontree_order:
         path = trees.paths[f]
-        meeting = strategies._meeting(run, f, path)
-        assert meeting == [e for e in path if run.intersects(e, f)]
+        meeting = [e for e in path if run.intersects(e, f)]
         seen["apart"] += len(path) - len(meeting)
         seen["points meet"] += sum(1 for e in meeting if run.lo[e] == run.hi[e])
         free = strategies.cycle_pred_mandatory_free(run, trees, f)
@@ -379,20 +409,21 @@ def test_readers_match_the_interval_definitions_at_every_round(monkeypatch, corp
     # on every LimitTrees a strategy run is handed
     seen = Counter()
 
-    def checked(produce):
+    def checked(produce, reduced):
         def handed(run):
             trees = produce(run)
-            check_readers(run, trees, seen)
+            check_readers(run, trees, seen, reduced)
             return trees
 
         return handed
 
-    monkeypatch.setattr(strategies, "unique_limit_trees", checked(unique_limit_trees))
-    monkeypatch.setattr(strategies, "compute_limit_trees", checked(compute_limit_trees))
+    # unique_limit_trees reduces before it hands out the trees
+    monkeypatch.setattr(strategies, "unique_limit_trees", checked(unique_limit_trees, True))
+    monkeypatch.setattr(strategies, "compute_limit_trees", checked(compute_limit_trees, False))
     config = StrategyConfig(mode=mode) if mode == "baseline" else StrategyConfig(gamma=2, mode=mode)
     for g in reader_graphs(corpus_by_rate):
         strategies.solve(g, config)
-    floors = {"rounds": 3000, "adjacent": 2000, "offending": 1000, "free": 400}
+    floors = {"rounds": 3000, "adjacent": 2000, "offending": 1000, "free": 400, "first path": 1500}
     assert all(seen[kind] > floor for kind, floor in floors.items()), seen
 
 
@@ -414,20 +445,18 @@ def test_readers_match_the_interval_definitions_without_reduction(corpus_by_rate
 
 
 def test_baseline_candidates_match_the_intersects_filter(monkeypatch, corpus_by_rate):
-    # the cycle edges run_baseline picks from, on every round of a run; on
-    # these reduced instances every path edge meets the closing edge, so
-    # the edges the filter passes over are met by the readers' tests
+    # the cycle edges run_baseline picks from, on every round of a run: the
+    # whole path of the first non-tree edge, every edge of which meets it
     seen = Counter()
-    meeting = strategies._meeting
 
-    def checked(run, f, path):
-        got = meeting(run, f, path)
-        assert got == [e for e in path if run.intersects(e, f)]
-        seen["rounds"] += 1
-        seen["candidates"] += len(got)
-        return got
+    def checked(run):
+        trees = unique_limit_trees(run)
+        if run.present:
+            seen["rounds"] += 1
+            seen["candidates"] += assert_the_first_path_meets_its_edge(run, trees)
+        return trees
 
-    monkeypatch.setattr(strategies, "_meeting", checked)
+    monkeypatch.setattr(strategies, "unique_limit_trees", checked)
     for g in reader_graphs(corpus_by_rate):
         strategies.solve(g, StrategyConfig(mode="baseline"))
     floors = {"rounds": 1500, "candidates": 2000}
