@@ -230,7 +230,9 @@ def gen_random_pred_free(
     Builds a random overlapping instance with unique coinciding limit trees,
     then places each prediction in the admissible band (non-tree predictions
     above every cycle upper limit, tree predictions below every cut lower
-    limit); such bands are non-empty exactly because the trees are unique.
+    limit).  Every band is non-empty: `gen_random` makes only open edges,
+    and on unique trees a non-tree edge's high end is above every high end
+    on its path, and a tree edge's low end below every low end in its cut.
     With corrupt=True the truths are resampled freely afterwards.
     """
     from .graphcore import QueryRun
@@ -244,28 +246,18 @@ def gen_random_pred_free(
             continue
         trees = compute_limit_trees(run)
         preds: dict[int, Fraction] = {}
-        ok = True
         for f in trees.nontree_order:
             f_iv = run.interval(f)
             floor_limit = max(
                 [run.interval(e).high for e in trees.paths[f]] + [f_iv.low]
             )
-            if not floor_limit < f_iv.high:
-                ok = False
-                break
             preds[f] = (floor_limit + f_iv.high) / 2
-        if ok:
-            for l in trees.tree:
-                l_iv = run.interval(l)
-                cap_limit = min(
-                    [run.interval(x).low for x in trees.covers[l]] + [l_iv.high]
-                )
-                if not l_iv.low < cap_limit:
-                    ok = False
-                    break
-                preds[l] = (l_iv.low + cap_limit) / 2
-        if not ok:
-            continue
+        for l in trees.tree:
+            l_iv = run.interval(l)
+            cap_limit = min(
+                [run.interval(x).low for x in trees.covers[l]] + [l_iv.high]
+            )
+            preds[l] = (l_iv.low + cap_limit) / 2
         edges = []
         for e in base.edges:
             if corrupt:

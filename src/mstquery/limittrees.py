@@ -35,14 +35,16 @@ key or the minor.  Each move costs O(the paths it changes):
   leaves the covers;
 - contracting a tree edge l leaves the tree minus l, and removes l from
   every path that held it, keeping the order of the rest;
-- a reveal changes one edge's keys.  Under the total order (key, edge id)
-  the MST is unique, and it stays the MST exactly when the cut rule holds
-  for every tree edge against its covers; only the pairs with the revealed
-  edge e can change.  So the tree stands unless e is a tree edge with a
-  cover now below it, or a non-tree edge with a path edge now above it;
-- in those two cases exactly one edge swaps, the single-change update of
-  Spira and Pan (SICOMP 1975): tree edge e leaves for its lightest cover,
-  or non-tree edge e enters for the heaviest edge on its path.  Only the
+- a reveal changes one edge's keys, and only raises its lower key (I1):
+  the graph holds every truth and prediction strictly inside its open
+  interval, so the revealed rank r has lo < r < hi, and the lower key
+  goes from 3*lo+1 to 3*r.  Under the total order (key, edge id) the MST
+  is unique, and it stays the MST exactly when the cut rule holds for
+  every tree edge against its covers; only the pairs with the revealed
+  edge e can change.  A non-tree e only rose above its path, so the tree
+  stands unless e is a tree edge with a cover now below it;
+- then exactly one edge swaps, the single-change update of Spira and Pan
+  (SICOMP 1975): tree edge e leaves for its lightest cover.  Only the
   leaving edge's new path and the paths that held it change.  When the
   entering edge's path is the leaving edge alone, the two are parallel:
   :func:`_swap` writes the entering id in place of the leaving one in
@@ -195,7 +197,8 @@ class PathIndex(NamedTuple):
         the tree other than by a swap drops it from `run` instead."""
         paths, covers, t = self
         if kind == "reveal":
-            if _stays(self, run.lower, e):
+            # a reveal only raises e's lower key (I1), so a non-tree e stays out
+            if e not in covers or _stays(self, run.lower, e):
                 _recount(run, self, e)
             else:
                 _swap(run, self, e)
@@ -436,13 +439,10 @@ def _tally(t: _Tally, x: int, partners, sign: int, cut: bool = False) -> None:
 
 def _stays(index: PathIndex, keys: list[int], e: int) -> bool:
     """Whether the tree of `index`, the minimum spanning tree under `keys`
-    before the key of edge e changed, still is one: every cover of e is
-    above it (e in the tree), or every edge on e's path is below it (e
-    outside), in the order (key, edge id)."""
+    before the key of tree edge e changed, still is one: every cover of e
+    is above it in the order (key, edge id)."""
     k = keys[e]
-    if e in index.covers:
-        return all(keys[x] > k or keys[x] == k and x > e for x in index.covers[e])
-    return all(keys[x] < k or keys[x] == k and x < e for x in index.paths[e])
+    return all(keys[x] > k or keys[x] == k and x > e for x in index.covers[e])
 
 
 def _see(run: QueryRun, t: _Tally, e: int) -> None:
@@ -470,11 +470,12 @@ def _entry(ends, walk: list[int], i: int, start: int) -> int:
 
 
 def _swap(run: QueryRun, index: PathIndex, e: int) -> None:
-    """Apply the one swap that revealing e makes, when :func:`_stays`
-    rejects the tree: tree edge e leaves for its lightest cover, or
-    non-tree edge e enters for the heaviest edge on its path, in the order
-    (lower key, edge id).  Only `out`'s new path and the paths that held
-    `out` change.
+    """Apply the one swap that revealing tree edge e makes, when
+    :func:`_stays` rejects the tree: e leaves for its lightest cover in
+    the order (lower key, edge id).  A reveal only raises e's lower key
+    (I1, see the module docstring), so no non-tree edge is ever revealed
+    into the tree, and the leaving edge is always the revealed one.  Only
+    `out`'s new path and the paths that held `out` change.
 
     When the entering edge's path is `out` alone, the two edges are
     parallel: each path that held `out` takes `enter` at the same
@@ -487,10 +488,7 @@ def _swap(run: QueryRun, index: PathIndex, e: int) -> None:
     backtracks cancelled, so it is the walk :func:`_path_index` writes."""
     paths, covers, tally = index
     keys = run.lower
-    if e in covers:
-        out, enter = e, min(covers[e], key=lambda x: (keys[x], x))
-    else:
-        out, enter = max(paths[e], key=lambda x: (keys[x], x)), e
+    out, enter = e, min(covers[e], key=lambda x: (keys[x], x))
     cycle = paths.pop(enter)
     # every pair of e is counted out at e's old ranks before any is
     # counted in at its new ones
@@ -770,7 +768,8 @@ def ensure_unique_limit_trees(run: QueryRun, reduce: bool = True) -> list[int]:
 def unique_limit_trees(run: QueryRun) -> LimitTrees:
     """:func:`ensure_unique_limit_trees` with reduction, then the limit
     trees of the result, built from the tree and path index that its final
-    round certified; equal to :func:`compute_limit_trees` afterwards."""
+    round certified; equal to :func:`compute_limit_trees` afterwards.
+    Every present edge of the result is open (I2, see :func:`_certify`)."""
     return _normal_form(run, _certify(run, True))
 
 
@@ -786,7 +785,17 @@ def _differ_partner(run: QueryRun, tree) -> int:
 
 def _certify(run: QueryRun, reduce: bool) -> PathIndex:
     """The rounds of :func:`ensure_unique_limit_trees`; returns the held path
-    index of the unique limit tree, which callers must not keep."""
+    index of the unique limit tree, which callers must not keep.
+
+    With `reduce`, every present edge is open on return (I2): the minor is
+    reduced and its lower limit tree is the unique limit tree.  A point
+    non-tree edge f that survives reduction has a path edge e with
+    hi(e) > lo(f), and then e lies above f in the order (upper key, edge
+    id), a "differ" pair.  A point tree edge l that survives reduction has
+    a cover g with lo(g) below its value r; but g is open, by the first
+    case, and lies above l in the order (lower key, edge id), so
+    3*lo(g)+1 > 3*r.  Without `reduce` a certified state may still hold
+    point edges."""
     for _ in rounds(run, "ensure_unique_limit_trees"):
         if reduce:
             reduce_verified(run)

@@ -22,13 +22,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .errormetrics import hop_distance
-from .graphcore import Interval, PreconditionViolated, QueryRun, UncertainGraph, rounds
+from .graphcore import PreconditionViolated, QueryRun, UncertainGraph, rounds
 from .limittrees import (
     LimitTrees,
     compute_limit_trees,
     ensure_unique_limit_trees,
     is_solved,
-    lower_limit_tree,
     unique_limit_trees,
     verified_tree_of_original,
 )
@@ -57,17 +56,12 @@ class StrategyConfig:
 # -- prediction-mandatory-free characterization ----------------------------
 
 
-def _pred_rank(run: QueryRun, eid: int) -> int:
-    """Rank of the edge's known value, else of its prediction."""
-    r = run.lo[eid]
-    return r if r == run.hi[eid] else run.pred[eid]
-
-
 def cycle_pred_mandatory_free(run: QueryRun, trees: LimitTrees, f: int) -> bool:
     """Cycle condition: the closing edge is predicted to dominate every cycle
     edge, and every cycle edge is predicted to stay below the closing edge.
-    Compared on ranks: a known value, else the prediction (as
-    :func:`_pred_rank`, inlined)."""
+    Compared on ranks: an edge's known value, else its prediction.  The
+    public callers may pass trees of an unreduced minor, which can hold
+    point edges."""
     lo, hi, pred = run.lo, run.hi, run.pred
     lo_f = lo[f]
     f_pred = lo_f if lo_f == hi[f] else pred[f]
@@ -253,28 +247,27 @@ def run_baseline(run: QueryRun) -> None:
 
     Each round works on the cycle closed by the minimum-lower-limit non-tree
     edge.  The largest-upper-limit intersecting cycle edge and the closing
-    edge form a witness set; if the former's interval is contained in the
-    latter's, the closing edge is mandatory and queried alone, otherwise the
-    cycle edge is queried and the closing edge only if still unresolved.
+    edge form a witness set: the cycle edge is queried, and the closing
+    edge only if still unresolved.
 
     After reduction every cycle edge meets the closing edge f: a path edge
     e that is not contractible has a cover g with lo[g] < hi[e], and f has
     the least lower key, so lo[f] <= lo[g].  So the witness is read off
-    the whole path: largest high end, least id on ties.
+    the whole path: largest high end, least id on ties.  Its interval is
+    never inside f's, which would make f mandatory on its own: both are
+    open (I2, see :func:`~mstquery.limittrees.unique_limit_trees`), and a
+    path edge lies below f in the lower order with no tie of lower keys,
+    which the unique limit trees rule out, so its low end is below f's.
     """
     for _ in rounds(run, "run_baseline"):
         trees = unique_limit_trees(run)
         if not run.present:
             return
         f = trees.nontree_order[0]
-        l = min(trees.paths[f], key=lambda e: (-run.hi[e], e))
-        if run.lo[f] <= run.lo[l] and run.hi[l] <= run.hi[f]:
+        run.reveal(min(trees.paths[f], key=lambda e: (-run.hi[e], e)))
+        ensure_unique_limit_trees(run)
+        if run.is_present(f) and not run.is_trivial(f):
             run.reveal(f)
-        else:
-            run.reveal(l)
-            ensure_unique_limit_trees(run)
-            if run.is_present(f) and not run.is_trivial(f):
-                run.reveal(f)
 
 
 # -- phase 1: make the instance prediction mandatory free --------------------
@@ -325,13 +318,10 @@ def make_prediction_mandatory_free(run: QueryRun, gamma: int) -> PhaseLedger:
 
 
 def _resolve_offending_cycle(run: QueryRun, trees: LimitTrees, f: int, ledger: PhaseLedger) -> None:
-    # ranks before this call's reveals; an Interval of ranks compares as one of values
-    lo, hi = list(run.lo), list(run.hi)
-
-    def snap(eid: int) -> Interval:
-        return Interval(lo[eid], hi[eid])
-
-    f_pred = _pred_rank(run, f)
+    # ranks before this call's reveals; every edge read here is open (I2:
+    # `trees` is certified), so a rank r lies inside e's interval exactly
+    # when lo[e] < r < hi[e], and its prediction is pred[e]
+    lo, hi, pred = list(run.lo), list(run.hi), run.pred
     # `trees` is a view that the first reveal ends: copy what is read after
     cycle_rest = list(trees.paths[f])
     l = min(cycle_rest, key=lambda e: (-hi[e], e))
@@ -346,45 +336,45 @@ def _resolve_offending_cycle(run: QueryRun, trees: LimitTrees, f: int, ledger: P
     def reveal_pair(a: int, b: int) -> dict[int, int]:
         return {eid: reveal(eid) for eid in sorted((a, b))}
 
-    if snap(l).contains(f_pred) and snap(f).contains(_pred_rank(run, l)):
+    if lo[l] < pred[f] < hi[l] and lo[f] < pred[l] < hi[f]:
         # both predicted inside each other: the pair is a strengthened witness
         reveal_pair(f, l)
         return
 
-    if snap(l).contains(f_pred):
+    if lo[l] < pred[f] < hi[l]:
         others = [e for e in cycle_rest if e != l]
-        if any(snap(e).intersects(snap(f)) for e in others):
+        if any(lo[e] < hi[f] and lo[f] < hi[e] for e in others):
             third = min(others, key=lambda e: (-hi[e], e))
             l_covers = list(trees.covers[l])
             values = reveal_pair(f, l)
-            if snap(l).contains(values[f]) and all(
-                not snap(x).contains(values[l]) for x in l_covers
+            if lo[l] < values[f] < hi[l] and all(
+                not lo[x] < values[l] < hi[x] for x in l_covers
             ):
                 reveal(third)
         else:
             w_l = reveal(l)
-            if snap(f).contains(w_l):
+            if lo[f] < w_l < hi[f]:
                 reveal(f)
             else:
                 # the closing edge is now provably maximal: deletable unqueried
                 ledger.case_partners[l] = f
         return
 
-    inside = [e for e in cycle_rest if snap(f).contains(_pred_rank(run, e))]
+    inside = [e for e in cycle_rest if lo[f] < pred[e] < hi[f]]
     if not inside:
         raise RuntimeError("offending cycle matches no case")
     lp = min(inside, key=lambda e: (-hi[e], e))
     cut_rest = trees.covers[lp] - {f}
-    if any(snap(x).intersects(snap(lp)) for x in cut_rest):
+    if any(lo[x] < hi[lp] and lo[lp] < hi[x] for x in cut_rest):
         third = min(cut_rest, key=lambda x: (lo[x], x))
         values = reveal_pair(f, lp)
-        if snap(third).contains(values[lp]) and all(
-            not snap(e).contains(values[f]) for e in cycle_rest
+        if lo[third] < values[lp] < hi[third] and all(
+            not lo[e] < values[f] < hi[e] for e in cycle_rest
         ):
             reveal(third)
     else:
         w_f = reveal(f)
-        if snap(lp).contains(w_f):
+        if lo[lp] < w_f < hi[lp]:
             reveal(lp)
         else:
             # the tree edge is now provably minimal: contractible unqueried
@@ -430,14 +420,17 @@ class Phase2Report:
 def phase2_tradeoff(run: QueryRun) -> Phase2Report:
     """Query the minimum vertex cover in the safe order, deferring each
     queried edge's matching partner; on the first observed prediction error,
-    query the deferred partners and fall back to the baseline."""
+    query the deferred partners and fall back to the baseline.
+
+    Every listed edge and every deferred partner is open and present when
+    it is queried: the cover and its partners are open vertices of the
+    intersection graph, the loop only reveals, and a Koenig cover holds
+    exactly one end of each matched pair, so no partner is listed."""
     trees = compute_limit_trees(run)
     vc = build_vc_instance(run, trees)
     f_list, l_list = _phase2_lists(run, trees, vc.cover)
     report = Phase2Report()
     for e in f_list + l_list:
-        if not run.is_present(e) or run.is_trivial(e):
-            continue
         partner = vc.matching.get(e)
         if partner is None:
             raise RuntimeError("cover element without matching partner")
@@ -447,8 +440,7 @@ def phase2_tradeoff(run: QueryRun) -> Phase2Report:
         if _observed_error(run, e):
             report.error_edge = e
             for x in report.deferred:
-                if run.is_present(x) and not run.is_trivial(x):
-                    run.reveal(x)
+                run.reveal(x)
             run.transcript.record("phase", tag="baseline-handoff")
             report.handoff = True
             run_baseline(run)
@@ -500,26 +492,28 @@ def _ensure_with_partner_rule(run: QueryRun, pair: dict[int, int], ledger: Error
 
 def _membership_flip(run: QueryRun, snap_tree: set[int]) -> bool:
     """Whether the tree membership of an edge changed since `snap_tree`,
-    the limit tree when every present edge was in it or outside it.
+    the limit tree when every present edge was in it or outside it, read
+    right after a certification with reduction: whether some snapshot tree
+    edge was deleted.
+
+    Each present snapshot tree edge is still in the tree.  It is open (I2,
+    see :func:`~mstquery.limittrees.unique_limit_trees`), so it was not
+    revealed, and a reveal only raises the revealed edge's lower key (I1,
+    see :mod:`~mstquery.limittrees`): a swap takes out only the revealed
+    tree edge, reduction deletes only non-tree edges and contracts only
+    tree edges, and neither takes another edge out of the tree.
 
     Checking the snapshot tree alone is complete.  Let the minor have n0
     vertices at the snapshot and C contractions since, C_tree of them of
     snapshot tree edges; each contraction removes one vertex, so the
-    current tree has n0-1-C edges.  If no snapshot tree edge was deleted
-    and each present one is still in the tree, the present snapshot tree
-    edges, n0-1-C_tree of them, all lie in the current tree; so
-    C_tree >= C, hence C_tree = C: no snapshot non-tree edge was
-    contracted, and the current tree is exactly the present snapshot
-    tree, which leaves every present snapshot non-tree edge outside it.
+    current tree has n0-1-C edges.  If no snapshot tree edge was deleted,
+    the present snapshot tree edges, n0-1-C_tree of them, all lie in the
+    current tree; so C_tree >= C, hence C_tree = C: no snapshot non-tree
+    edge was contracted, and the current tree is exactly the present
+    snapshot tree, which leaves every present snapshot non-tree edge
+    outside it.
     """
-    tree_now = lower_limit_tree(run)
-    for e in snap_tree:
-        if run.is_present(e):
-            if e not in tree_now:
-                return True
-        elif run.removed.get(e) == "deleted":
-            return True
-    return False
+    return any(run.removed.get(e) == "deleted" for e in snap_tree)
 
 
 def phase2_error_sensitive(run: QueryRun) -> ErrorSensitiveLedger:

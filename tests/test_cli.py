@@ -441,6 +441,43 @@ def test_bench_rational_gamma_matches_run(tmp_path, capsys):
         assert row == report
 
 
+def test_bench_runs_a_saved_instance_as_run_does(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    cfg = tmp_path / "bench.json"
+    factory.gen_random(6, 5, 0.9, 0.3, 4).save(str(inst))
+    strategies = [{"alg": "baseline"}, {"alg": "tradeoff", "gamma": 2}, {"alg": "error-sensitive", "gamma": 3}]
+    cfg.write_text(json.dumps({"jobs": [{"family": "file", "params": {"path": str(inst)}, "strategies": strategies}]}))
+    assert main(["bench", "--config", str(cfg)]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [(row["instance"], row["status"]) for row in rows] == [(str(inst), "ok")] * 3
+    for row, strat in zip(rows, strategies):
+        gamma = str(strat.get("gamma", 2))
+        assert main(["run", "--alg", strat["alg"], "--gamma", gamma, "--instance", str(inst)]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert (row["queries"], row["opt"]) == (report["queries"], report["opt"])
+
+
+def test_a_violated_bound_is_reported_and_exits_1(tmp_path, monkeypatch, capsys):
+    # every bound holds on real runs, so the check is made to fail for the
+    # tradeoff strategy alone
+    inst = tmp_path / "inst.json"
+    cfg = tmp_path / "bench.json"
+    factory.gen_triangle_chain(2).save(str(inst))
+    strategies = [{"alg": "baseline"}, {"alg": "tradeoff", "gamma": 2}]
+    cfg.write_text(json.dumps({"jobs": [{"family": "file", "params": {"path": str(inst)}, "strategies": strategies}]}))
+    monkeypatch.setattr(
+        "mstquery.strategies._evaluate_bounds",
+        lambda strategy, *args: (True, strategy != "tradeoff", None),
+    )
+    assert main(["bench", "--config", str(cfg)]) == 1
+    rows = json.loads(capsys.readouterr().out)
+    assert [(row["status"], row["robustness_ok"]) for row in rows] == [("ok", True), ("bound-violated", False)]
+    assert main(["run", "--alg", "baseline", "--instance", str(inst)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--alg", "tradeoff", "--instance", str(inst)]) == 1
+    assert json.loads(capsys.readouterr().out)["report"]["robustness_ok"] is False
+
+
 def test_instance_with_non_list_edges_is_one_error_line(tmp_path):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({"vertices": 2, "edges": 5}))

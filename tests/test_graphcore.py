@@ -54,6 +54,12 @@ def test_value_on_endpoint_rejected():
         UncertainGraph.from_dict(doc)
 
 
+def test_a_point_interval_contains_only_its_value():
+    point = Interval.point(2)
+    assert point.contains(2)
+    assert not point.contains(3)
+
+
 def test_self_loop_rejected():
     with pytest.raises(ValidationError):
         UncertainGraph(2, [make_edge(0, 1, 1, 0, 2, 1, 1)])

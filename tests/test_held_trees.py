@@ -10,7 +10,10 @@ across forks, and against callers that keep or change a tree they were
 handed as a set, or read the read-only view that a `LimitTrees` is.  The
 verdicts read from the counts are held to the full scans of `cases`.  The
 upper limit tree is not held; the "differ" verdict stands in for comparing
-it with the lower tree, and is held to that comparison too.
+it with the lower tree, and is held to that comparison too.  Two facts the
+run path rests on are checked on live runs: a reveal only raises the
+revealed edge's lower key, so only a revealed tree edge ever swaps out (I1),
+and a session certified with reduction holds only open edges (I2).
 """
 
 import random
@@ -119,10 +122,13 @@ class CheckedRun(QueryRun):
 
 
 def watch_swaps(monkeypatch, seen, calls=None):
-    """Wrap `limittrees._swap` to count in `seen` the swaps whose entering
-    edge is parallel to the leaving one (its path is that edge alone), the
-    other paths those move, and the other swaps; with `calls`, append the
-    `_tally` calls of each parallel swap."""
+    """Wrap `limittrees._swap` to assert I1 at every swap, and count in
+    `seen` the swaps whose entering edge is parallel to the leaving one
+    (its path is that edge alone), the other paths those move, and the
+    other swaps; with `calls`, append the `_tally` calls of each parallel
+    swap.  I1: the revealed edge e is a tree edge whose reveal raised its
+    lower key above the one its pairs are counted at, and it is the edge
+    that leaves, for its lightest cover."""
     swap, tally = limittrees._swap, limittrees._tally
     made = [0]
 
@@ -132,14 +138,13 @@ def watch_swaps(monkeypatch, seen, calls=None):
 
     def watched(run, index, e):
         paths, covers, keys = index.paths, index.covers, run.lower
-        if e in covers:
-            out, enter = e, min(covers[e], key=lambda x: (keys[x], x))
-        else:
-            out, enter = max(paths[e], key=lambda x: (keys[x], x)), e
-        parallel = paths[enter] == [out]
-        moved = len(covers[out]) - 1
+        assert e in covers and keys[e] > index.tally.lower[e]
+        enter = min(covers[e], key=lambda x: (keys[x], x))
+        parallel = paths[enter] == [e]
+        moved = len(covers[e]) - 1
         made[0] = 0
         swap(run, index, e)
+        assert e in paths and enter in covers
         if parallel:
             seen["parallel"] += 1
             seen["moved covers"] += moved
@@ -187,6 +192,55 @@ def test_a_parallel_swap_makes_a_constant_number_of_kernel_calls(monkeypatch, n)
     strategies.solve(factory.gen_path_parallel(n), StrategyConfig(gamma=2, mode="error_sensitive"))
     assert seen["parallel"] > n and seen["moved covers"] > n * n / 4, seen
     assert set(calls) == {3}
+
+
+def test_a_reveal_only_raises_its_edge_and_only_a_revealed_tree_edge_swaps_out(monkeypatch):
+    # I1: a reveal's rank lies strictly inside the open interval, so the
+    # revealed edge's lower key rises; a revealed non-tree edge stays out of
+    # the held tree, and every swap takes the revealed tree edge out
+    moved, swaps, seen = limittrees.PathIndex.moved, Counter(), Counter()
+
+    def checked(index, run, kind, e):
+        if kind == "reveal":
+            assert run.lower[e] > index.tally.lower[e]
+            if e not in index.covers:
+                tree = set(index.covers)
+                moved(index, run, kind, e)
+                assert index.covers.keys() == tree
+                seen["non-tree reveal"] += 1
+                return
+        moved(index, run, kind, e)
+
+    monkeypatch.setattr(limittrees.PathIndex, "moved", checked)
+    watch_swaps(monkeypatch, swaps)
+    run_live(live_graphs(), bundle_graphs())
+    assert swaps["parallel"] + swaps["not parallel"] > 3000, swaps
+    assert seen["non-tree reveal"] > 800, seen
+
+
+def test_a_certified_reduced_session_holds_only_open_edges(monkeypatch, corpus_by_rate):
+    # I2: when `_certify(run, True)` returns, the minor is reduced and its
+    # limit trees are unique, so no present edge is a point; the strategies
+    # read certified states without checking
+    certify, seen = limittrees._certify, Counter()
+
+    def checked(run, reduce):
+        index = certify(run, reduce)
+        if reduce:
+            assert all(run.lo[e] != run.hi[e] for e in run.present)
+            seen["states"] += 1
+            seen["states with edges"] += bool(run.present)
+            seen["edges"] += len(run.present)
+        return index
+
+    monkeypatch.setattr(limittrees, "_certify", checked)
+    graphs = [g for rate in ERROR_RATES for g in corpus_by_rate[rate]] + live_graphs() + bundle_graphs()
+    for g in graphs:
+        for config in CONFIGS:
+            strategies.solve(g, config)
+        strategies.opt_exact(g)
+    floors = {"states": 30000, "states with edges": 10000, "edges": 60000}
+    assert all(seen[kind] > floor for kind, floor in floors.items()), seen
 
 
 def test_held_trees_match_a_rebuild_at_every_read_of_live_runs(monkeypatch):
