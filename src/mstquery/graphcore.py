@@ -167,9 +167,10 @@ class Ranking:
     (numerator, denominator) pairs: the value of rank r is values[r], and
     a < b iff rank[a] < rank[b], a == b iff rank[a] == rank[b].  `lo`, `hi`,
     `pred` and `truth` hold, by edge id, the ranks of each edge's interval
-    ends, prediction and true value.  Ranking and placing compare the pairs
-    by exact integer cross-multiplication, never as Fractions; `rank`, the
-    one map keyed on Fractions, is built on first use.
+    ends, prediction and true value, and `lower` and `upper` each edge's two
+    limit keys at those ends.  Ranking and placing compare the pairs by
+    exact integer cross-multiplication, never as Fractions; `rank`, the one
+    map keyed on Fractions, and the keys are built on first use.
     """
 
     values: tuple[Fraction, ...]
@@ -182,6 +183,18 @@ class Ranking:
     @cached_property
     def rank(self) -> dict[Fraction, int]:
         return dict(zip(self.values, range(len(self.values))))
+
+    @cached_property
+    def lower(self) -> tuple[int, ...]:
+        """Each edge's lower limit key before any reveal: 3*lo+1 for an open
+        interval, 3*lo for a point (see :class:`QueryRun`)."""
+        return tuple(3 * a + (a != b) for a, b in zip(self.lo, self.hi))
+
+    @cached_property
+    def upper(self) -> tuple[int, ...]:
+        """Each edge's upper limit key before any reveal: 3*hi-1 for an open
+        interval, 3*hi for a point."""
+        return tuple(3 * b - (a != b) for a, b in zip(self.lo, self.hi))
 
     def position(self, value: Fraction) -> int:
         """A doubled rank that orders any value among the ranked ones: a
@@ -312,7 +325,9 @@ class UncertainGraph:
 
     Parallel edges are allowed; self-loops and disconnected graphs are
     rejected at load.  Edge ids are dense integers 0..m-1 and every
-    deterministic tie-break downstream uses ascending edge id.
+    deterministic tie-break downstream uses ascending edge id.  `ends`
+    holds each edge's endpoint pair by id, which every session over the
+    graph starts from.
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[UncertainEdge]):
@@ -326,6 +341,7 @@ class UncertainGraph:
             if not (_is_int(e.eid) and _is_int(e.u) and _is_int(e.v)):
                 e.validate()  # raises naming the edge, its id and endpoints
         self.edges: tuple[UncertainEdge, ...] = tuple(sorted(edges, key=lambda e: e.eid))
+        self.ends: tuple[tuple[int, int], ...] = tuple((e.u, e.v) for e in self.edges)
         self._validate()
 
     def _validate(self) -> None:
@@ -347,7 +363,7 @@ class UncertainGraph:
         # rejected before a list per vertex is built
         if self.vertex_count > len(self.edges) + 1:
             return False
-        ends = [(e.u, e.v) for e in self.edges]
+        ends = self.ends
         tree = kruskal(range(len(ends)), ends, list(range(self.vertex_count)))
         return len(tree) == self.vertex_count - 1
 
@@ -571,7 +587,16 @@ class QueryRun:
     :mod:`.limittrees` holds for the session, or None.  Each move hands
     itself to the held index as it is made, after its event is recorded;
     the index updates itself, or drops itself by setting `_limit_trees`
-    to None.
+    to None.  The one exception is a session's first verified reduction
+    while it has made no move: it copies its graph's reduced start (see
+    :func:`.limittrees.reduce_verified`), which changes the present set,
+    the endpoint table, the incidence sets, both `removed` maps and the
+    transcript's events in place, as those moves would, and holds a copy
+    of the index they leave, with no call per move.
+
+    A new session copies its endpoint table from the graph's `ends`, and
+    its keys from its ranking's `lower` and `upper`, which are built once
+    per graph.
     """
 
     def __init__(self, graph: UncertainGraph, source: str = "truth"):
@@ -581,15 +606,16 @@ class QueryRun:
         self.present: set[int] = set(range(len(graph.edges)))
         self.lo: list[int] = list(self.ranking.lo)
         self.hi: list[int] = list(self.ranking.hi)
-        self.lower: list[int] = [3 * a + (a != b) for a, b in zip(self.lo, self.hi)]
-        self.upper: list[int] = [3 * b - (a != b) for a, b in zip(self.lo, self.hi)]
-        self.ends: list[tuple[int, int]] = [(e.u, e.v) for e in graph.edges]
+        self.lower: list[int] = list(self.ranking.lower)
+        self.upper: list[int] = list(self.ranking.upper)
+        self.ends: list[tuple[int, int]] = list(graph.ends)
         self.vertex_count = graph.vertex_count  # of the current minor
         # vertex -> ids of its present edges; None once the vertex is absorbed
-        self._incident: list[Optional[set[int]]] = [set() for _ in range(graph.vertex_count)]
-        for e in graph.edges:
-            self._incident[e.u].add(e.eid)
-            self._incident[e.v].add(e.eid)
+        incident: list[Optional[set[int]]] = [set() for _ in range(graph.vertex_count)]
+        for eid, (u, v) in enumerate(graph.ends):
+            incident[u].add(eid)
+            incident[v].add(eid)
+        self._incident = incident
         self.queried: list[int] = []
         self.removed: dict[int, str] = {}  # eid -> "deleted" | "contracted"
         self.removed_unqueried: dict[int, str] = {}

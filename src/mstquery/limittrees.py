@@ -29,7 +29,8 @@ hands itself to the held index as it is made:
 :meth:`~mstquery.graphcore.QueryRun.reveal`, ``contract`` and ``delete``
 call :meth:`PathIndex.moved` once per edge they change (a contraction also
 for the deletion of every self-loop it leaves), and nothing else changes a
-key or the minor.  Each move costs O(the paths it changes):
+key or the minor, but the copy of a reduced start (below), which brings
+its own index.  Each move costs O(the paths it changes):
 
 - deleting a non-tree edge leaves the tree; its path goes, and its id
   leaves the covers;
@@ -94,15 +95,27 @@ Tarjan, IPL 1982), the largest high end on a non-tree edge's path or the
 least low end among a tree edge's covers, which two union-find sweeps over
 one Kruskal tree read, :func:`_joined_at_most` and :func:`_least_covers`.
 :func:`is_solved` and the oracle's mandatory edges read them too.
+
+The first verified reduction of a session that has made no move (nothing
+queried, removed or recorded) depends on its graph alone: every such
+session has the state a new one has, whatever its value source, and the
+reduction reads only interval ends and the minor.  So the graph keeps the
+state that reduction leaves, its reduced start, while the graph object
+lives, and every later unmoved session over it copies that start into its
+own containers instead of recomputing it (:func:`reduce_verified`).  Every
+strategy begins with that reduction, so the strategies run on one graph
+object share it.  A session that has moved, and so every fork of one,
+computes its own.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import AbstractSet, Mapping, NamedTuple, Optional
 
-from .graphcore import PreconditionViolated, QueryRun, find, kruskal, rounds
+from .graphcore import Event, PreconditionViolated, QueryRun, UncertainGraph, find, kruskal, rounds
 
 
 def _kruskal(run: QueryRun, keys) -> set[int]:
@@ -546,6 +559,63 @@ def _swap(run: QueryRun, index: PathIndex, e: int) -> None:
         _tally(tally, f, new, 1)
 
 
+def _copied(index: PathIndex) -> PathIndex:
+    """A deep copy of `index`: every path, cover and count list and set is
+    new, since the moves edit them in place."""
+    paths, covers, t = index
+    tally = _Tally(
+        list(t.lo), list(t.hi), list(t.upper), list(t.lower), list(t.bad), t.bad_pairs,
+        list(t.differ), list(t.tie_up), list(t.tie_low),
+        set(t.differ_ids), set(t.upper_ids), set(t.lower_ids),
+    )
+    return PathIndex({f: list(path) for f, path in paths.items()}, {l: set(c) for l, c in covers.items()}, tally)
+
+
+class _Start(NamedTuple):
+    """A graph's reduced start: the state that the first verified reduction
+    of a session that has made no move leaves, which is the same for every
+    such session over the graph (see :func:`reduce_verified`)."""
+
+    ends: tuple[tuple[int, int], ...]
+    vertex_count: int
+    incident: tuple[Optional[frozenset[int]], ...]
+    removed: dict[int, str]
+    removed_unqueried: dict[int, str]
+    events: tuple[Event, ...]
+    index: PathIndex
+
+
+# the reduced start of each graph, held while the graph lives
+_STARTS: weakref.WeakKeyDictionary[UncertainGraph, _Start] = weakref.WeakKeyDictionary()
+
+
+def _kept_start(run: QueryRun) -> _Start:
+    """The state of `run` right after its first verified reduction, copied."""
+    return _Start(
+        tuple(run.ends),
+        run.vertex_count,
+        tuple(None if edges is None else frozenset(edges) for edges in run._incident),
+        dict(run.removed),
+        dict(run.removed_unqueried),
+        tuple(run.transcript.events),
+        _copied(run._limit_trees),
+    )
+
+
+def _restore(run: QueryRun, start: _Start) -> None:
+    """Put `start` into `run`, which has made no move, in place, as its
+    moves would: the same containers change, so a reference taken before
+    sees the reduction."""
+    run.present.difference_update(start.removed)
+    run.ends[:] = start.ends
+    run.vertex_count = start.vertex_count
+    run._incident[:] = [None if edges is None else set(edges) for edges in start.incident]
+    run.removed.update(start.removed)
+    run.removed_unqueried.update(start.removed_unqueried)
+    run.transcript.events.extend(start.events)
+    run._limit_trees = _copied(start.index)
+
+
 def _held_lower(run: QueryRun) -> PathIndex:
     """The held path index of the lower limit tree, built if none is held."""
     index = run._limit_trees
@@ -718,9 +788,24 @@ def reduce_verified(run: QueryRun) -> set[int]:
     path has high <= low(f), l contractible when it has no cover or its
     least cover by low end has low >= high(l).  It then holds the tree
     minus the contracted edges, with one path index of that remnant.
+
+    A session that has made no move (nothing queried, removed or recorded)
+    has the state every such session over its graph has, whatever its value
+    source, and this reduction reads only the interval ends and the minor.
+    So the first such session over a graph keeps a deep copy of what its
+    reduction leaves as the graph's reduced start, and every later one
+    copies that start into its own containers, in place, as the moves
+    would change them, with a deep copy of the index, instead of computing
+    it.  A session that has moved, and so every fork of one, computes its
+    reduction.
     """
     index = run._limit_trees
     fresh = index is None
+    unmoved = fresh and not (run.queried or run.removed or run.transcript.events)
+    start = _STARTS.get(run.graph_readonly()) if unmoved else None
+    if start is not None:
+        _restore(run, start)
+        return set(start.index.covers)
     if fresh:
         tree = _kruskal(run, run.lower)
         nontree, joined = _dominated(run, tree)
@@ -748,6 +833,8 @@ def reduce_verified(run: QueryRun) -> set[int]:
         # was unless an edge was contracted
         tree = tree.difference(contractible)
         index = run._limit_trees = _path_index(run, tree, None if contractible else rooted)
+        if unmoved:
+            _STARTS[run.graph_readonly()] = _kept_start(run)
     return set(index.covers)
 
 

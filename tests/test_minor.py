@@ -5,14 +5,16 @@ edges and each edge's two int limit keys, and updates them move by move.
 These tests hold the stored state to an independent model after every
 move: a union-find replay of the contractions for the endpoints and the
 self-loops a contraction leaves, and the exact (base, eps) keys for the
-limit keys.
+limit keys.  A session that copies its graph's reduced start makes that
+reduction's moves without a call per move, so the model replays the
+events the copy appends.
 """
 
 import random
 from fractions import Fraction
 
 from cases import ERROR_RATES, build_corpus, kernel_case, lower_key, upper_key
-from mstquery import factory, strategies
+from mstquery import factory, limittrees, strategies
 from mstquery.graphcore import Interval, QueryRun, UncertainEdge, UncertainGraph
 from mstquery.limittrees import ensure_unique_limit_trees, lower_limit_tree
 from mstquery.strategies import StrategyConfig, run_combined
@@ -73,23 +75,23 @@ def assert_minor_matches(run, parent):
             assert sign(lower[e], upper[f]) == sign(exact_lower[e], exact_upper[f])
 
 
-def assert_contract_events(run, parent, eid, present_before, events_before):
-    """The events of contracting eid: the contraction, then the deletion of
-    every edge the contraction made a self-loop, in ascending id order."""
-    graph = run.graph_readonly()
+def contract_events(graph, parent, eid, present_before):
+    """The events of contracting eid, once the model `parent` has merged its
+    ends: the contraction, then the deletion of every edge the contraction
+    made a self-loop, in ascending id order."""
     loops = sorted(
         e
         for e in present_before
         if e != eid and root(parent, graph.edge(e).u) == root(parent, graph.edge(e).v)
     )
-    events = [(ev.kind, ev.edge) for ev in run.transcript.events[events_before:]]
-    assert events == [("contract", eid)] + [("delete", e) for e in loops]
+    return [("contract", eid)] + [("delete", e) for e in loops]
 
 
 class CheckedRun(QueryRun):
     """A session that checks its stored minor after every move."""
 
     moves = 0
+    restored = 0  # of the moves, those a copied reduced start made
 
     def __init__(self, graph, source="truth"):
         super().__init__(graph, source)
@@ -111,9 +113,32 @@ class CheckedRun(QueryRun):
         present, seen = self.present_ids(), len(self.transcript.events)
         super().contract(eid)
         replay_contract(self.model, self.graph_readonly(), present, eid)
-        assert_contract_events(self, self.model, eid, present, seen)
+        events = [(ev.kind, ev.edge) for ev in self.transcript.events[seen:]]
+        assert events == contract_events(self.graph_readonly(), self.model, eid, present)
         assert_minor_matches(self, self.model)
         CheckedRun.moves += 1
+
+    def replay_restored(self, events):
+        """Replay in the model the moves of a reduced start this session
+        copied, its `events`: a deletion leaves the components as they
+        were, and each contraction, with the self-loops it leaves, is
+        replayed on the edges present just before it."""
+        graph = self.graph_readonly()
+        moves = [(ev.kind, ev.edge) for ev in events]
+        present = set(range(len(graph.edges)))
+        i = 0
+        while i < len(moves):
+            kind, eid = moves[i]
+            made = [(kind, eid)]
+            if kind == "contract":
+                replay_contract(self.model, graph, sorted(present), eid)
+                made = contract_events(graph, self.model, eid, present)
+            assert kind in ("contract", "delete") and moves[i : i + len(made)] == made
+            present.difference_update(e for _, e in made)
+            i += len(made)
+        assert_minor_matches(self, self.model)
+        CheckedRun.moves += len(moves)
+        CheckedRun.restored += len(moves)
 
 
 def test_stored_minor_matches_the_model_after_every_move_of_live_runs(monkeypatch):
@@ -121,7 +146,15 @@ def test_stored_minor_matches_the_model_after_every_move_of_live_runs(monkeypatc
     # before it contracts, so these contractions leave no self-loop; the
     # deletion order is pinned by the multigraph tests below
     monkeypatch.setattr(strategies, "QueryRun", CheckedRun)
-    CheckedRun.moves = 0
+    restore = limittrees._restore
+
+    def restored(run, start):
+        restore(run, start)
+        if isinstance(run, CheckedRun):
+            run.replay_restored(start.events)
+
+    monkeypatch.setattr(limittrees, "_restore", restored)
+    CheckedRun.moves = CheckedRun.restored = 0
     graphs = [g for rate in ERROR_RATES for g in build_corpus(rate, 30)]
     graphs += [kernel_case(seed)[0] for seed in range(60)]
     graphs += [factory.gen_path_parallel(n) for n in (4, 8)]
@@ -135,7 +168,7 @@ def test_stored_minor_matches_the_model_after_every_move_of_live_runs(monkeypatc
     for g in graphs:
         for config in configs:
             run_combined(g, config)
-    assert CheckedRun.moves > 9000
+    assert CheckedRun.moves > 9000 and CheckedRun.restored > 2000
 
 
 # -- forks -------------------------------------------------------------------

@@ -6,12 +6,18 @@ prediction-mandatory-free instances and near-full-overlap random graphs.
 A refactor of the strategies or the layers under them must leave every
 transcript byte-identical; a change that means to alter a strategy's
 choices updates DIGEST and says why.
+
+The digest is taken twice.  Once with every configuration on one graph
+object, so the first session over a graph computes its reduced start and
+the other five copy it; once with each configuration on its own copy of
+the graph, so every session computes it.  Both give DIGEST.
 """
 
 import hashlib
 
 from cases import ERROR_RATES, build_corpus
-from mstquery import factory
+from mstquery import factory, limittrees
+from mstquery.graphcore import UncertainGraph
 from mstquery.strategies import StrategyConfig, solve
 
 DIGEST = "82bb80130424593b9baed9f89505382a9d098a4b6bc561411b0e77b1914d3ace"
@@ -48,10 +54,35 @@ def transcript(graph, mode, gamma) -> str:
     return solve(graph, StrategyConfig(gamma=gamma, mode=mode)).run.transcript.to_json()
 
 
-def test_transcripts_are_unchanged():
+def digest_of_runs(monkeypatch, shared: bool) -> tuple[str, int, int]:
+    """The digest of every configuration on every corpus graph, on the one
+    graph object or on a copy per configuration; with the number of graphs
+    and of sessions that copied a reduced start."""
+    restores = []
+    restore = limittrees._restore
+
+    def counted(run, start):
+        restores.append(run)
+        restore(run, start)
+
+    monkeypatch.setattr(limittrees, "_restore", counted)
     h = hashlib.sha256()
-    for graph in digest_corpus():
+    graphs = digest_corpus()
+    for graph in graphs:
         for mode, gamma in CONFIGS:
-            h.update(transcript(graph, mode, gamma).encode())
+            own = graph if shared else UncertainGraph(graph.vertex_count, graph.edges)
+            h.update(transcript(own, mode, gamma).encode())
             h.update(b"\n")
-    assert h.hexdigest() == DIGEST
+    return h.hexdigest(), len(graphs), len(restores)
+
+
+def test_transcripts_are_unchanged(monkeypatch):
+    digest, graphs, restores = digest_of_runs(monkeypatch, shared=True)
+    assert digest == DIGEST
+    assert restores == (len(CONFIGS) - 1) * graphs
+
+
+def test_transcripts_are_unchanged_when_every_session_computes_its_start(monkeypatch):
+    digest, _, restores = digest_of_runs(monkeypatch, shared=False)
+    assert digest == DIGEST
+    assert restores == 0
