@@ -247,16 +247,17 @@ class _Tally:
       verified exactly when `bad_pairs`, their number, is 0;
     - differ[f] counts those where e lies above f in the order (upper key,
       edge id);
-    - tie_up[f] those where e ties f's upper key (so e < f), not both
-      points;
+    - tie_up[f] those where e ties f's upper key (so e < f);
     - tie_low[e] those where f lies below e's lower key (a cut-rule
-      violation) or ties it, not both points.
+      violation) or ties it.
 
-    `differ_ids`, `upper_ids` and `lower_ids` hold the ids whose differ,
-    tie_up and tie_low count is not 0.  Each pair is counted at the ranks
-    `lo`, `hi`, `upper` and `lower` its two edges had when it was last
-    counted, so a reveal can take the revealed edge's pairs out at its old
-    ranks and put them back at its new ones."""
+    A tie counts whatever the two edges' kind, point or open: verdicts are
+    read on reduced states, where no tie verdict pairs two points (see
+    :func:`_certify`).  `differ_ids`, `upper_ids` and `lower_ids` hold the
+    ids whose differ, tie_up and tie_low count is not 0.  Each pair is
+    counted at the ranks `lo`, `hi`, `upper` and `lower` its two edges had
+    when it was last counted, so a reveal can take the revealed edge's
+    pairs out at its old ranks and put them back at its new ones."""
 
     lo: list[int]
     hi: list[int]
@@ -398,7 +399,6 @@ def _tally(t: _Tally, x: int, partners, sign: int, cut: bool = False) -> None:
     same four comparisons, and each id set keeps the ids whose count is
     not 0."""
     lo, hi, upper, lower, bad = t.lo, t.hi, t.upper, t.lower, t.bad
-    point = lo[x] == hi[x]
     ux, wx = upper[x], lower[x]
     n_bad = n_differ = n_tie = 0
     if not cut:
@@ -412,10 +412,9 @@ def _tally(t: _Tally, x: int, partners, sign: int, cut: bool = False) -> None:
             if ue >= ux:
                 if ue > ux or e > f:
                     n_differ += 1
-                elif not point or lo[e] != hi[e]:
+                else:
                     n_tie += 1
-            we = lower[e]
-            if wx < we or wx == we and (not point or lo[e] != hi[e]):
+            if wx <= lower[e]:
                 c = tie_low[e] = tie_low[e] + sign
                 lower_ids.add(e) if c else lower_ids.discard(e)
         if n_differ:
@@ -436,11 +435,10 @@ def _tally(t: _Tally, x: int, partners, sign: int, cut: bool = False) -> None:
                 if ux > uf or e > f:
                     c = differ[f] = differ[f] + sign
                     differ_ids.add(f) if c else differ_ids.discard(f)
-                elif not point or lo[f] != hi[f]:
+                else:
                     c = tie_up[f] = tie_up[f] + sign
                     upper_ids.add(f) if c else upper_ids.discard(f)
-            wf = lower[f]
-            if wf < wx or wf == wx and (not point or lo[f] != hi[f]):
+            if lower[f] <= wx:
                 n_tie += 1
         if n_tie:
             c = t.tie_low[e] = t.tie_low[e] + sign * n_tie
@@ -648,9 +646,6 @@ def _uniqueness_gap(run: QueryRun, index: PathIndex):
     first tie of a path edge e with f's upper key, then ("lower", l, x)
     for the first tie of a cover x with tree edge l's lower key.
 
-    Ties between two point intervals cannot be separated by queries and are
-    resolved by edge id, so they do not count as violations.
-
     The verdict comes from the counts (:class:`_Tally`) of `index`: the
     least id with a "differ" pair, else with an upper tie, else with a
     lower tie or violation.  Only that one path or cover is scanned for its
@@ -658,7 +653,7 @@ def _uniqueness_gap(run: QueryRun, index: PathIndex):
     every cover in id order, would meet it; a cover edge below the tree
     edge's lower key raises.
     """
-    lo, hi, upper, lower = run.lo, run.hi, run.upper, run.lower
+    upper, lower = run.upper, run.lower
     paths, covers, tally = index
     if tally.differ_ids:
         f = min(tally.differ_ids)
@@ -668,14 +663,14 @@ def _uniqueness_gap(run: QueryRun, index: PathIndex):
     if tally.upper_ids:
         f = min(tally.upper_ids)
         for e in paths[f]:
-            if upper[e] == upper[f] and e < f and not (lo[e] == hi[e] and lo[f] == hi[f]):
+            if upper[e] == upper[f] and e < f:
                 return ("upper", f, e)
     if tally.lower_ids:
         l = min(tally.lower_ids)
         for x in sorted(covers[l]):
             if lower[x] < lower[l]:
                 raise PreconditionViolated("lower limit tree violates the cut rule")
-            if lower[x] == lower[l] and not (lo[x] == hi[x] and lo[l] == hi[l]):
+            if lower[x] == lower[l]:
                 return ("lower", l, x)
     return None
 
@@ -697,11 +692,12 @@ def _normal_form(run: QueryRun, index: PathIndex) -> LimitTrees:
 
 
 def compute_limit_trees(run: QueryRun) -> LimitTrees:
-    """Cycle/cut structure of the current instance.
+    """Cycle/cut structure of a certified session.
 
-    Requires unique coinciding limit trees (establish with
-    :func:`ensure_unique_limit_trees` first, or call
-    :func:`unique_limit_trees`, which does both).
+    Requires unique coinciding limit trees, which a session certified by
+    :func:`ensure_unique_limit_trees` has (:func:`unique_limit_trees` does
+    both); raises PreconditionViolated otherwise, a tie between two point
+    edges included.
     """
     index = _held_lower(run)
     gap = _uniqueness_gap(run, index)
@@ -838,26 +834,28 @@ def reduce_verified(run: QueryRun) -> set[int]:
     return set(index.covers)
 
 
-def ensure_unique_limit_trees(run: QueryRun, reduce: bool = True) -> list[int]:
-    """Query mandatory edges until the limit trees coincide and are unique.
+def ensure_unique_limit_trees(run: QueryRun) -> list[int]:
+    """Certify the session: query mandatory edges until the limit trees
+    coincide and are unique, on a reduced minor.
 
-    First requeries non-trivial edges of the lower-minus-upper difference,
-    then repeatedly resolves upper-side ties (an equal-upper-limit swap makes
-    the tied tree edge mandatory) and lower-side ties (symmetrically, the
-    tied non-tree edge), to a fixpoint.  With reduce=True, verified edges are
-    contracted/deleted eagerly along the way.  Returns the queried edge ids.
+    Each round first contracts or deletes every verified edge, then
+    requeries a non-trivial edge of the lower-minus-upper difference, or
+    resolves an upper-side tie (an equal-upper-limit swap makes the tied
+    tree edge mandatory) or a lower-side tie (symmetrically, the tied
+    non-tree edge), to a fixpoint.  Every present edge is open on return
+    (I2, see :func:`_certify`).  Returns the queried edge ids.
     """
     before = run.query_count
-    _certify(run, reduce)
+    _certify(run)
     return run.queried[before:]
 
 
 def unique_limit_trees(run: QueryRun) -> LimitTrees:
-    """:func:`ensure_unique_limit_trees` with reduction, then the limit
-    trees of the result, built from the tree and path index that its final
-    round certified; equal to :func:`compute_limit_trees` afterwards.
-    Every present edge of the result is open (I2, see :func:`_certify`)."""
-    return _normal_form(run, _certify(run, True))
+    """:func:`ensure_unique_limit_trees`, then the limit trees of the
+    result, built from the tree and path index that its final round
+    certified; equal to :func:`compute_limit_trees` afterwards.  Every
+    present edge of the result is open (I2, see :func:`_certify`)."""
+    return _normal_form(run, _certify(run))
 
 
 def _differ_partner(run: QueryRun, tree) -> int:
@@ -870,22 +868,22 @@ def _differ_partner(run: QueryRun, tree) -> int:
     return min(diff)
 
 
-def _certify(run: QueryRun, reduce: bool) -> PathIndex:
+def _certify(run: QueryRun) -> PathIndex:
     """The rounds of :func:`ensure_unique_limit_trees`; returns the held path
     index of the unique limit tree, which callers must not keep.
 
-    With `reduce`, every present edge is open on return (I2): the minor is
-    reduced and its lower limit tree is the unique limit tree.  A point
-    non-tree edge f that survives reduction has a path edge e with
-    hi(e) > lo(f), and then e lies above f in the order (upper key, edge
-    id), a "differ" pair.  A point tree edge l that survives reduction has
-    a cover g with lo(g) below its value r; but g is open, by the first
-    case, and lies above l in the order (lower key, edge id), so
-    3*lo(g)+1 > 3*r.  Without `reduce` a certified state may still hold
-    point edges."""
+    Every present edge is open on return (I2): the minor is reduced and its
+    lower limit tree is the unique limit tree.  A point non-tree edge f
+    that survives reduction has a path edge e with hi(e) > lo(f), and then
+    e lies above f in the order (upper key, edge id), a "differ" pair.  A
+    point tree edge l that survives reduction has a cover g with lo(g)
+    below its value r; but g is open, by the first case, and lies above l
+    in the order (lower key, edge id), so 3*lo(g)+1 > 3*r.  By the first
+    case, every verdict read after a reduction with a point non-tree edge
+    present is "differ", so no tie verdict pairs two point edges, and a tie
+    needs no rule for them."""
     for _ in rounds(run, "ensure_unique_limit_trees"):
-        if reduce:
-            reduce_verified(run)
+        reduce_verified(run)
         index = _held_lower(run)
         gap = _uniqueness_gap(run, index)
         if gap is None:

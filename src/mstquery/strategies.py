@@ -59,21 +59,19 @@ class StrategyConfig:
 def cycle_pred_mandatory_free(run: QueryRun, trees: LimitTrees, f: int) -> bool:
     """Cycle condition: the closing edge is predicted to dominate every cycle
     edge, and every cycle edge is predicted to stay below the closing edge.
-    Compared on ranks: an edge's known value, else its prediction.  The
-    public callers may pass trees of an unreduced minor, which can hold
-    point edges."""
-    lo, hi, pred = run.lo, run.hi, run.pred
-    lo_f = lo[f]
-    f_pred = lo_f if lo_f == hi[f] else pred[f]
+    Compared on the ranks of the predictions: `trees` are certified, so
+    every edge is open (I2, see
+    :func:`~mstquery.limittrees.unique_limit_trees`)."""
+    hi, pred = run.hi, run.pred
+    lo_f, f_pred = run.lo[f], pred[f]
     for e in trees.paths[f]:
-        lo_e, hi_e = lo[e], hi[e]
-        if f_pred < hi_e or (lo_e if lo_e == hi_e else pred[e]) > lo_f:
+        if f_pred < hi[e] or pred[e] > lo_f:
             return False
     return True
 
 
 def instance_pred_mandatory_free(run: QueryRun, trees: Optional[LimitTrees] = None) -> bool:
-    trees = trees if trees is not None else compute_limit_trees(run)
+    trees = trees if trees is not None else unique_limit_trees(run)
     return all(cycle_pred_mandatory_free(run, trees, f) for f in trees.nontree_order)
 
 
@@ -178,17 +176,17 @@ class VertexCoverInstance:
 
 
 def _vc_structure(run: QueryRun, trees: LimitTrees) -> tuple[list[int], list[int], dict[int, list[int]]]:
-    """The open tree edges, the open non-tree edges and, by open tree edge,
-    the open non-tree edges whose cycle holds it and whose interval meets
-    its own, ascending as `right` does.
+    """The tree edges, the non-tree edges and, by tree edge, the non-tree
+    edges whose cycle holds it and whose interval meets its own, ascending
+    as `right` does.  `trees` are certified, so every edge is open (I2,
+    see :func:`~mstquery.limittrees.unique_limit_trees`).
 
     Compared on ranks, and on the lower limit tree: an edge e on the path
-    of f has a lower key at most f's, so lo[e] <= lo[f] if e is open and
-    hi[e] <= lo[f] if it is a point.  So e is open and its interval meets
-    the open one of f exactly when lo[f] < hi[e]."""
+    of f has a lower key at most f's, so lo[e] <= lo[f], and its interval
+    meets f's exactly when lo[f] < hi[e]."""
     lo, hi, paths = run.lo, run.hi, trees.paths
-    left = [l for l in sorted(trees.tree) if lo[l] != hi[l]]
-    right = [f for f in sorted(trees.nontree_order) if lo[f] != hi[f]]
+    left = sorted(trees.tree)
+    right = sorted(trees.nontree_order)
     adjacency: dict[int, list[int]] = {l: [] for l in left}
     for f in right:
         lo_f = lo[f]
@@ -199,7 +197,7 @@ def _vc_structure(run: QueryRun, trees: LimitTrees) -> tuple[list[int], list[int
 
 
 def build_vc_instance(run: QueryRun, trees: Optional[LimitTrees] = None) -> VertexCoverInstance:
-    trees = trees if trees is not None else compute_limit_trees(run)
+    trees = trees if trees is not None else unique_limit_trees(run)
     if not instance_pred_mandatory_free(run, trees):
         raise PreconditionViolated("instance is not prediction mandatory free")
     left, right, adj = _vc_structure(run, trees)
@@ -426,7 +424,7 @@ def phase2_tradeoff(run: QueryRun) -> Phase2Report:
     it is queried: the cover and its partners are open vertices of the
     intersection graph, the loop only reveals, and a Koenig cover holds
     exactly one end of each matched pair, so no partner is listed."""
-    trees = compute_limit_trees(run)
+    trees = unique_limit_trees(run)
     vc = build_vc_instance(run, trees)
     f_list, l_list = _phase2_lists(run, trees, vc.cover)
     report = Phase2Report()
@@ -526,7 +524,7 @@ def phase2_error_sensitive(run: QueryRun) -> ErrorSensitiveLedger:
     replayed immediately, and the listing restarts without resetting the
     deferred set.
     """
-    trees = compute_limit_trees(run)
+    trees = unique_limit_trees(run)
     vc = build_vc_instance(run, trees)
     pair = dict(vc.matching)
     cover = vc.cover

@@ -151,9 +151,9 @@ def large_graphs():
 def scan_uniqueness_gap(run, index):
     """`limittrees._uniqueness_gap` by a scan of every path, then every
     cover, in id order: the first "differ" pair of any path, else the first
-    upper tie, else the first lower tie; a cover edge below its tree edge's
-    lower key raises PreconditionViolated."""
-    lo, hi = run.lo, run.hi
+    upper tie, else the first lower tie, whether or not both edges are
+    points; a cover edge below its tree edge's lower key raises
+    PreconditionViolated."""
     upper, lower = run.upper, run.lower
     tie = None
     for f in sorted(index.paths):
@@ -164,7 +164,7 @@ def scan_uniqueness_gap(run, index):
                 continue
             if ke > kf or e > f:
                 return ("differ", f, e)
-            if tie is None and not (lo[e] == hi[e] and lo[f] == hi[f]):
+            if tie is None:
                 tie = ("upper", f, e)
     if tie is not None:
         return tie
@@ -174,7 +174,7 @@ def scan_uniqueness_gap(run, index):
             kx = lower[x]
             if kx < kl:
                 raise PreconditionViolated("lower limit tree violates the cut rule")
-            if kx == kl and not (lo[x] == hi[x] and lo[l] == hi[l]):
+            if kx == kl:
                 return ("lower", l, x)
     return None
 
@@ -183,20 +183,20 @@ def pair_counts(lo, hi, upper, lower, pairs):
     """The counts of `limittrees._Tally` by name, counted pair by pair over
     `pairs`, each a non-tree edge f and a tree edge e on its path, at the
     rank tables given by edge id: the per-pair reference for the counting
-    kernel `limittrees._tally`."""
+    kernel `limittrees._tally`.  A tie counts whether or not both edges
+    are points."""
     counts = {name: [0] * len(lo) for name in ("bad", "differ", "tie_up", "tie_low")}
     bad_pairs = 0
     for f, e in pairs:
-        points = lo[e] == hi[e] and lo[f] == hi[f]
         if hi[e] > lo[f]:
             bad_pairs += 1
             counts["bad"][f] += 1
             counts["bad"][e] += 1
         if (upper[e], e) > (upper[f], f):
             counts["differ"][f] += 1
-        elif upper[e] == upper[f] and not points:
+        elif upper[e] == upper[f]:
             counts["tie_up"][f] += 1
-        if lower[f] < lower[e] or lower[f] == lower[e] and not points:
+        if lower[f] <= lower[e]:
             counts["tie_low"][e] += 1
     ids = {
         f"{kind}_ids": {x for x, c in enumerate(counts[name]) if c}

@@ -219,18 +219,17 @@ def test_a_reveal_only_raises_its_edge_and_only_a_revealed_tree_edge_swaps_out(m
 
 
 def test_a_certified_reduced_session_holds_only_open_edges(monkeypatch, corpus_by_rate):
-    # I2: when `_certify(run, True)` returns, the minor is reduced and its
-    # limit trees are unique, so no present edge is a point; the strategies
-    # read certified states without checking
+    # I2: when `_certify(run)` returns, the minor is reduced and its limit
+    # trees are unique, so no present edge is a point; the strategies read
+    # certified states without checking
     certify, seen = limittrees._certify, Counter()
 
-    def checked(run, reduce):
-        index = certify(run, reduce)
-        if reduce:
-            assert all(run.lo[e] != run.hi[e] for e in run.present)
-            seen["states"] += 1
-            seen["states with edges"] += bool(run.present)
-            seen["edges"] += len(run.present)
+    def checked(run):
+        index = certify(run)
+        assert all(run.lo[e] != run.hi[e] for e in run.present)
+        seen["states"] += 1
+        seen["states with edges"] += bool(run.present)
+        seen["edges"] += len(run.present)
         return index
 
     monkeypatch.setattr(limittrees, "_certify", checked)
@@ -542,7 +541,7 @@ def test_an_upper_key_tie_broken_by_edge_id_is_a_differ_verdict():
     assert not limittrees.limit_trees_unique(run)
     with pytest.raises(PreconditionViolated, match="differ"):
         compute_limit_trees(run)
-    assert ensure_unique_limit_trees(run, reduce=False) == [2]
+    assert ensure_unique_limit_trees(run) == [2]
     assert limittrees.limit_trees_unique(run)
 
 
@@ -553,10 +552,9 @@ def held_session(g):
     """A session holding the lower limit tree and its index, with no edge
     removed."""
     run = QueryRun(g)
-    ensure_unique_limit_trees(run, reduce=False)
+    index = limittrees._held_lower(run)
     upper_limit_tree(run)
-    index = run._limit_trees
-    assert index is not None
+    assert run._limit_trees is index
     return run, index
 
 
@@ -573,7 +571,7 @@ def test_contracting_a_non_tree_edge_rebuilds_the_trees():
         assert run._limit_trees is None
         assert lower_limit_tree(run) == _kruskal(run, run.lower)
         assert upper_limit_tree(run) == _kruskal(run, run.upper)
-        ensure_unique_limit_trees(run, reduce=False)
+        limittrees._held_lower(run)
         assert_held_matches_a_rebuild(run)
         contracted += 1
     assert contracted > 40
@@ -593,7 +591,7 @@ def test_deleting_a_tree_edge_rebuilds_the_trees():
         assert run._limit_trees is None
         assert lower_limit_tree(run) == _kruskal(run, run.lower)
         assert upper_limit_tree(run) == _kruskal(run, run.upper)
-        ensure_unique_limit_trees(run, reduce=False)
+        limittrees._held_lower(run)
         assert_held_matches_a_rebuild(run)
         deleted += 1
     assert deleted > 40
@@ -622,7 +620,7 @@ def churn(run):
         if run.is_trivial(eid):
             continue
         run.reveal(eid)
-        ensure_unique_limit_trees(run, reduce=False)
+        limittrees._held_lower(run)
         upper_limit_tree(run)
         assert_held_matches_a_rebuild(run)
     while run.vertex_count > 1:
@@ -638,7 +636,7 @@ def test_moves_in_a_fork_leave_the_held_trees_of_the_parent_correct():
         ids = parent.non_trivial_ids()
         for eid in ids[: len(ids) // 2]:
             parent.reveal(eid)
-        ensure_unique_limit_trees(parent, reduce=False)
+        limittrees._held_lower(parent)
         upper_limit_tree(parent)
         before = snapshot(parent)
         for source in (None, "truth", "predictions"):
@@ -649,7 +647,7 @@ def test_moves_in_a_fork_leave_the_held_trees_of_the_parent_correct():
             assert_held_matches_a_rebuild(parent)
         # and the other way round: the parent's moves leave a fork's trees
         fork = parent.fork()
-        ensure_unique_limit_trees(fork, reduce=False)
+        limittrees._held_lower(fork)
         upper_limit_tree(fork)
         kept = snapshot(fork)
         churn(parent)

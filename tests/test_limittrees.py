@@ -5,7 +5,7 @@ import pytest
 
 from cases import ERROR_RATES, build_corpus, kernel_case, lower_key, upper_key
 from mstquery import factory, limittrees, strategies
-from mstquery.graphcore import Interval, QueryRun, UncertainEdge, UncertainGraph
+from mstquery.graphcore import Interval, PreconditionViolated, QueryRun, UncertainEdge, UncertainGraph
 from mstquery.limittrees import (
     compute_limit_trees,
     ensure_unique_limit_trees,
@@ -112,7 +112,7 @@ def test_limit_trees_match_enumeration_oracle(seed):
 def test_ensure_unique_noop_when_already_unique():
     g = factory.demo_mandatory_cycle()
     run = QueryRun(g)
-    assert ensure_unique_limit_trees(run, reduce=False) == []
+    assert ensure_unique_limit_trees(run) == []
     assert limit_trees_unique(run)
 
 
@@ -126,8 +126,23 @@ def test_identical_parallel_intervals_trigger_tie_queries():
     # both edges are mandatory: dropping either leaves the instance unsolved
     assert mandatory_edges(g, "truth") == {0, 1}
     run = QueryRun(g)
-    queried = ensure_unique_limit_trees(run, reduce=False)
+    queried = ensure_unique_limit_trees(run)
     assert queried and set(queried) <= {0, 1}
+
+
+def test_parallel_points_of_equal_value_tie_until_reduced():
+    # a tie counts whatever the edges' kind; reduction removes both points
+    point = Interval.point(1)
+    g = UncertainGraph(3, [
+        UncertainEdge(0, 0, 1, point, Fraction(1), Fraction(1)),
+        UncertainEdge(1, 0, 1, point, Fraction(1), Fraction(1)),
+        make_edge(2, 1, 2, 0, 4),
+    ])
+    with pytest.raises(PreconditionViolated, match="not unique"):
+        compute_limit_trees(QueryRun(g))
+    run = QueryRun(g)
+    assert ensure_unique_limit_trees(run) == []
+    assert run.removed == {1: "deleted", 0: "contracted", 2: "contracted"}
 
 
 def test_preprocessing_queries_nothing_on_demo_cycle():
@@ -210,7 +225,7 @@ def test_cut_of_back_edge_family_contains_all_back_edges():
 def test_cycle_matches_bfs_path_oracle():
     g = factory.gen_random(7, 1, 0.9, 0.0, seed=23)
     run = QueryRun(g)
-    ensure_unique_limit_trees(run, reduce=False)
+    ensure_unique_limit_trees(run)
     trees = compute_limit_trees(run)
     for f in trees.nontree_order:
         cyc = {f, *trees.paths[f]}
@@ -255,7 +270,7 @@ def test_ensure_unique_queries_are_mandatory(seed):
     g = factory.gen_random(4, 4, 1.0, 0.5, seed=200 + seed)
     mand = mandatory_edges(g, "truth")
     run = QueryRun(g)
-    queried = ensure_unique_limit_trees(run, reduce=False)
+    queried = ensure_unique_limit_trees(run)
     assert set(queried) <= mand
 
 
@@ -266,16 +281,20 @@ def test_tree_changes_only_on_queried_edges(seed):
     g = factory.gen_random(5, 4, 0.9, 0.5, seed=300 + seed)
     rng = random.Random(seed)
     run = QueryRun(g)
-    ensure_unique_limit_trees(run, reduce=False)
+    ensure_unique_limit_trees(run)
     tree_before = lower_limit_tree(run)
     while run.non_trivial_ids():
         target = rng.choice(run.non_trivial_ids())
         before_count = run.query_count
+        contracted_before = set(run.contracted_ids())
         run.reveal(target)
-        ensure_unique_limit_trees(run, reduce=False)
+        ensure_unique_limit_trees(run)
         queried = set(run.queried[before_count:])
+        contracted = set(run.contracted_ids()) - contracted_before
         tree_after = lower_limit_tree(run)
-        assert tree_before.symmetric_difference(tree_after) <= queried
+        # reduction takes the contracted edges out of the tree, and adds none
+        assert tree_before.symmetric_difference(tree_after) <= queried | contracted
+        assert tree_after - tree_before <= queried
         tree_before = tree_after
 
 
@@ -370,14 +389,19 @@ def test_limit_tree_cycles_and_cuts_match_per_edge_scans(corpus_by_rate, reduce)
     instances.append(factory.gen_random(40, 40, 0.9, 0.3, seed=5))
     for g in instances:
         run = QueryRun(g)
-        ensure_unique_limit_trees(run, reduce=reduce)
-        trees = compute_limit_trees(run)
-        assert set(trees.paths) == set(run.present_ids()) - trees.tree
-        for f, path in trees.paths.items():
-            assert [f] + path == tree_cycle(run, trees.tree, f)
-        assert set(trees.covers) == trees.tree
-        for l, cover in trees.covers.items():
-            assert sorted(cover | {l}) == tree_cut(run, trees.tree, l)
+        if reduce:
+            ensure_unique_limit_trees(run)
+            index = compute_limit_trees(run)
+            assert index.tree == index.covers.keys()
+        else:
+            # the held index of a fresh session, whose trees need not be unique
+            index = limittrees._held_lower(run)
+        tree = set(index.covers)
+        assert set(index.paths) == set(run.present_ids()) - tree
+        for f, path in index.paths.items():
+            assert [f] + path == tree_cycle(run, tree, f)
+        for l, cover in index.covers.items():
+            assert sorted(cover | {l}) == tree_cut(run, tree, l)
 
 
 # -- integer ranks against the exact values ----------------------------------

@@ -294,9 +294,16 @@ def test_cover_flip_after_scripted_reveals():
 def test_empty_cover_on_disjoint_instance():
     g = factory.gen_random(5, 3, 0.0, 0.0, seed=12)
     run = QueryRun(g)
-    ensure_unique_limit_trees(run, reduce=False)
+    ensure_unique_limit_trees(run)
     vc = build_vc_instance(run)
     assert vc.cover == frozenset() and vc.edge_count() == 0
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_vc_instance_of_a_fresh_session_is_built_on_certified_trees(n):
+    g = factory.with_correct_predictions(factory.gen_triangle_chain(n))
+    run = QueryRun(g)
+    assert build_vc_instance(QueryRun(g)) == build_vc_instance(run, unique_limit_trees(run))
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -377,22 +384,15 @@ def assert_the_first_path_meets_its_edge(run, trees):
 def check_readers(run, trees, seen, reduced=False):
     """_vc_structure and cycle_pred_mandatory_free, which compare ranks
     inline, against the definitions on the intervals and predicted values;
-    on a `reduced` instance also the path `run_baseline` reads.  "apart"
-    and "points meet" count the path edges that miss their non-tree edge,
-    and the points that meet a point one, by `QueryRun.intersects`."""
+    on a `reduced` instance also the path `run_baseline` reads."""
     structure = strategies._vc_structure(run, trees)
     assert structure == vc_structure(run, trees)
     if reduced:
         seen["first path"] += assert_the_first_path_meets_its_edge(run, trees)
     for f in trees.nontree_order:
-        path = trees.paths[f]
-        meeting = [e for e in path if run.intersects(e, f)]
-        seen["apart"] += len(path) - len(meeting)
-        seen["points meet"] += sum(1 for e in meeting if run.lo[e] == run.hi[e])
         free = strategies.cycle_pred_mandatory_free(run, trees, f)
         assert free == cycle_pred_free(run, trees, f)
         seen["free" if free else "offending"] += 1
-        seen["point closing edge"] += run.is_trivial(f)
     seen["adjacent"] += sum(map(len, structure[2].values()))
     seen["rounds"] += 1
 
@@ -424,23 +424,6 @@ def test_readers_match_the_interval_definitions_at_every_round(monkeypatch, corp
     for g in reader_graphs(corpus_by_rate):
         strategies.solve(g, config)
     floors = {"rounds": 3000, "adjacent": 2000, "offending": 1000, "free": 400, "first path": 1500}
-    assert all(seen[kind] > floor for kind, floor in floors.items()), seen
-
-
-def test_readers_match_the_interval_definitions_without_reduction(corpus_by_rate):
-    # unreduced sessions keep point edges on cycles, closing edges too
-    seen = Counter()
-    for g in reader_graphs(corpus_by_rate):
-        run = QueryRun(g)
-        while True:
-            ensure_unique_limit_trees(run, reduce=False)
-            check_readers(run, compute_limit_trees(run), seen)
-            open_ids = run.non_trivial_ids()
-            if not open_ids:
-                break
-            run.reveal(open_ids[len(open_ids) // 2])
-    floors = {"rounds": 8000, "adjacent": 4000, "offending": 2000, "free": 20000, "point closing edge": 10000}
-    floors.update({"apart": 50000, "points meet": 600})
     assert all(seen[kind] > floor for kind, floor in floors.items()), seen
 
 
@@ -483,7 +466,7 @@ def test_phase2_queries_exactly_the_cover_when_right():
 def test_phase2_zero_queries_on_empty_cover():
     g = factory.gen_random(5, 3, 0.0, 0.0, seed=13)
     run = QueryRun(g)
-    ensure_unique_limit_trees(run, reduce=False)
+    ensure_unique_limit_trees(run)
     phase2_tradeoff(run)
     assert run.query_count == 0
 
