@@ -28,11 +28,14 @@ was lower, with a verdict: "better" or "worse" when the change is lower
 (higher) in at least 90% of the pairs and the medians differ by more than
 the parent's quartile spread, else "unresolved"; `queries` gets "same" or
 "differ", and `peak_rss_mb` no verdict, since it also counts compiling the
-package at import.  A ladder row whose `queries` differ between the sides
-is flagged and gets no verdict.  The file also records the parent's
-commit, the change's HEAD and whether its tracked files differ from it,
-the pair count, the seed, the CPU count and the Python version.  Standard
-library only.
+package at import.  Each workload also records how many operations its
+runs attempted, summarised with no verdict: a run keeps a little memory
+per operation and round, so `peak_rss_mb` rises with the rounds that a
+faster change fits into `--seconds`, and reads against this count.  A
+ladder row whose `queries` differ between the sides is flagged and gets
+no verdict.  The file also records the parent's commit, the change's HEAD
+and whether its tracked files differ from it, the pair count, the seed,
+the CPU count and the Python version.  Standard library only.
 """
 
 from __future__ import annotations
@@ -139,6 +142,7 @@ def run_side(tree: Path, args) -> dict:
         side["workloads"][name] = {
             "correct": result["correct"],
             "failed": result["failed"],
+            "attempted": result["attempted"],
             "metrics": {key: m["value"] for key, m in result["metrics"].items()},
         }
     me = str(Path(__file__).resolve())
@@ -203,9 +207,11 @@ def report(sides: dict, args, commits: dict) -> dict:
     }
     for name in args.workload:
         runs = {side: [pair["workloads"][name] for pair in sides[side]] for side in sides}
+        attempted = {side: [r["attempted"] for r in runs[side]] for side in runs}
         entry = doc["workloads"][name] = {
             "correct": all(r["correct"] for side in runs.values() for r in side),
             "failed": max(r["failed"] for side in runs.values() for r in side),
+            "attempted": summary(attempted["parent"], attempted["change"], verdict=False),
             "metrics": {},
         }
         for metric in runs["parent"][0]["metrics"]:

@@ -75,16 +75,21 @@ cover; a swap the entering edge's old path and each stretch of a path it
 removes, out, then each stretch it adds and the leaving edge's new path,
 in, and a parallel swap the entering edge's old path and the leaving
 edge's cover, out, then the entering edge's new cover, in, whatever the
-cover's size.  So no read scans every pair: :func:`reduce_verified`
-removes the edges in no bad pair, :func:`is_solved` verifies the tree
-exactly when no pair is bad, and :func:`_uniqueness_gap` scans only the
-one path or cover its verdict comes from.
+cover's size.  The counts also keep the set of present edges in no bad
+pair, updated as a count reaches 0 or leaves it.  So no read scans every
+pair or every edge: :func:`reduce_verified` removes the edges of that
+set, :func:`is_solved` verifies the tree exactly when no pair is bad, and
+:func:`_uniqueness_gap` scans only the one path or cover its verdict
+comes from.
 
 No upper tree is held.  The lower tree is the upper one too exactly when
 each non-tree edge lies above every edge of its path in the order (upper
 key, edge id); :func:`_uniqueness_gap` checks this on the held index.
-Only when it reports "differ" does the upper tree get built, by one
-Kruskal over every present edge.
+When it reports "differ" and one non-tree edge f alone has a "differ"
+pair, the upper tree is the lower one plus f minus the greatest edge of
+f's path (the cycle rule), so :func:`_differ_partner` reads the
+difference off that one path.  Only with two or more such edges is the
+upper tree built, by one Kruskal over every present edge.
 
 Verified reduction moves on one tree: deleting a non-tree edge changes
 neither the tree nor another edge's path, and contracting tree edge l
@@ -224,6 +229,8 @@ class PathIndex(NamedTuple):
             # of its own, or some tree edge holds a lower tie
             if t.bad[e] or t.differ[e] or t.tie_up[e] or t.lower_ids:
                 _tally(t, e, path, -1)
+            # after its pairs are out, where its count may have reached 0
+            t.clear_ids.discard(e)
             for l in path:
                 covers[l].discard(e)
         else:
@@ -233,6 +240,7 @@ class PathIndex(NamedTuple):
             # upper tie
             if t.bad[e] or t.tie_low[e] or t.differ_ids or t.upper_ids:
                 _tally(t, e, cover, -1, cut=True)
+            t.clear_ids.discard(e)
             for f in cover:
                 paths[f].remove(e)
 
@@ -244,7 +252,9 @@ class _Tally:
 
     - bad[f] and bad[e] count the pairs with hi[e] > lo[f]: f is dominated,
       or e contractible, exactly when its count is 0, and the tree is
-      verified exactly when `bad_pairs`, their number, is 0;
+      verified exactly when `bad_pairs`, their number, is 0; `clear_ids`
+      holds the present edges whose count is 0, the ones a reduction
+      removes;
     - differ[f] counts those where e lies above f in the order (upper key,
       edge id);
     - tie_up[f] those where e ties f's upper key (so e < f);
@@ -271,6 +281,7 @@ class _Tally:
     differ_ids: set[int]
     upper_ids: set[int]
     lower_ids: set[int]
+    clear_ids: set[int]
 
 
 def _rooted(run: QueryRun, tree: set[int]) -> tuple[list[int], list[int], list[int]]:
@@ -321,7 +332,8 @@ def _path_index(run: QueryRun, tree: set[int], rooted=None) -> PathIndex:
             covers[e].add(f)
     bad, differ, tie_up, tie_low = ([0] * len(run.lo) for _ in range(4))
     ranks = list(run.lo), list(run.hi), list(run.upper), list(run.lower)
-    tally = _Tally(*ranks, bad, 0, differ, tie_up, tie_low, set(), set(), set())
+    # every present edge is clear until a bad pair is counted
+    tally = _Tally(*ranks, bad, 0, differ, tie_up, tie_low, set(), set(), set(), set(run.present))
     for f, path in paths.items():
         _tally(tally, f, path, 1)
     return PathIndex(paths, covers, tally)
@@ -397,8 +409,8 @@ def _tally(t: _Tally, x: int, partners, sign: int, cut: bool = False) -> None:
     or with `cut` a tree edge and `partners` edges of its cover.  x's ranks
     are read once and its own counts written once; both loops make the
     same four comparisons, and each id set keeps the ids whose count is
-    not 0."""
-    lo, hi, upper, lower, bad = t.lo, t.hi, t.upper, t.lower, t.bad
+    not 0, but `clear_ids`, which keeps those whose bad count is 0."""
+    lo, hi, upper, lower, bad, clear_ids = t.lo, t.hi, t.upper, t.lower, t.bad, t.clear_ids
     ux, wx = upper[x], lower[x]
     n_bad = n_differ = n_tie = 0
     if not cut:
@@ -406,7 +418,9 @@ def _tally(t: _Tally, x: int, partners, sign: int, cut: bool = False) -> None:
         differ, tie_low, lower_ids = t.differ, t.tie_low, t.lower_ids
         for e in partners:
             if hi[e] > lo_f:
-                bad[e] += sign
+                c = bad[e] = bad[e] + sign
+                if c < 2:
+                    clear_ids.discard(e) if c else clear_ids.add(e)
                 n_bad += 1
             ue = upper[e]
             if ue >= ux:
@@ -428,7 +442,9 @@ def _tally(t: _Tally, x: int, partners, sign: int, cut: bool = False) -> None:
         differ, tie_up, differ_ids, upper_ids = t.differ, t.tie_up, t.differ_ids, t.upper_ids
         for f in partners:
             if hi_e > lo[f]:
-                bad[f] += sign
+                c = bad[f] = bad[f] + sign
+                if c < 2:
+                    clear_ids.discard(f) if c else clear_ids.add(f)
                 n_bad += 1
             uf = upper[f]
             if ux >= uf:
@@ -444,7 +460,8 @@ def _tally(t: _Tally, x: int, partners, sign: int, cut: bool = False) -> None:
             c = t.tie_low[e] = t.tie_low[e] + sign * n_tie
             t.lower_ids.add(e) if c else t.lower_ids.discard(e)
     if n_bad:
-        bad[x] += sign * n_bad
+        c = bad[x] = bad[x] + sign * n_bad
+        clear_ids.discard(x) if c else clear_ids.add(x)
         t.bad_pairs += sign * n_bad
 
 
@@ -564,7 +581,7 @@ def _copied(index: PathIndex) -> PathIndex:
     tally = _Tally(
         list(t.lo), list(t.hi), list(t.upper), list(t.lower), list(t.bad), t.bad_pairs,
         list(t.differ), list(t.tie_up), list(t.tie_low),
-        set(t.differ_ids), set(t.upper_ids), set(t.lower_ids),
+        set(t.differ_ids), set(t.upper_ids), set(t.lower_ids), set(t.clear_ids),
     )
     return PathIndex({f: list(path) for f, path in paths.items()}, {l: set(c) for l, c in covers.items()}, tally)
 
@@ -776,9 +793,10 @@ def reduce_verified(run: QueryRun) -> set[int]:
     blocked its domination.  The lower limit tree of the reduced minor is
     therefore the tree minus the contracted edges.
 
-    A session that holds the lower limit tree reads both lists from its
-    bad-pair counts; each move then updates the held index as it is made,
-    and none drops it.  One that holds none (fresh, a fork, or dropped by
+    A session that holds the lower limit tree reads both lists from the set
+    its bad-pair counts keep, the present edges in no bad pair; each move
+    then updates the held index as it is made, and none drops it.  A
+    reduced session's set is empty.  One that holds none (fresh, a fork, or dropped by
     deleting a tree edge or contracting a non-tree edge) reads them from
     the sweeps over one Kruskal tree: f is dominated when every edge of its
     path has high <= low(f), l contractible when it has no cover or its
@@ -813,11 +831,11 @@ def reduce_verified(run: QueryRun) -> set[int]:
         first = _least_covers(run, rooted, [f for _, f in nontree])
         contractible = [l for l in sorted(tree) if l not in first or lo[first[l]] >= hi[l]]
     else:
-        tree, bad = index.covers, index.tally.bad
+        tree = index.covers
         # a non-tree edge is dominated, and a tree edge contractible, exactly
         # when it is in no bad pair; both lists are fixed before the first
         # move changes the held state
-        clear = sorted(x for x in run.present if not bad[x])
+        clear = sorted(index.tally.clear_ids)
         dominated = [f for f in clear if f not in tree]
         contractible = [l for l in clear if l in tree]
     for f in dominated:
@@ -858,11 +876,25 @@ def unique_limit_trees(run: QueryRun) -> LimitTrees:
     return _normal_form(run, _certify(run))
 
 
-def _differ_partner(run: QueryRun, tree) -> int:
-    """The least non-trivial edge of the lower limit tree `tree` outside the
-    upper limit tree, which one Kruskal over every present edge builds."""
-    upper = _kruskal(run, run.upper)
-    diff = [e for e in tree - upper if not run.is_trivial(e)]
+def _differ_partner(run: QueryRun, index: PathIndex) -> int:
+    """The least non-trivial edge of the lower limit tree held by `index`
+    outside the upper limit tree.
+
+    When one non-tree edge f has a "differ" pair, every other non-tree edge
+    lies above every edge of its path in the order (upper key, edge id), so
+    by the cycle rule the upper tree leaves it out, and it is the lower
+    tree plus f minus the greatest edge e* of f's path in that order: the
+    difference is e* alone, read off that one path.  With more, one Kruskal
+    over every present edge builds the upper tree."""
+    differ_ids, tree = index.tally.differ_ids, index.covers.keys()
+    if len(differ_ids) == 1:
+        upper = run.upper
+        (f,) = differ_ids
+        top = max(index.paths[f], key=lambda e: (upper[e], e))
+        diff = [top] if not run.is_trivial(top) else []
+    else:
+        upper_tree = _kruskal(run, run.upper)
+        diff = [e for e in tree - upper_tree if not run.is_trivial(e)]
     if not diff:
         raise PreconditionViolated("limit trees differ only in trivial edges; cannot requery")
     return min(diff)
@@ -893,5 +925,5 @@ def _certify(run: QueryRun) -> PathIndex:
         # mandatory; lower-side tie: symmetrically the tied cut edge is.
         kind, _, partner = gap
         if kind == "differ":
-            partner = _differ_partner(run, index.covers.keys())
+            partner = _differ_partner(run, index)
         run.reveal(partner)

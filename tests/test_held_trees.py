@@ -57,8 +57,9 @@ def recount(run, index):
 
 def assert_held_matches_a_rebuild(run, seen=None):
     """Every part the session holds equals its from-scratch reference: the
-    lower tree, each path in order, each cover, and every pair count and
-    nonzero set, counted at the session's current ranks."""
+    lower tree, each path in order, each cover, every pair count and
+    nonzero set, counted at the session's current ranks, and the kept set
+    of present edges in no bad pair."""
     index = run._limit_trees
     if index is None:
         return
@@ -71,6 +72,7 @@ def assert_held_matches_a_rebuild(run, seen=None):
     assert (tally.lo, tally.hi, tally.upper, tally.lower) == (run.lo, run.hi, run.upper, run.lower)
     expected = recount(run, reference)
     assert {name: getattr(tally, name) for name in expected} == expected
+    assert tally.clear_ids == {x for x in run.present if not expected["bad"][x]}
     if seen is not None:
         seen["index"] += 1
 
@@ -284,24 +286,36 @@ def test_the_differ_verdict_matches_the_upper_kruskal_at_every_round_of_live_run
 
 def test_the_differ_partner_matches_the_full_upper_kruskal_at_every_differ_verdict(monkeypatch):
     # a "differ" requery must name the least non-trivial edge of the lower
-    # tree outside the upper limit tree
-    partner = limittrees._differ_partner
-    seen = Counter()
+    # tree outside the upper limit tree; when one non-tree edge alone has a
+    # "differ" pair it is read off that edge's path, with no Kruskal
+    partner, kruskal = limittrees._differ_partner, limittrees._kruskal
+    seen, built = Counter(), [0]
 
-    def checked(run, tree):
+    def counted(*args):
+        built[0] += 1
+        return kruskal(*args)
+
+    def checked(run, index):
+        tree = index.covers.keys()
         diff = sorted(e for e in tree - upper_limit_tree(run) if not run.is_trivial(e))
+        one = len(index.tally.differ_ids) == 1
+        built[0] = 0
         try:
-            got = partner(run, tree)
+            got = partner(run, index)
         except PreconditionViolated:
             assert not diff
             raise
+        finally:
+            assert built[0] == (0 if one else 1)
         assert diff and got == diff[0]
-        seen["differ"] += 1
+        seen["one differ edge" if one else "more differ edges"] += 1
         return got
 
+    monkeypatch.setattr(limittrees, "_kruskal", counted)
     monkeypatch.setattr(limittrees, "_differ_partner", checked)
     run_live(live_graphs(), large_graphs())
-    assert seen["differ"] > 2500, seen
+    floors = {"one differ edge": 1500, "more differ edges": 1200}
+    assert all(seen[kind] > floor for kind, floor in floors.items()), seen
 
 
 def test_held_verdicts_and_reductions_match_the_scans_of_live_runs(monkeypatch):
@@ -384,10 +398,12 @@ def kernel_counts(ranks, runs, cut):
     `ranks`, given each (x, partners, sign) of `runs` in turn."""
     size = len(ranks[0])
     bad, differ, tie_up, tie_low = ([0] * size for _ in range(4))
-    t = limittrees._Tally(*(list(r) for r in ranks), bad, 0, differ, tie_up, tie_low, set(), set(), set())
+    # every id starts clear, as every present edge of a fresh index does
+    ids = set(), set(), set(), set(range(size))
+    t = limittrees._Tally(*(list(r) for r in ranks), bad, 0, differ, tie_up, tie_low, *ids)
     for x, partners, sign in runs:
         limittrees._tally(t, x, partners, sign, cut)
-    names = ("bad", "differ", "tie_up", "tie_low", "bad_pairs", "differ_ids", "upper_ids", "lower_ids")
+    names = ("bad", "differ", "tie_up", "tie_low", "bad_pairs", "differ_ids", "upper_ids", "lower_ids", "clear_ids")
     return {name: getattr(t, name) for name in names}
 
 
@@ -416,6 +432,7 @@ def test_the_kernel_counts_a_path_or_a_cover_as_the_per_pair_rule_does():
         gone = pairs[: rng.randint(0, len(pairs))]
         ranks = (lo, hi, upper, lower)
         want = pair_counts(*ranks, pairs[len(gone):])
+        want["clear_ids"] = {x for x, c in enumerate(want["bad"]) if not c}
         for side, by in (("path", 0), ("cover", 1)):
             runs = []
             for sign, counted in ((1, pairs), (-1, gone)):

@@ -145,12 +145,6 @@ def test_parallel_points_of_equal_value_tie_until_reduced():
     assert run.removed == {1: "deleted", 0: "contracted", 2: "contracted"}
 
 
-def test_preprocessing_queries_nothing_on_demo_cycle():
-    g = factory.demo_mandatory_cycle()
-    run = QueryRun(g)
-    assert ensure_unique_limit_trees(run) == []
-
-
 def test_solved_after_revealing_dominating_value():
     g = factory.demo_mandatory_cycle()
     # under the predicted values, edge 0 reveals a weight above every other

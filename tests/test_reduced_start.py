@@ -68,10 +68,14 @@ def test_a_copied_start_is_the_computed_one_and_survives_the_sessions_that_copie
         assert g in limittrees._STARTS and not seen[id(g)]
         truth, predictions = reduced(g), reduced(g, "predictions")
         assert seen[id(g)] == 2
+        kept = vars(limittrees._STARTS[g].index.tally)
         for run, source in ((first, "truth"), (truth, "truth"), (predictions, "predictions")):
             reference = computed(g, source)
             assert_same_state(run, reference)
             assert_held_matches_a_rebuild(run)
+            # every count list and id set is the session's own, not the start's
+            mine = vars(run._limit_trees.tally)
+            assert not [name for name, value in mine.items() if isinstance(value, (list, set)) and value is kept[name]]
         # the sessions that copied the start move on their own copies
         strategies.run_baseline(truth)
         strategies.make_prediction_mandatory_free(predictions, 2)

@@ -44,6 +44,8 @@ def test_head_against_head_writes_the_schema(tmp_path):
     assert doc["change"].keys() == {"head", "dirty"} and doc["change"]["head"] == doc["parent"]["commit"]
     learn = doc["workloads"]["learn"]
     assert learn["correct"] is True and learn["failed"] == 0
+    summary_keys(learn["attempted"], verdict=False)
+    assert all(isinstance(n, int) and n > 0 for side in ("parent", "change") for n in learn["attempted"][side]["runs"])
     metrics = learn["metrics"]
     assert metrics.keys() == {"setup_s", "wall_s", "op_ms_p50", "queries", "peak_rss_mb"}
     assert metrics["queries"] == {"parent": [31], "change": [31], "verdict": "same"}
