@@ -796,12 +796,13 @@ def reduce_verified(run: QueryRun) -> set[int]:
     A session that holds the lower limit tree reads both lists from the set
     its bad-pair counts keep, the present edges in no bad pair; each move
     then updates the held index as it is made, and none drops it.  A
-    reduced session's set is empty.  One that holds none (fresh, a fork, or dropped by
-    deleting a tree edge or contracting a non-tree edge) reads them from
-    the sweeps over one Kruskal tree: f is dominated when every edge of its
-    path has high <= low(f), l contractible when it has no cover or its
-    least cover by low end has low >= high(l).  It then holds the tree
-    minus the contracted edges, with one path index of that remnant.
+    reduced session's set is empty.  One that holds none (fresh, a fork,
+    or dropped by deleting a tree edge or contracting a non-tree edge)
+    reads them from the sweeps over one Kruskal tree: f is dominated when
+    every edge of its path has high <= low(f), l contractible when it has
+    no cover or its least cover by low end has low >= high(l).  It then
+    holds the tree minus the contracted edges, with one path index of that
+    remnant.
 
     A session that has made no move (nothing queried, removed or recorded)
     has the state every such session over its graph has, whatever its value
@@ -886,15 +887,13 @@ def _differ_partner(run: QueryRun, index: PathIndex) -> int:
     tree plus f minus the greatest edge e* of f's path in that order: the
     difference is e* alone, read off that one path.  With more, one Kruskal
     over every present edge builds the upper tree."""
-    differ_ids, tree = index.tally.differ_ids, index.covers.keys()
+    differ_ids, upper = index.tally.differ_ids, run.upper
     if len(differ_ids) == 1:
-        upper = run.upper
         (f,) = differ_ids
-        top = max(index.paths[f], key=lambda e: (upper[e], e))
-        diff = [top] if not run.is_trivial(top) else []
+        diff = [max(index.paths[f], key=lambda e: (upper[e], e))]
     else:
-        upper_tree = _kruskal(run, run.upper)
-        diff = [e for e in tree - upper_tree if not run.is_trivial(e)]
+        diff = index.covers.keys() - _kruskal(run, upper)
+    diff = [e for e in diff if not run.is_trivial(e)]
     if not diff:
         raise PreconditionViolated("limit trees differ only in trivial edges; cannot requery")
     return min(diff)
