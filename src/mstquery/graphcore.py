@@ -596,7 +596,12 @@ class QueryRun:
 
     A new session copies its endpoint table from the graph's `ends`, and
     its keys from its ranking's `lower` and `upper`, which are built once
-    per graph.
+    per graph.  It builds its incidence sets from the graph's `ends` on
+    their first read, which a contraction, a deletion or
+    :meth:`current_vertices` makes; until then its minor is the graph's.
+    A session whose first reduction copies its graph's reduced start is
+    given the start's sets instead, so it never builds them over the whole
+    graph, and a fork of a session that has not built them has none either.
     """
 
     def __init__(self, graph: UncertainGraph, source: str = "truth"):
@@ -610,12 +615,8 @@ class QueryRun:
         self.upper: list[int] = list(self.ranking.upper)
         self.ends: list[tuple[int, int]] = list(graph.ends)
         self.vertex_count = graph.vertex_count  # of the current minor
-        # vertex -> ids of its present edges; None once the vertex is absorbed
-        incident: list[Optional[set[int]]] = [set() for _ in range(graph.vertex_count)]
-        for eid, (u, v) in enumerate(graph.ends):
-            incident[u].add(eid)
-            incident[v].add(eid)
-        self._incident = incident
+        # the incidence sets (see `_incident`), or None until first read
+        self._incidence: Optional[list[Optional[set[int]]]] = None
         self.queried: list[int] = []
         self.removed: dict[int, str] = {}  # eid -> "deleted" | "contracted"
         self.removed_unqueried: dict[int, str] = {}
@@ -625,6 +626,17 @@ class QueryRun:
     @property
     def pred(self) -> tuple[int, ...]:
         return self.ranking.pred
+
+    @property
+    def _incident(self) -> list[Optional[set[int]]]:
+        """Vertex -> ids of its present edges; None once the vertex is
+        absorbed.  Built from the graph's `ends` on first read: a session
+        whose sets are not built has contracted and deleted nothing, so its
+        minor is still the graph's."""
+        incident = self._incidence
+        if incident is None:
+            incident = self._incidence = _incidence(self._graph)
+        return incident
 
     # -- structure --------------------------------------------------------
 
@@ -753,9 +765,9 @@ class QueryRun:
         The fork shares the ranking, and the reveal ranks unless `source`
         names another table of it ("truth" or "predictions"); the values
         already revealed stay.  It copies the ranks, keys, endpoint table
-        and incidence sets, so a move on either side leaves the other as
-        it was.  It starts a new transcript and holds no limit tree (see
-        :mod:`.limittrees`)."""
+        and incidence sets, if built, so a move on either side leaves the
+        other as it was.  It starts a new transcript and holds no limit
+        tree (see :mod:`.limittrees`)."""
         clone = QueryRun.__new__(QueryRun)
         clone._graph = self._graph
         clone.ranking = self.ranking
@@ -765,7 +777,10 @@ class QueryRun:
         clone.lower, clone.upper = list(self.lower), list(self.upper)
         clone.ends = list(self.ends)
         clone.vertex_count = self.vertex_count
-        clone._incident = [None if edges is None else set(edges) for edges in self._incident]
+        incident = self._incidence
+        if incident is not None:
+            incident = [None if edges is None else set(edges) for edges in incident]
+        clone._incidence = incident
         clone.queried = list(self.queried)
         clone.removed = dict(self.removed)
         clone.removed_unqueried = dict(self.removed_unqueried)
@@ -780,6 +795,16 @@ class QueryRun:
         session surface only.
         """
         return self._graph
+
+
+def _incidence(graph: UncertainGraph) -> list[Optional[set[int]]]:
+    """Vertex -> ids of its edges in `graph`, which is a new session's
+    minor."""
+    incident: list[Optional[set[int]]] = [set() for _ in range(graph.vertex_count)]
+    for eid, (u, v) in enumerate(graph.ends):
+        incident[u].add(eid)
+        incident[v].add(eid)
+    return incident
 
 
 def rounds(run: QueryRun, loop: str):

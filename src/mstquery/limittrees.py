@@ -107,10 +107,13 @@ session has the state a new one has, whatever its value source, and the
 reduction reads only interval ends and the minor.  So the graph keeps the
 state that reduction leaves, its reduced start, while the graph object
 lives, and every later unmoved session over it copies that start into its
-own containers instead of recomputing it (:func:`reduce_verified`).  Every
-strategy begins with that reduction, so the strategies run on one graph
-object share it.  A session that has moved, and so every fork of one,
-computes its own.
+own containers instead of recomputing it (:func:`reduce_verified`).  The
+start keeps the incidence sets of the vertices that survive the reduction
+only, and a session that copies it takes those, so it never builds the
+sets of the whole graph (see :class:`~mstquery.graphcore.QueryRun`).
+Every strategy begins with that reduction, so the strategies run on one
+graph object share it.  A session that has moved, and so every fork of
+one, computes its own.
 """
 
 from __future__ import annotations
@@ -589,11 +592,13 @@ def _copied(index: PathIndex) -> PathIndex:
 class _Start(NamedTuple):
     """A graph's reduced start: the state that the first verified reduction
     of a session that has made no move leaves, which is the same for every
-    such session over the graph (see :func:`reduce_verified`)."""
+    such session over the graph (see :func:`reduce_verified`).  `incident`
+    holds the incidence set of each vertex of the reduced minor, as
+    (vertex, set) pairs; every other vertex was absorbed."""
 
     ends: tuple[tuple[int, int], ...]
     vertex_count: int
-    incident: tuple[Optional[frozenset[int]], ...]
+    incident: tuple[tuple[int, frozenset[int]], ...]
     removed: dict[int, str]
     removed_unqueried: dict[int, str]
     events: tuple[Event, ...]
@@ -609,7 +614,7 @@ def _kept_start(run: QueryRun) -> _Start:
     return _Start(
         tuple(run.ends),
         run.vertex_count,
-        tuple(None if edges is None else frozenset(edges) for edges in run._incident),
+        tuple((v, frozenset(edges)) for v, edges in enumerate(run._incident) if edges is not None),
         dict(run.removed),
         dict(run.removed_unqueried),
         tuple(run.transcript.events),
@@ -620,11 +625,19 @@ def _kept_start(run: QueryRun) -> _Start:
 def _restore(run: QueryRun, start: _Start) -> None:
     """Put `start` into `run`, which has made no move, in place, as its
     moves would: the same containers change, so a reference taken before
-    sees the reduction."""
+    sees the reduction.  The start's incidence sets are copied over the
+    vertices that survive it, into the session's own list if it has built
+    one, and otherwise into a new list that it never builds."""
     run.present.difference_update(start.removed)
     run.ends[:] = start.ends
     run.vertex_count = start.vertex_count
-    run._incident[:] = [None if edges is None else set(edges) for edges in start.incident]
+    incident: list[Optional[set[int]]] = [None] * run.graph_readonly().vertex_count
+    for v, edges in start.incident:
+        incident[v] = set(edges)
+    if run._incidence is None:
+        run._incidence = incident
+    else:
+        run._incidence[:] = incident
     run.removed.update(start.removed)
     run.removed_unqueried.update(start.removed_unqueried)
     run.transcript.events.extend(start.events)
@@ -754,7 +767,7 @@ def verified_tree_of_original(run: QueryRun) -> Optional[set[int]]:
     remnant = is_solved(run)
     if remnant is None:
         return None
-    return set(run.contracted_ids()) | remnant
+    return remnant | {e for e, kind in run.removed.items() if kind == "contracted"}
 
 
 def reduce_once(run: QueryRun) -> bool:

@@ -94,12 +94,13 @@ def mandatory_edges(graph: GraphLike, value_source: str = "truth") -> set[int]:
 
     Weights, thresholds and ends are compared as the session's ranks, which
     order exactly as the values do; the source's ranks are the ranking's
-    truth or prediction ranks.
+    truth or prediction ranks.  The weight table holds the present edges
+    only, which are all that Kruskal, the sweep and the painting read.
     """
     run = graph if isinstance(graph, QueryRun) else QueryRun(graph)
     lo, hi = run.lo, run.hi
     table = run.ranking.table(value_source)
-    w = [a if a == b else t for a, b, t in zip(lo, hi, table)]
+    w = {e: lo[e] if lo[e] == hi[e] else table[e] for e in run.present}
     tree = _kruskal(run, w)
     nontree = [e for e in run.present_ids() if e not in tree]
     outside = [e for e in nontree if lo[e] != hi[e]]

@@ -19,6 +19,7 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 from .errormetrics import hop_distance
@@ -289,7 +290,8 @@ def make_prediction_mandatory_free(run: QueryRun, gamma: int) -> PhaseLedger:
         raise ValueError("gamma must be an integer >= 2")
     gamma = int(gamma)
     ledger = PhaseLedger()
-    removed_before = set(run.removed_unqueried)
+    # each removal appends one entry, so this call's are the tail
+    removed_before = len(run.removed_unqueried)
     queries_before = run.query_count
     for _ in rounds(run, "make_prediction_mandatory_free"):
         trees = unique_limit_trees(run)
@@ -309,9 +311,7 @@ def make_prediction_mandatory_free(run: QueryRun, gamma: int) -> PhaseLedger:
         _resolve_offending_cycle(run, trees, offending, ledger)
         run.transcript.record("restart", tag="phase1")
     ledger.queries = list(run.queried[queries_before:])
-    ledger.removed_unqueried = {
-        e: k for e, k in run.removed_unqueried.items() if e not in removed_before
-    }
+    ledger.removed_unqueried = dict(islice(run.removed_unqueried.items(), removed_before, None))
     return ledger
 
 

@@ -220,6 +220,21 @@ def test_moves_in_a_fork_leave_the_parent_as_it_was():
         assert stored_state(fork) == kept
 
 
+def test_a_fork_of_a_session_that_has_not_built_its_sets_builds_none():
+    for seed in range(40):
+        g, _ = kernel_case(seed)
+        unbuilt, built = QueryRun(g), QueryRun(g)
+        built.current_vertices()
+        for run in (unbuilt, built):
+            run.reveal(run.non_trivial_ids()[0])
+        assert unbuilt._incidence is None and built._incidence is not None
+        forks = [unbuilt.fork(), built.fork()]
+        assert forks[0]._incidence is None and unbuilt._incidence is None
+        for fork in forks:
+            churn(fork)
+        assert stored_state(forks[0]) == stored_state(forks[1])
+
+
 # -- contraction on a multigraph -----------------------------------------------
 
 

@@ -6,14 +6,15 @@ copies it into every later unmoved session over that graph.  These tests
 hold a copied start to the one a session over a fresh copy of the graph
 computes, attribute by attribute and the held index in full, also after
 sessions that copied it have moved; check that a session that has moved,
-or a fork of one, computes its own; and that the copy changes the
-session's own containers, as the moves would.
+or a fork of one, computes its own; that the copy changes the session's
+own containers, as the moves would; and that a session that copies a start
+never builds the incidence sets of the whole graph.
 """
 
 from collections import Counter
 
-from cases import kernel_case, live_graphs, tied_case
-from mstquery import factory, limittrees, strategies
+from cases import ERROR_RATES, build_corpus, kernel_case, live_graphs, tied_case
+from mstquery import factory, graphcore, limittrees, strategies
 from mstquery.graphcore import QueryRun, UncertainGraph
 from mstquery.limittrees import reduce_verified
 from test_held_trees import assert_held_matches_a_rebuild, bundle_graphs
@@ -45,12 +46,14 @@ def computed(graph, source="truth"):
 
 def assert_same_state(run, reference):
     """Every attribute of `run` equals the reference's, but the value source
-    and the graph object; the held index in full: path order, each cover,
-    the order of both maps, and every count, list and set."""
+    and the graph object; the incidence sets as read, which builds them
+    where neither session has; the held index in full: path order, each
+    cover, the order of both maps, and every count, list and set."""
     mine, theirs = vars(run), vars(reference)
     assert mine.keys() == theirs.keys()
-    for name in mine.keys() - {"_values", "_graph", "ranking", "transcript", "_limit_trees"}:
+    for name in mine.keys() - {"_values", "_graph", "ranking", "transcript", "_limit_trees", "_incidence"}:
         assert mine[name] == theirs[name], name
+    assert run._incident == reference._incident
     assert run.ranking == reference.ranking
     assert run.transcript.events == reference.transcript.events
     assert run.transcript.final_tree == reference.transcript.final_tree
@@ -125,3 +128,39 @@ def test_the_copy_changes_the_sessions_own_containers():
         assert_same_state(run, computed(g))
         moved += len(run.transcript.events)
     assert moved > 30
+
+
+def test_a_session_that_copies_a_start_never_builds_the_graph_wide_sets(monkeypatch):
+    built = Counter()
+    build = graphcore._incidence
+
+    def counted(graph):
+        built[id(graph)] += 1
+        return build(graph)
+
+    monkeypatch.setattr(graphcore, "_incidence", counted)
+    installed = []
+    restore = limittrees._restore
+
+    def kept(run, start):
+        restore(run, start)
+        # a copy: the session's moves go on editing its sets
+        installed.append([None if edges is None else set(edges) for edges in run._incidence])
+
+    monkeypatch.setattr(limittrees, "_restore", kept)
+    configs = [strategies.StrategyConfig(mode="baseline")] + [
+        strategies.StrategyConfig(gamma=gamma, mode=mode) for mode in ("tradeoff", "error_sensitive") for gamma in (2, 3)
+    ]
+    computing = 0
+    for g in [g for rate in ERROR_RATES for g in build_corpus(rate, 25)] + [tied_case(seed) for seed in range(30)]:
+        reference = computed(g)._incident
+        reduced(g)
+        computing += built[id(g)]
+        for config in configs:
+            installed.clear()
+            before = built[id(g)]
+            strategies.solve(g, config)
+            assert built[id(g)] == before
+            assert installed == [reference]
+    # the sessions that computed the starts did build their sets
+    assert computing > 100
