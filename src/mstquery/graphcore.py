@@ -635,7 +635,7 @@ class QueryRun:
         minor is still the graph's."""
         incident = self._incidence
         if incident is None:
-            incident = self._incidence = _incidence(self._graph)
+            incident = self._incidence = _incidence_sets(self._graph)
         return incident
 
     # -- structure --------------------------------------------------------
@@ -797,7 +797,7 @@ class QueryRun:
         return self._graph
 
 
-def _incidence(graph: UncertainGraph) -> list[Optional[set[int]]]:
+def _incidence_sets(graph: UncertainGraph) -> list[Optional[set[int]]]:
     """Vertex -> ids of its edges in `graph`, which is a new session's
     minor."""
     incident: list[Optional[set[int]]] = [set() for _ in range(graph.vertex_count)]

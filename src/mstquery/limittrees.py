@@ -625,9 +625,10 @@ def _kept_start(run: QueryRun) -> _Start:
 def _restore(run: QueryRun, start: _Start) -> None:
     """Put `start` into `run`, which has made no move, in place, as its
     moves would: the same containers change, so a reference taken before
-    sees the reduction.  The start's incidence sets are copied over the
-    vertices that survive it, into the session's own list if it has built
-    one, and otherwise into a new list that it never builds."""
+    sees the reduction.  The start's incidence sets of the vertices that
+    survive it are copied into the session's own list if it has built one,
+    and otherwise into a new list, so that the session never builds the
+    sets of the whole graph."""
     run.present.difference_update(start.removed)
     run.ends[:] = start.ends
     run.vertex_count = start.vertex_count

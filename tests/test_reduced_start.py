@@ -132,13 +132,13 @@ def test_the_copy_changes_the_sessions_own_containers():
 
 def test_a_session_that_copies_a_start_never_builds_the_graph_wide_sets(monkeypatch):
     built = Counter()
-    build = graphcore._incidence
+    build = graphcore._incidence_sets
 
     def counted(graph):
         built[id(graph)] += 1
         return build(graph)
 
-    monkeypatch.setattr(graphcore, "_incidence", counted)
+    monkeypatch.setattr(graphcore, "_incidence_sets", counted)
     installed = []
     restore = limittrees._restore
 
