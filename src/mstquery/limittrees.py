@@ -594,8 +594,10 @@ class _Start(NamedTuple):
     of a session that has made no move leaves, which is the same for every
     such session over the graph (see :func:`reduce_verified`).  `incident`
     holds the incidence set of each vertex of the reduced minor, as
-    (vertex, set) pairs; every other vertex was absorbed."""
+    (vertex, set) pairs; every other vertex was absorbed.  `present` holds
+    the ids of the edges that survive it."""
 
+    present: frozenset[int]
     ends: tuple[tuple[int, int], ...]
     vertex_count: int
     incident: tuple[tuple[int, frozenset[int]], ...]
@@ -612,6 +614,7 @@ _STARTS: weakref.WeakKeyDictionary[UncertainGraph, _Start] = weakref.WeakKeyDict
 def _kept_start(run: QueryRun) -> _Start:
     """The state of `run` right after its first verified reduction, copied."""
     return _Start(
+        frozenset(run.present),
         tuple(run.ends),
         run.vertex_count,
         tuple((v, frozenset(edges)) for v, edges in enumerate(run._incident) if edges is not None),
@@ -628,8 +631,10 @@ def _restore(run: QueryRun, start: _Start) -> None:
     sees the reduction.  The start's incidence sets of the vertices that
     survive it are copied into the session's own list if it has built one,
     and otherwise into a new list, so that the session never builds the
-    sets of the whole graph."""
-    run.present.difference_update(start.removed)
+    sets of the whole graph.  The session's present set, every edge of
+    the graph, keeps the start's survivors, which are fewer than its
+    removals."""
+    run.present.intersection_update(start.present)
     run.ends[:] = start.ends
     run.vertex_count = start.vertex_count
     incident: list[Optional[set[int]]] = [None] * run.graph_readonly().vertex_count

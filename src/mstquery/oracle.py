@@ -8,7 +8,8 @@ optimal set for ``mstquery opt --all`` and is the independent reference for
 :func:`mstquery.strategies.opt_exact`, the polynomial optimum that strategy
 runs report beyond the cap (it lives with the vertex-cover machinery it
 reuses, which imports this module).  Mandatory
-detection takes one MST and two union-find sweeps over it per call.
+detection takes one MST and two union-find sweeps over it per call, and
+the check of a single edge (:func:`edge_is_mandatory`) one union-find pass.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .graphcore import QueryRun, UncertainGraph
+from .graphcore import QueryRun, UncertainGraph, find, kruskal
 from .limittrees import _joined_at_most, _kruskal, _least_covers, _rooted, is_solved
 
 DEFAULT_CAP = 16
@@ -113,6 +114,50 @@ def mandatory_edges(graph: GraphLike, value_source: str = "truth") -> set[int]:
         if lo[e] < w[f] < hi[e]:
             mandatory.add(e)
     return mandatory
+
+
+def edge_is_mandatory(run: QueryRun, e: int, value_source: str = "truth") -> bool:
+    """Whether present edge e of `run` is mandatory under the value source,
+    by the single-edge rule of :func:`mandatory_edges`: e is mandatory iff
+    L_e < theta_e < U_e, theta_e the bottleneck weight between e's ends in
+    the graph without e, each other present edge weighing as it does there.
+
+    One union-find pass over the other present edges reads it, with no
+    MST: first join those of weight at most L_e; if that joins e's ends,
+    theta_e <= L_e.  Otherwise join those below U_e, and e's ends are
+    joined exactly when theta_e < U_e.  A known e never passes, since then
+    L_e = U_e.  O(m) per edge, against one MST for the whole set.
+
+    Phase 1 of :mod:`mstquery.strategies` checks only a few candidates
+    under the predictions, in ascending id, and keeps the first that
+    passes.  On a certified session the candidates hold every mandatory
+    edge: every present edge is open (I2) and its tree is both the lower
+    and the upper limit tree, so a mandatory non-tree edge f has an edge of
+    its path predicted inside its interval (theta_f is at most the largest
+    prediction on that path, and the path's high ends are at most f's), and
+    a mandatory tree edge l has a cover predicted inside its interval (a
+    route below hi(l) without l crosses l's cut, and by the cut rule every
+    cover's low end is at least l's); see
+    :func:`mstquery.strategies._pred_mandatory_candidates`.
+    """
+    lo, hi, ends = run.lo, run.hi, run.ends
+    table = run.ranking.table(value_source)
+    low, high = lo[e], hi[e]
+    below, between = [], []
+    for x in run.present:
+        if x != e:
+            w = lo[x] if lo[x] == hi[x] else table[x]
+            if w <= low:
+                below.append(x)
+            elif w < high:
+                between.append(x)
+    parent = list(range(run.graph_readonly().vertex_count))
+    a, b = ends[e]
+    kruskal(below, ends, parent)
+    if find(parent, a) == find(parent, b):
+        return False
+    kruskal(between, ends, parent)
+    return find(parent, a) == find(parent, b)
 
 
 def prediction_mandatory_edges(graph: GraphLike) -> set[int]:

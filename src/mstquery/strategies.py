@@ -32,7 +32,7 @@ from .limittrees import (
     unique_limit_trees,
     verified_tree_of_original,
 )
-from .oracle import DEFAULT_CAP, OptResult, mandatory_edges, opt_brute_force, prediction_mandatory_edges
+from .oracle import DEFAULT_CAP, OptResult, edge_is_mandatory, mandatory_edges, opt_brute_force
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,54 @@ def cycle_pred_mandatory_free(run: QueryRun, trees: LimitTrees, f: int) -> bool:
         if f_pred < hi[e] or pred[e] > lo_f:
             return False
     return True
+
+
+def _pred_mandatory_candidates(run: QueryRun, trees: LimitTrees) -> set[int]:
+    """The edges of some pair (f, e), f a non-tree edge of the certified
+    `trees` and e on its path, in which one is predicted inside the
+    other's interval: e when lo[e] < pred[f] < hi[e], and f when
+    lo[f] < pred[e] < hi[f].  This is the pair rule of
+    :func:`cycle_pred_mandatory_free`.
+
+    They hold every prediction-mandatory edge.  `trees` are certified, so
+    every present edge is open (I2) and the tree T is both limit trees,
+    and an edge weighs its prediction once the rest are revealed.  A
+    mandatory non-tree f has lo[f] < theta_f, and theta_f is at most the
+    largest prediction on its path in T, a tree of the graph without f; so
+    some path edge e has pred[e] > lo[f], and pred[e] < hi[e] <= hi[f]
+    since T is the upper limit tree.  A mandatory tree edge l has
+    theta_l < hi[l], so a route between its ends without l, all of it
+    predicted below hi[l], crosses its cut at a cover g; by the cut rule
+    of the lower limit tree lo[g] >= lo[l], and g is open, so
+    lo[l] < pred[g] < hi[l]."""
+    lo, hi, pred = run.lo, run.hi, run.pred
+    found: set[int] = set()
+    for f, path in trees.paths.items():
+        lo_f, hi_f, pred_f = lo[f], hi[f], pred[f]
+        for e in path:
+            if lo[e] < pred_f < hi[e]:
+                found.add(e)
+            if lo_f < pred[e] < hi_f:
+                found.add(f)
+    return found
+
+
+def _least_pred_mandatory(run: QueryRun, trees: LimitTrees) -> Optional[int]:
+    """The least prediction-mandatory edge of a session with the certified
+    `trees`, or None if there is none: the least edge of
+    :func:`~mstquery.oracle.prediction_mandatory_edges`, with no MST.
+
+    The candidates of :func:`_pred_mandatory_candidates` hold every such
+    edge, since every present edge is open (I2), the tree is both limit
+    trees and the lower one keeps the cut rule (the argument is there).
+    So the first candidate in ascending id that passes the exact
+    single-edge check (:func:`~mstquery.oracle.edge_is_mandatory`) is the
+    least.  The pair rule alone is not exact: its least candidate need not
+    be mandatory, so none is returned unchecked."""
+    for e in sorted(_pred_mandatory_candidates(run, trees)):
+        if edge_is_mandatory(run, e, "predictions"):
+            return e
+    return None
 
 
 def instance_pred_mandatory_free(run: QueryRun, trees: Optional[LimitTrees] = None) -> bool:
@@ -285,7 +333,10 @@ class PhaseLedger:
 def make_prediction_mandatory_free(run: QueryRun, gamma: int) -> PhaseLedger:
     """Query prediction-mandatory edges (at most gamma-2 per round) and
     resolve offending cycles with locally guaranteed query sets until no edge
-    is mandatory under the predicted values."""
+    is mandatory under the predicted values.  Each prediction-mandatory edge
+    revealed is the least one, read off the round's certified tree by
+    :func:`_least_pred_mandatory`: the pair candidates of its paths, then a
+    bottleneck check of each in ascending id, with no MST."""
     if gamma != int(gamma) or gamma < 2:
         raise ValueError("gamma must be an integer >= 2")
     gamma = int(gamma)
@@ -296,10 +347,10 @@ def make_prediction_mandatory_free(run: QueryRun, gamma: int) -> PhaseLedger:
     for _ in rounds(run, "make_prediction_mandatory_free"):
         trees = unique_limit_trees(run)
         for _ in range(gamma - 2):
-            pending = prediction_mandatory_edges(run)
-            if not pending:
+            pending = _least_pred_mandatory(run, trees)
+            if pending is None:
                 break
-            run.reveal(min(pending))
+            run.reveal(pending)
             trees = unique_limit_trees(run)
         offending = None
         for f in trees.nontree_order:

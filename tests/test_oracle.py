@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from cases import ERROR_RATES, build_corpus, fraction_minimum_in_samples, kernel_case
-from mstquery import factory, oracle
+from cases import ERROR_RATES, build_corpus, fraction_minimum_in_samples, kernel_case, tied_case
+from mstquery import factory, oracle, strategies
 from mstquery.graphcore import Interval, QueryRun, UncertainEdge, UncertainGraph
 from mstquery.limittrees import _kruskal, _path_index, is_solved, limit_trees_unique
 from mstquery.oracle import (
     CapExceeded,
     _minimum_in_samples,
     _tree_is_minimum,
+    edge_is_mandatory,
     is_feasible,
     mandatory_edges,
     opt_brute_force,
@@ -229,18 +230,41 @@ def test_mandatory_edges_match_fork_per_edge_on_graphs(value_source):
     assert mandatory_total > len(graphs) // 2
 
 
+@pytest.mark.parametrize("value_source", ("truth", "predictions"))
+def test_the_single_edge_check_matches_the_mandatory_set(value_source):
+    # every present edge, fresh sessions and ones with values revealed, on
+    # graphs whose values lie on other intervals' ends
+    graphs = differential_graphs() + [tied_case(seed) for seed in range(300)]
+    mandatory_total = 0
+    for i, g in enumerate(graphs):
+        run = QueryRun(g)
+        for _ in range(2):
+            want = mandatory_edges(run, value_source)
+            assert {e for e in run.present if edge_is_mandatory(run, e, value_source)} == want
+            mandatory_total += len(want)
+            open_ids = run.non_trivial_ids()
+            if not open_ids:
+                break
+            run.reveal(open_ids[i % len(open_ids)])
+    assert mandatory_total > len(graphs)
+
+
 def test_mandatory_edges_match_fork_per_edge_on_live_runs(monkeypatch):
-    one_mst = oracle.mandatory_edges
+    # the sessions of phase 1's prediction-mandatory reads, contracted
+    # minors among them; the read returns the least mandatory edge
+    read = strategies._least_pred_mandatory
     minors = []
 
-    def checked(graph, value_source="truth"):
-        got = one_mst(graph, value_source)
-        assert got == fork_per_edge_mandatory(graph, value_source)
-        if isinstance(graph, QueryRun) and graph.contracted_ids():
+    def checked(run, trees):
+        least = read(run, trees)
+        got = mandatory_edges(run, "predictions")
+        assert got == fork_per_edge_mandatory(run, "predictions")
+        assert least == min(got, default=None)
+        if run.contracted_ids():
             minors.append(len(got))
-        return got
+        return least
 
-    monkeypatch.setattr(oracle, "mandatory_edges", checked)
+    monkeypatch.setattr(strategies, "_least_pred_mandatory", checked)
     graphs = [g for rate in ERROR_RATES for g in build_corpus(rate, 60)]
     graphs += [factory.gen_random(8, 6, 1.0, rate, seed=40 + i) for i, rate in enumerate(ERROR_RATES)]
     for g in graphs:

@@ -223,6 +223,33 @@ def test_preprocessing_query_accounting(seed, gamma):
         assert partner in ledger.removed_unqueried or partner in set(ledger.queries)
 
 
+@pytest.mark.parametrize("gamma", [3, 4])
+@pytest.mark.parametrize("mode", ["tradeoff", "error_sensitive"])
+def test_phase1_reads_the_least_prediction_mandatory_edge(monkeypatch, mode, gamma):
+    # at every phase-1 read: the candidates hold the oracle's set, and the
+    # read is its least edge
+    read = strategies._least_pred_mandatory
+    seen = Counter()
+
+    def checked(run, trees):
+        least = read(run, trees)
+        mandatory = prediction_mandatory_edges(run)
+        candidates = strategies._pred_mandatory_candidates(run, trees)
+        assert least == min(mandatory, default=None)
+        assert mandatory <= candidates
+        seen["reads"] += 1
+        seen["found"] += least is not None
+        # a candidate below the least mandatory edge, which the check drops
+        seen["dropped"] += min(candidates, default=None) != least
+        return least
+
+    monkeypatch.setattr(strategies, "_least_pred_mandatory", checked)
+    for g in live_graphs() + large_graphs():
+        strategies.solve(g, StrategyConfig(gamma=gamma, mode=mode))
+    floors = {"reads": 400, "found": 150, "dropped": 1}
+    assert all(seen[kind] > floor for kind, floor in floors.items()), seen
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_first_case_group_intersections(seed):
     groups = 0
