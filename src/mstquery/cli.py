@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import factory, learner
 from .errormetrics import hop_distance
 from .graphcore import (
-    ParseError, PreconditionViolated, ValidationError, _parse_integer, known_keys, load_instance, read_text, unique_keys,
+    ParseError, PreconditionViolated, ValidationError, _is_int, _parse_integer, known_keys, load_instance, read_text, unique_keys,
 )
 from .oracle import DEFAULT_CAP, CapExceeded, opt_brute_force
 from .strategies import StrategyConfig, randomized_gamma, run_combined
@@ -49,9 +49,27 @@ def _shared(parser: argparse.ArgumentParser, *flags: str) -> None:
         parser.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# the JSON type of each typed family parameter: its check and its name
+_PARAM_TYPES = {
+    **dict.fromkeys(("vertices", "extra_edges", "n", "beta"), (_is_int, "an integer")),
+    **dict.fromkeys(("overlap_density", "error_rate"), (_is_number, "a number")),
+    "adversarial": (lambda x: isinstance(x, bool), "a boolean"),
+}
+
+
 def _family_instance(family, params, seed):
     """Bench label and instance of one generated family member.  A missing,
     mistyped or out-of-range parameter raises ConfigError."""
+    for key, value in params.items():
+        check, what = _PARAM_TYPES.get(key, (None, None))
+        if check is not None and not check(value):
+            raise ConfigError(
+                f"family {family}: parameter {key} has the wrong type; it must be {what}, got {value!r}"
+            )
     get = params.get
     try:
         if family == "random":
@@ -74,8 +92,6 @@ def _family_instance(family, params, seed):
             return path, load_instance(path)
     except KeyError as exc:
         raise ConfigError(f"family {family} needs parameter {exc}") from None
-    except TypeError:
-        raise ConfigError(f"family {family}: a parameter has the wrong type in {params}") from None
     except ValueError as exc:
         raise ConfigError(f"family {family}: {exc}") from None
     raise ConfigError(f"unknown family {family!r}")

@@ -270,31 +270,9 @@ class UncertainEdge:
     predicted_value: Fraction
 
     def validate(self) -> None:
-        if not (_is_int(self.eid) and _is_int(self.u) and _is_int(self.v)):
-            got = (self.eid, self.u, self.v)
-            raise ValidationError(f"edge {self.eid}: id and endpoints must be integers, got {got}")
-        if self.u == self.v:
-            raise ValidationError(f"edge {self.eid}: self-loops are rejected")
-        for value in (self.interval.low, self.interval.high, self.true_value, self.predicted_value):
-            if not (isinstance(value, Fraction) or _is_int(value)):
-                raise ValidationError(f"edge {self.eid}: value {value} is not rational")
-        if self.interval.is_trivial:
-            w = self.interval.low
-            if self.true_value != w or self.predicted_value != w:
-                raise ValidationError(
-                    f"edge {self.eid}: trivial interval requires true = pred = w"
-                )
-        else:
-            if not self.interval.contains(self.true_value):
-                raise ValidationError(
-                    f"edge {self.eid}: true value {self.true_value} not strictly "
-                    f"inside ({self.interval.low}, {self.interval.high})"
-                )
-            if not self.interval.contains(self.predicted_value):
-                raise ValidationError(
-                    f"edge {self.eid}: predicted value {self.predicted_value} not "
-                    f"strictly inside ({self.interval.low}, {self.interval.high})"
-                )
+        fault = _fault(self)
+        if fault is not None:
+            raise ValidationError(fault)
 
 
 def _is_int(x) -> bool:
@@ -302,22 +280,30 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _valid_on_pairs(e: UncertainEdge) -> bool:
-    """Whether edge e passes :meth:`UncertainEdge.validate`, decided on the
-    (numerator, denominator) pairs of its ends, truth and prediction by
-    exact integer cross-multiplication; False too when its id or an
-    endpoint is not an int, or a value not an int or a Fraction."""
+def _fault(e: UncertainEdge) -> Optional[str]:
+    """The message of edge e's first fault, or None: an id or endpoint
+    that is not an int, a self-loop, a value that is not an int or a
+    Fraction, or a truth or prediction that is not strictly inside its open
+    interval, or not the point of a point one.  Decided on the (numerator,
+    denominator) pairs of the values by exact integer cross-multiplication."""
+    if not (_is_int(e.eid) and _is_int(e.u) and _is_int(e.v)):
+        return f"edge {e.eid}: id and endpoints must be integers, got {(e.eid, e.u, e.v)}"
+    if e.u == e.v:
+        return f"edge {e.eid}: self-loops are rejected"
     low, high, t, p = e.interval.low, e.interval.high, e.true_value, e.predicted_value
-    if e.u == e.v or not (
-        _is_int(e.eid) and _is_int(e.u) and _is_int(e.v)
-        and all(isinstance(x, Fraction) or _is_int(x) for x in (low, high, t, p))
-    ):
-        return False
+    for value in (low, high, t, p):
+        if not (isinstance(value, Fraction) or _is_int(value)):
+            return f"edge {e.eid}: value {value} is not rational"
     ln, ld, hn, hd = low.numerator, low.denominator, high.numerator, high.denominator
     tn, td, pn, pd = t.numerator, t.denominator, p.numerator, p.denominator
     if ln == hn and ld == hd:
-        return tn == pn == ln and td == pd == ld
-    return ln * td < tn * ld and tn * hd < hn * td and ln * pd < pn * ld and pn * hd < hn * pd
+        point = tn == pn == ln and td == pd == ld
+        return None if point else f"edge {e.eid}: trivial interval requires true = pred = w"
+    if not (ln * td < tn * ld and tn * hd < hn * td):
+        return f"edge {e.eid}: true value {t} not strictly inside ({low}, {high})"
+    if not (ln * pd < pn * ld and pn * hd < hn * pd):
+        return f"edge {e.eid}: predicted value {p} not strictly inside ({low}, {high})"
+    return None
 
 
 class UncertainGraph:
@@ -353,8 +339,7 @@ class UncertainGraph:
         for e in self.edges:
             if not (0 <= e.u < self.vertex_count and 0 <= e.v < self.vertex_count):
                 raise ValidationError(f"edge {e.eid}: endpoint out of range")
-            if not _valid_on_pairs(e):
-                e.validate()  # raises with the message of the first fault
+            e.validate()
         if not self._connected():
             raise ValidationError("graph is not connected")
 

@@ -131,14 +131,7 @@ def edge_is_mandatory(run: QueryRun, e: int, value_source: str = "truth") -> boo
     Phase 1 of :mod:`mstquery.strategies` checks only a few candidates
     under the predictions, in ascending id, and keeps the first that
     passes.  On a certified session the candidates hold every mandatory
-    edge: every present edge is open (I2) and its tree is both the lower
-    and the upper limit tree, so a mandatory non-tree edge f has an edge of
-    its path predicted inside its interval (theta_f is at most the largest
-    prediction on that path, and the path's high ends are at most f's), and
-    a mandatory tree edge l has a cover predicted inside its interval (a
-    route below hi(l) without l crosses l's cut, and by the cut rule every
-    cover's low end is at least l's); see
-    :func:`mstquery.strategies._pred_mandatory_candidates`.
+    edge; the argument is at :func:`mstquery.strategies._offenders`.
     """
     lo, hi, ends = run.lo, run.hi, run.ends
     table = run.ranking.table(value_source)

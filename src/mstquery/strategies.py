@@ -20,7 +20,7 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errormetrics import hop_distance
 from .graphcore import PreconditionViolated, QueryRun, UncertainGraph, rounds
@@ -57,63 +57,53 @@ class StrategyConfig:
 # -- prediction-mandatory-free characterization ----------------------------
 
 
-def cycle_pred_mandatory_free(run: QueryRun, trees: LimitTrees, f: int) -> bool:
-    """Cycle condition: the closing edge is predicted to dominate every cycle
-    edge, and every cycle edge is predicted to stay below the closing edge.
-    Compared on the ranks of the predictions: `trees` are certified, so
-    every edge is open (I2, see
-    :func:`~mstquery.limittrees.unique_limit_trees`)."""
-    hi, pred = run.hi, run.pred
-    lo_f, f_pred = run.lo[f], pred[f]
-    for e in trees.paths[f]:
-        if f_pred < hi[e] or pred[e] > lo_f:
-            return False
-    return True
+def _offenders(run: QueryRun, trees: LimitTrees) -> Iterator[tuple[int, list[int]]]:
+    """Each offending non-tree edge f of the certified `trees`, in
+    `nontree_order`, with the edges its pairs name.  A pair (f, e), e on
+    f's path, names e when pred[f] < hi[e] and f when pred[e] > lo[f]; f
+    offends, its cycle not prediction mandatory free, when a pair names one.
+
+    Every present edge is open (I2, see
+    :func:`~mstquery.limittrees.unique_limit_trees`) and T is both limit
+    trees, so each prediction lies inside its interval, lo[e] <= lo[f] and
+    hi[e] <= hi[f]: each test is "one is predicted inside the other's
+    interval".  The named edges hold every prediction-mandatory edge, as an
+    edge weighs its prediction once the rest are revealed.  A mandatory
+    non-tree f has lo[f] < theta_f (the bottleneck of
+    :func:`~mstquery.oracle.edge_is_mandatory`), at most the largest
+    prediction on its path in T, a tree of the graph without f: a pair
+    names f.  A mandatory tree edge l has theta_l < hi[l], so a route
+    between its ends without l, predicted below hi[l], crosses its cut at a
+    cover g, which names l.
+
+    Lazy: a caller that wants the first offender scans no further."""
+    lo, hi, pred, paths = run.lo, run.hi, run.pred, trees.paths
+    for f in trees.nontree_order:
+        lo_f, pred_f = lo[f], pred[f]
+        named: list[int] = []
+        names_f = False
+        for e in paths[f]:
+            if pred_f < hi[e]:
+                named.append(e)
+            if pred[e] > lo_f:
+                names_f = True
+        if names_f:
+            named.append(f)
+        if named:
+            yield f, named
 
 
-def _pred_mandatory_candidates(run: QueryRun, trees: LimitTrees) -> set[int]:
-    """The edges of some pair (f, e), f a non-tree edge of the certified
-    `trees` and e on its path, in which one is predicted inside the
-    other's interval: e when lo[e] < pred[f] < hi[e], and f when
-    lo[f] < pred[e] < hi[f].  This is the pair rule of
-    :func:`cycle_pred_mandatory_free`.
-
-    They hold every prediction-mandatory edge.  `trees` are certified, so
-    every present edge is open (I2) and the tree T is both limit trees,
-    and an edge weighs its prediction once the rest are revealed.  A
-    mandatory non-tree f has lo[f] < theta_f, and theta_f is at most the
-    largest prediction on its path in T, a tree of the graph without f; so
-    some path edge e has pred[e] > lo[f], and pred[e] < hi[e] <= hi[f]
-    since T is the upper limit tree.  A mandatory tree edge l has
-    theta_l < hi[l], so a route between its ends without l, all of it
-    predicted below hi[l], crosses its cut at a cover g; by the cut rule
-    of the lower limit tree lo[g] >= lo[l], and g is open, so
-    lo[l] < pred[g] < hi[l]."""
-    lo, hi, pred = run.lo, run.hi, run.pred
-    found: set[int] = set()
-    for f, path in trees.paths.items():
-        lo_f, hi_f, pred_f = lo[f], hi[f], pred[f]
-        for e in path:
-            if lo[e] < pred_f < hi[e]:
-                found.add(e)
-            if lo_f < pred[e] < hi_f:
-                found.add(f)
-    return found
-
-
-def _least_pred_mandatory(run: QueryRun, trees: LimitTrees) -> Optional[int]:
-    """The least prediction-mandatory edge of a session with the certified
-    `trees`, or None if there is none: the least edge of
+def _least_pred_mandatory(run: QueryRun, candidates: set[int]) -> Optional[int]:
+    """The least prediction-mandatory edge of a certified session, or None
+    if there is none: the least edge of
     :func:`~mstquery.oracle.prediction_mandatory_edges`, with no MST.
 
-    The candidates of :func:`_pred_mandatory_candidates` hold every such
-    edge, since every present edge is open (I2), the tree is both limit
-    trees and the lower one keeps the cut rule (the argument is there).
-    So the first candidate in ascending id that passes the exact
-    single-edge check (:func:`~mstquery.oracle.edge_is_mandatory`) is the
-    least.  The pair rule alone is not exact: its least candidate need not
-    be mandatory, so none is returned unchecked."""
-    for e in sorted(_pred_mandatory_candidates(run, trees)):
+    `candidates`, the edges that the pairs of :func:`_offenders` name,
+    hold every such edge.  So the first in ascending id that passes the
+    exact single-edge check (:func:`~mstquery.oracle.edge_is_mandatory`)
+    is the least.  The pair rule alone is not exact: the least candidate
+    need not be mandatory, so none is returned unchecked."""
+    for e in sorted(candidates):
         if edge_is_mandatory(run, e, "predictions"):
             return e
     return None
@@ -121,7 +111,7 @@ def _least_pred_mandatory(run: QueryRun, trees: LimitTrees) -> Optional[int]:
 
 def instance_pred_mandatory_free(run: QueryRun, trees: Optional[LimitTrees] = None) -> bool:
     trees = trees if trees is not None else unique_limit_trees(run)
-    return all(cycle_pred_mandatory_free(run, trees, f) for f in trees.nontree_order)
+    return next(_offenders(run, trees), None) is None
 
 
 # -- bipartite matching and minimum vertex cover ----------------------------
@@ -333,10 +323,10 @@ class PhaseLedger:
 def make_prediction_mandatory_free(run: QueryRun, gamma: int) -> PhaseLedger:
     """Query prediction-mandatory edges (at most gamma-2 per round) and
     resolve offending cycles with locally guaranteed query sets until no edge
-    is mandatory under the predicted values.  Each prediction-mandatory edge
-    revealed is the least one, read off the round's certified tree by
-    :func:`_least_pred_mandatory`: the pair candidates of its paths, then a
-    bottleneck check of each in ascending id, with no MST."""
+    is mandatory under the predicted values.  Each certified tree is
+    scanned once (:func:`_offenders`): a read of the least
+    prediction-mandatory edge drains the scan, and when it finds none the
+    offending cycle is the scan's first item."""
     if gamma != int(gamma) or gamma < 2:
         raise ValueError("gamma must be an integer >= 2")
     gamma = int(gamma)
@@ -346,20 +336,20 @@ def make_prediction_mandatory_free(run: QueryRun, gamma: int) -> PhaseLedger:
     queries_before = run.query_count
     for _ in rounds(run, "make_prediction_mandatory_free"):
         trees = unique_limit_trees(run)
+        scan = _offenders(run, trees)
         for _ in range(gamma - 2):
-            pending = _least_pred_mandatory(run, trees)
+            offenders = list(scan)
+            pending = _least_pred_mandatory(run, {e for _, named in offenders for e in named})
             if pending is None:
+                scan = iter(offenders)
                 break
             run.reveal(pending)
             trees = unique_limit_trees(run)
-        offending = None
-        for f in trees.nontree_order:
-            if not cycle_pred_mandatory_free(run, trees, f):
-                offending = f
-                break
+            scan = _offenders(run, trees)
+        offending = next(scan, None)
         if offending is None:
             break
-        _resolve_offending_cycle(run, trees, offending, ledger)
+        _resolve_offending_cycle(run, trees, offending[0], ledger)
         run.transcript.record("restart", tag="phase1")
     ledger.queries = list(run.queried[queries_before:])
     ledger.removed_unqueried = dict(islice(run.removed_unqueried.items(), removed_before, None))

@@ -65,10 +65,11 @@ def vc_structure(run, trees):
 
 
 def cycle_pred_free(run, trees, f):
-    """`strategies.cycle_pred_mandatory_free` on the values, a known value
-    standing for its own prediction: f's predicted value is at or above the
-    upper end of every edge on its cycle, and the predicted value of each of
-    them is at or below f's lower end."""
+    """Whether `strategies._offenders` passes over f, its cycle prediction
+    mandatory free, on the values, a known value standing for its own
+    prediction: f's predicted value is at or above the upper end of every
+    edge on its cycle, and the predicted value of each of them is at or
+    below f's lower end."""
 
     def predicted(e):
         iv = run.interval(e)

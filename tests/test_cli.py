@@ -341,10 +341,34 @@ _RANDOM_JOB = dict(_TRIANGLE_JOB, family="random", params={})
         ({"jobs": [dict(_RANDOM_JOB, seeds="12")]}, "seeds must be a list of integers, got '12'"),
         ({"jobs": [dict(_RANDOM_JOB, seeds=[1, 2.5])]}, "seeds must be a list of integers, got [1, 2.5]"),
         ({"jobs": [dict(_RANDOM_JOB, seeds=[True])]}, "seeds must be a list of integers, got [True]"),
+        # family parameters: an integer, a boolean or a number by their JSON type
+        ({"jobs": [dict(_RANDOM_JOB, params={"extra_edges": True})]},
+         "family random: parameter extra_edges has the wrong type; it must be an integer, got True"),
+        ({"jobs": [dict(_RANDOM_JOB, params={"vertices": 5.0})]}, "parameter vertices has the wrong type; it must be an integer, got 5.0"),
+        ({"jobs": [dict(_RANDOM_JOB, params={"vertices": "5"})]}, "parameter vertices has the wrong type; it must be an integer, got '5'"),
+        ({"jobs": [dict(_TRIANGLE_JOB, params={"n": True})]}, "parameter n has the wrong type; it must be an integer, got True"),
+        ({"jobs": [dict(_TRIANGLE_JOB, family="path-parallel", params={"n": 2.0})]}, "parameter n has the wrong type; it must be an integer, got 2.0"),
+        ({"jobs": [dict(_TRIANGLE_JOB, family="tradeoff-cycle", params={"beta": True})]},
+         "parameter beta has the wrong type; it must be an integer, got True"),
+        ({"jobs": [dict(_TRIANGLE_JOB, family="tradeoff-cycle", params={"beta": 2, "adversarial": "false"})]},
+         "family tradeoff-cycle: parameter adversarial has the wrong type; it must be a boolean, got 'false'"),
+        ({"jobs": [dict(_TRIANGLE_JOB, family="tradeoff-cycle", params={"beta": 2, "adversarial": "no"})]},
+         "parameter adversarial has the wrong type; it must be a boolean, got 'no'"),
+        ({"jobs": [dict(_TRIANGLE_JOB, family="tradeoff-cycle", params={"beta": 2, "adversarial": 0})]},
+         "parameter adversarial has the wrong type; it must be a boolean, got 0"),
+        ({"jobs": [dict(_RANDOM_JOB, params={"error_rate": True})]}, "parameter error_rate has the wrong type; it must be a number, got True"),
+        ({"jobs": [dict(_RANDOM_JOB, params={"overlap_density": False})]},
+         "parameter overlap_density has the wrong type; it must be a number, got False"),
+        ({"jobs": [dict(_RANDOM_JOB, params={"overlap_density": "0.5"})]},
+         "parameter overlap_density has the wrong type; it must be a number, got '0.5'"),
+        # a later job's parameter, before the first job runs
+        ({"jobs": [_TRIANGLE_JOB, dict(_RANDOM_JOB, params={"extra_edges": True})]}, "parameter extra_edges has the wrong type"),
     ],
 )
 def test_bench_integer_fields_reject_floats_bools_and_strings(tmp_path, config, text):
-    # read by the instance parser's rule: never truncated to an int
+    # read by the instance parser's rule: never truncated to an int; a
+    # family parameter is checked against its JSON type, so a bool is not
+    # read as 1, nor a string as true
     cfg = tmp_path / "bench.json"
     cfg.write_text(json.dumps(config))
     _assert_one_error_line(_run_cli("bench", "--config", str(cfg)), text)

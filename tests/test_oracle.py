@@ -255,8 +255,8 @@ def test_mandatory_edges_match_fork_per_edge_on_live_runs(monkeypatch):
     read = strategies._least_pred_mandatory
     minors = []
 
-    def checked(run, trees):
-        least = read(run, trees)
+    def checked(run, candidates):
+        least = read(run, candidates)
         got = mandatory_edges(run, "predictions")
         assert got == fork_per_edge_mandatory(run, "predictions")
         assert least == min(got, default=None)

@@ -231,10 +231,9 @@ def test_phase1_reads_the_least_prediction_mandatory_edge(monkeypatch, mode, gam
     read = strategies._least_pred_mandatory
     seen = Counter()
 
-    def checked(run, trees):
-        least = read(run, trees)
+    def checked(run, candidates):
+        least = read(run, candidates)
         mandatory = prediction_mandatory_edges(run)
-        candidates = strategies._pred_mandatory_candidates(run, trees)
         assert least == min(mandatory, default=None)
         assert mandatory <= candidates
         seen["reads"] += 1
@@ -248,6 +247,52 @@ def test_phase1_reads_the_least_prediction_mandatory_edge(monkeypatch, mode, gam
         strategies.solve(g, StrategyConfig(gamma=gamma, mode=mode))
     floors = {"reads": 400, "found": 150, "dropped": 1}
     assert all(seen[kind] > floor for kind, floor in floors.items()), seen
+
+
+def two_sided_pairs(run, trees, f):
+    """On the values, the edges of f's pairs (f, e), e on its path, in which
+    one is predicted strictly inside the other's interval: e when f's
+    prediction is inside e's interval, f when e's is inside f's."""
+    path = trees.paths[f]
+    named = {e for e in path if run.interval(e).contains(run.predicted(f))}
+    if any(run.interval(f).contains(run.predicted(e)) for e in path):
+        named.add(f)
+    return named
+
+
+@pytest.mark.parametrize("gamma", [2, 3, 4])
+def test_phase1_scans_each_certified_tree_once_naming_the_two_sided_pairs(monkeypatch, gamma):
+    # every scan of a certified tree yields, in nontree_order, exactly the
+    # non-tree edges whose two-sided pairs name an edge, each with those
+    # edges; no phase-1 call scans one certified tree twice
+    scan = strategies._offenders
+    scans, seen = Counter(), Counter()
+
+    def compared(run, trees, want):
+        got = []
+        for f, named in scan(run, trees):
+            assert len(named) == len(set(named))
+            got.append((f, set(named)))
+            assert got == want[: len(got)]
+            yield f, named
+        assert got == want
+        # only a read drains a scan that has offenders
+        seen["drained offending"] += bool(got)
+
+    def checked(run, trees):
+        scans[run.query_count, frozenset(run.present)] += 1
+        want = [(f, named) for f in trees.nontree_order if (named := two_sided_pairs(run, trees, f))]
+        seen["offenders"] += len(want)
+        return compared(run, trees, want)
+
+    monkeypatch.setattr(strategies, "_offenders", checked)
+    for g in live_graphs() + large_graphs():
+        scans.clear()
+        make_prediction_mandatory_free(QueryRun(g), gamma)
+        assert set(scans.values()) == {1}, scans
+        seen["scans"] += len(scans)
+    assert seen["scans"] > 500 and seen["offenders"] > 300, seen
+    assert (seen["drained offending"] > 150) if gamma > 2 else (seen["drained offending"] == 0), seen
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -409,15 +454,17 @@ def assert_the_first_path_meets_its_edge(run, trees):
 
 
 def check_readers(run, trees, seen, reduced=False):
-    """_vc_structure and cycle_pred_mandatory_free, which compare ranks
-    inline, against the definitions on the intervals and predicted values;
-    on a `reduced` instance also the path `run_baseline` reads."""
+    """_vc_structure and each non-tree edge's verdict from _offenders, which
+    compare ranks inline, against the definitions on the intervals and
+    predicted values; on a `reduced` instance also the path `run_baseline`
+    reads."""
     structure = strategies._vc_structure(run, trees)
     assert structure == vc_structure(run, trees)
     if reduced:
         seen["first path"] += assert_the_first_path_meets_its_edge(run, trees)
+    offending = {f for f, _ in strategies._offenders(run, trees)}
     for f in trees.nontree_order:
-        free = strategies.cycle_pred_mandatory_free(run, trees, f)
+        free = f not in offending
         assert free == cycle_pred_free(run, trees, f)
         seen["free" if free else "offending"] += 1
     seen["adjacent"] += sum(map(len, structure[2].values()))
