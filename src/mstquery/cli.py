@@ -14,7 +14,8 @@ from fractions import Fraction
 from . import factory, learner
 from .errormetrics import hop_distance
 from .graphcore import (
-    ParseError, PreconditionViolated, ValidationError, _is_int, _parse_integer, known_keys, load_instance, read_text, unique_keys,
+    ParseError, PreconditionViolated, ValidationError, _is_int, _parse_integer, known_keys, load_instance,
+    parse_rational, read_text, unique_keys,
 )
 from .oracle import DEFAULT_CAP, CapExceeded, opt_brute_force
 from .strategies import StrategyConfig, randomized_gamma, run_combined
@@ -49,60 +50,57 @@ def _shared(parser: argparse.ArgumentParser, *flags: str) -> None:
         parser.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+# a family parameter's JSON type: its check and its name in messages
+_INTEGER = (_is_int, "an integer")
+_NUMBER = (lambda x: isinstance(x, (int, float)) and not isinstance(x, bool), "a number")
+_BOOLEAN = (lambda x: isinstance(x, bool), "a boolean")
+_STRING = (lambda x: isinstance(x, str), "a string")
+_REQUIRED = object()  # the default of a parameter that a job must give
 
-
-# the JSON type of each typed family parameter: its check and its name
-_PARAM_TYPES = {
-    **dict.fromkeys(("vertices", "extra_edges", "n", "beta"), (_is_int, "an integer")),
-    **dict.fromkeys(("overlap_density", "error_rate"), (_is_number, "a number")),
-    "adversarial": (lambda x: isinstance(x, bool), "a boolean"),
+# by family: its builder; its bench label, formatted with its parameters (and
+# the seed); its parameters in the builder's order, each with its JSON type
+# and its default; and whether the builder takes the job's seed after them
+_FAMILIES = {
+    "random": (factory.gen_random, "random[{vertices}v+{extra_edges}e,s={seed}]", {
+        "vertices": (_INTEGER, 5), "extra_edges": (_INTEGER, 3),
+        "overlap_density": (_NUMBER, 0.8), "error_rate": (_NUMBER, 0),
+    }, True),
+    "tradeoff-cycle": (factory.gen_tradeoff_cycle, "tradeoff-cycle[beta={beta},adv={adversarial}]", {
+        "beta": (_INTEGER, _REQUIRED), "adversarial": (_BOOLEAN, False),
+    }, False),
+    "path-parallel": (factory.gen_path_parallel, "path-parallel[n={n}]", {"n": (_INTEGER, _REQUIRED)}, False),
+    "triangle-chain": (factory.gen_triangle_chain, "triangle-chain[n={n}]", {"n": (_INTEGER, _REQUIRED)}, False),
+    "vc-flip": (factory.gen_vc_flip, "vc-flip[n={n},{variant}]", {
+        "n": (_INTEGER, _REQUIRED), "variant": (_STRING, "ex2"),
+    }, False),
+    "file": (load_instance, "{path}", {"path": (_STRING, _REQUIRED)}, False),
 }
 
 
 def _family_instance(family, params, seed):
-    """Bench label and instance of one generated family member.  A missing,
-    mistyped or out-of-range parameter raises ConfigError."""
-    for key, value in params.items():
-        check, what = _PARAM_TYPES.get(key, (None, None))
-        if check is not None and not check(value):
-            raise ConfigError(
-                f"family {family}: parameter {key} has the wrong type; it must be {what}, got {value!r}"
-            )
-    get = params.get
+    """Bench label and instance of one family member.  A missing, mistyped
+    or out-of-range parameter raises ConfigError."""
+    build, label, spec, seeded = _FAMILIES[family]
+    values = {}
+    for name, ((check, what), default) in spec.items():
+        value = values[name] = params.get(name, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"family {family} needs parameter {name!r}")
+        if not check(value):
+            raise ConfigError(f"family {family}: parameter {name} has the wrong type; it must be {what}, got {value!r}")
+    if seeded:
+        values["seed"] = seed
     try:
-        if family == "random":
-            vertices, extra = get("vertices", 5), get("extra_edges", 3)
-            return f"random[{vertices}v+{extra}e,s={seed}]", factory.gen_random(
-                vertices, extra, get("overlap_density", 0.8), get("error_rate", 0), seed
-            )
-        if family == "tradeoff-cycle":
-            beta, adversarial = params["beta"], get("adversarial", False)
-            return f"tradeoff-cycle[beta={beta},adv={adversarial}]", factory.gen_tradeoff_cycle(beta, adversarial)
-        if family == "path-parallel":
-            return f"path-parallel[n={params['n']}]", factory.gen_path_parallel(params["n"])
-        if family == "triangle-chain":
-            return f"triangle-chain[n={params['n']}]", factory.gen_triangle_chain(params["n"])
-        if family == "vc-flip":
-            variant = get("variant", "ex2")
-            return f"vc-flip[n={params['n']},{variant}]", factory.gen_vc_flip(params["n"], variant)
-        if family == "file":
-            path = str(params["path"])
-            return path, load_instance(path)
-    except KeyError as exc:
-        raise ConfigError(f"family {family} needs parameter {exc}") from None
+        graph = build(*values.values())
     except ValueError as exc:
         raise ConfigError(f"family {family}: {exc}") from None
-    raise ConfigError(f"unknown family {family!r}")
+    return label.format(**values), graph
 
 
 def _cmd_gen(args) -> int:
-    params = {
-        "beta": args.beta, "adversarial": args.adversarial, "n": args.n, "variant": args.variant,
-        "vertices": args.vertices, "extra_edges": args.extra_edges,
-        "overlap_density": args.overlap, "error_rate": args.error_rate,
-    }
+    _, _, spec, _ = _FAMILIES[args.family]
+    flags = vars(args)
+    params = {name: flags[name] for name in spec if flags[name] is not None}
     _, graph = _family_instance(args.family, params, args.seed)
     if args.out:
         _write_text(args.out, graph.to_json() + "\n", "instance")
@@ -113,8 +111,8 @@ def _cmd_gen(args) -> int:
 
 def _parse_gamma(text: str, mode: str) -> Fraction:
     try:
-        gamma = Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        gamma = parse_rational(text)
+    except ParseError:
         raise ConfigError(f"gamma must be a rational number, got {text!r}") from None
     if mode != "baseline" and gamma < 2:
         raise ConfigError(f"gamma must be at least 2, got {text}")
@@ -233,17 +231,6 @@ def _objects(value, what):
     return value
 
 
-# by family, the params that _family_instance reads
-_FAMILY_PARAMS = {
-    "random": ("vertices", "extra_edges", "overlap_density", "error_rate"),
-    "tradeoff-cycle": ("beta", "adversarial"),
-    "path-parallel": ("n",),
-    "triangle-chain": ("n",),
-    "vc-flip": ("n", "variant"),
-    "file": ("path",),
-}
-
-
 def _bench_gamma(strat, mode):
     """A strategy's gamma: a JSON integer or a "p/q" string.  A float or a
     bool is rejected, not read as the rational it approximates."""
@@ -271,11 +258,12 @@ def _cmd_bench(args) -> int:
     for job in jobs:
         known_keys(job, "job", ("family", "params", "seeds", "strategies"))
         family = job.get("family")
-        if not isinstance(family, str) or family not in _FAMILY_PARAMS:
+        if not isinstance(family, str) or family not in _FAMILIES:
             raise ConfigError(f"unknown family {family!r}")
+        _, _, spec, seeded = _FAMILIES[family]
         params = _field(job, "params", {}, dict, "an object")
-        known_keys(params, f"{family} params", _FAMILY_PARAMS[family])
-        if "seeds" in job and family != "random":
+        known_keys(params, f"{family} params", tuple(spec))
+        if "seeds" in job and not seeded:
             raise ConfigError(f"family {family} takes no seeds; only random does")
         seeds = _field(job, "seeds", [0], _integers, "a list of integers")
         if not seeds:
@@ -326,16 +314,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an instance file")
-    p.add_argument("--family", required=True, choices=sorted(factory.FAMILIES))
+    p.add_argument("--family", required=True, choices=sorted(set(_FAMILIES) - {"file"}))
     p.add_argument("--out")
+    # a flag left unset, but for --n and --beta, takes its _FAMILIES default
     p.add_argument("--beta", type=int, default=2)
-    p.add_argument("--adversarial", action="store_true")
+    p.add_argument("--adversarial", action="store_true", default=None)
     p.add_argument("--n", type=int, default=4)
-    p.add_argument("--variant", choices=["ex1", "ex2"], default="ex2")
-    p.add_argument("--vertices", type=int, default=5)
-    p.add_argument("--extra-edges", type=int, default=3)
-    p.add_argument("--overlap", type=float, default=0.8)
-    p.add_argument("--error-rate", type=float, default=0.0)
+    p.add_argument("--variant", choices=["ex1", "ex2"])
+    p.add_argument("--vertices", type=int)
+    p.add_argument("--extra-edges", type=int)
+    p.add_argument("--overlap", dest="overlap_density", metavar="OVERLAP", type=float)
+    p.add_argument("--error-rate", type=float)
     _shared(p, "--seed")
     p.set_defaults(func=_cmd_gen)
 

@@ -279,11 +279,3 @@ def with_correct_predictions(graph: UncertainGraph) -> UncertainGraph:
     ]
     return UncertainGraph(graph.vertex_count, edges)
 
-
-FAMILIES = {
-    "tradeoff-cycle": gen_tradeoff_cycle,
-    "path-parallel": gen_path_parallel,
-    "triangle-chain": gen_triangle_chain,
-    "vc-flip": gen_vc_flip,
-    "random": gen_random,
-}

@@ -89,12 +89,15 @@ def kruskal(order: Iterable[int], ends, parent) -> list[int]:
 
 def parse_rational(value) -> Fraction:
     """Parse an integer or a bit-exact "p/q" string into a Fraction; a bool
-    is rejected, not read as 1 or 0."""
+    is rejected, not read as 1 or 0.  A string holding "_", or whitespace
+    other than at its ends, is rejected: `Fraction` reads "1_000" from
+    Python 3.11 and "1 / 2" from 3.12 on, so they would load on some
+    interpreters only."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and "_" not in value and len(value.split()) <= 1:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

@@ -229,6 +229,8 @@ def test_bad_gamma_is_one_error_line(tmp_path):
     _assert_one_error_line(proc, "'x'")
     proc = _run_cli("run", "--alg", "error-sensitive", "--gamma", "1", "--instance", str(inst))
     _assert_one_error_line(proc, "at least 2")
+    proc = _run_cli("run", "--alg", "tradeoff", "--gamma", "2_0", "--instance", str(inst))
+    _assert_one_error_line(proc, "gamma must be a rational number, got '2_0'")
 
 
 def test_bad_learn_inputs_are_one_error_line(tmp_path):
@@ -320,6 +322,9 @@ _TRIANGLE_JOB = {"family": "triangle-chain", "params": {"n": 1}, "strategies": [
         ({"jobs": [dict(_TRIANGLE_JOB, seeds=[1, 2, 3])]}, "family triangle-chain takes no seeds; only random does"),
         ({"jobs": [dict(_TRIANGLE_JOB, family="random", params={}, seeds=[])]}, "job lists no seeds"),
         ({"jobs": [dict(_TRIANGLE_JOB, family="triangle")]}, "unknown family 'triangle'"),
+        # a gamma string that only some Pythons read
+        ({"jobs": [dict(_TRIANGLE_JOB, strategies=[{"alg": "tradeoff", "gamma": "5 / 2"}])]},
+         "gamma must be a rational number, got '5 / 2'"),
     ],
 )
 def test_malformed_bench_config_is_one_error_line(tmp_path, config, text):
@@ -363,12 +368,19 @@ _RANDOM_JOB = dict(_TRIANGLE_JOB, family="random", params={})
          "parameter overlap_density has the wrong type; it must be a number, got '0.5'"),
         # a later job's parameter, before the first job runs
         ({"jobs": [_TRIANGLE_JOB, dict(_RANDOM_JOB, params={"extra_edges": True})]}, "parameter extra_edges has the wrong type"),
+        # a file path and a vc-flip variant are strings
+        ({"jobs": [dict(_TRIANGLE_JOB, family="file", params={"path": True})]},
+         "error: family file: parameter path has the wrong type; it must be a string, got True"),
+        ({"jobs": [dict(_TRIANGLE_JOB, family="file", params={"path": 5})]},
+         "family file: parameter path has the wrong type; it must be a string, got 5"),
+        ({"jobs": [dict(_TRIANGLE_JOB, family="vc-flip", params={"n": 4, "variant": 5})]},
+         "family vc-flip: parameter variant has the wrong type; it must be a string, got 5"),
     ],
 )
 def test_bench_integer_fields_reject_floats_bools_and_strings(tmp_path, config, text):
     # read by the instance parser's rule: never truncated to an int; a
     # family parameter is checked against its JSON type, so a bool is not
-    # read as 1, nor a string as true
+    # read as 1, nor a string as true, nor a bool or a number as a path
     cfg = tmp_path / "bench.json"
     cfg.write_text(json.dumps(config))
     _assert_one_error_line(_run_cli("bench", "--config", str(cfg)), text)
@@ -479,6 +491,57 @@ def test_bench_runs_a_saved_instance_as_run_does(tmp_path, capsys):
         assert main(["run", "--alg", strat["alg"], "--gamma", gamma, "--instance", str(inst)]) == 0
         report = json.loads(capsys.readouterr().out)["report"]
         assert (row["queries"], row["opt"]) == (report["queries"], report["opt"])
+
+
+# gen's flag for each family parameter but adversarial, a bare switch
+_GEN_FLAGS = {
+    "vertices": "--vertices", "extra_edges": "--extra-edges", "overlap_density": "--overlap",
+    "error_rate": "--error-rate", "n": "--n", "beta": "--beta", "variant": "--variant",
+}
+
+
+@pytest.mark.parametrize(
+    "family, params, seed",
+    [
+        # the defaults; bench has none for n and beta, so it is given gen's
+        ("random", {}, 0),
+        ("tradeoff-cycle", {"beta": 2}, 0),
+        ("path-parallel", {"n": 4}, 0),
+        ("triangle-chain", {"n": 4}, 0),
+        ("vc-flip", {"n": 4}, 0),
+        # explicit values
+        ("random", {"vertices": 7, "extra_edges": 5, "overlap_density": 0.5, "error_rate": 0.25}, 3),
+        ("tradeoff-cycle", {"beta": 3, "adversarial": True}, 0),
+        ("path-parallel", {"n": 3}, 0),
+        ("triangle-chain", {"n": 2}, 0),
+        ("vc-flip", {"n": 6, "variant": "ex1"}, 0),
+    ],
+)
+def test_gen_writes_the_instance_a_bench_job_runs(tmp_path, monkeypatch, capsys, family, params, seed):
+    argv = ["gen", "--family", family, "--seed", str(seed)]
+    for key, value in params.items():
+        argv += ["--adversarial"] if key == "adversarial" else [_GEN_FLAGS[key], str(value)]
+    assert main(argv) == 0
+    generated = capsys.readouterr().out
+    ran = []
+    run_strategy = cli._run_strategy
+    monkeypatch.setattr(cli, "_run_strategy", lambda graph, *rest: ran.append(graph.to_json() + "\n") or run_strategy(graph, *rest))
+    job = {"family": family, "params": params, "strategies": [{"alg": "baseline"}]}
+    if family == "random":
+        job["seeds"] = [seed]
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"jobs": [job]}))
+    assert main(["bench", "--config", str(cfg)]) == 0
+    assert ran == [generated]
+
+
+def test_every_family_default_has_its_type_and_gen_offers_every_generated_family(capsys):
+    for family, (_, _, spec, _) in cli._FAMILIES.items():
+        for name, ((check, _), default) in spec.items():
+            assert default is cli._REQUIRED or check(default), (family, name)
+    with pytest.raises(SystemExit):
+        main(["gen", "--help"])
+    assert "{%s}" % ",".join(sorted(set(cli._FAMILIES) - {"file"})) in capsys.readouterr().out
 
 
 def test_a_violated_bound_is_reported_and_exits_1(tmp_path, monkeypatch, capsys):

@@ -19,6 +19,7 @@ from mstquery.graphcore import (
     find,
     kruskal,
     load_instance,
+    parse_rational,
     rounds,
 )
 from mstquery.limittrees import is_solved
@@ -222,6 +223,25 @@ def test_a_boolean_value_in_a_document_is_not_a_rational(field):
     (edge["interval"] if field in ("L", "U") else edge)[field] = False
     with pytest.raises(ParseError, match="^not a rational: False$"):
         UncertainGraph.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("0.5", Fraction(1, 2)), ("1e5", Fraction(10**5)), (" 1/2 ", Fraction(1, 2)), ("+3", Fraction(3)), ("007", Fraction(7))],
+)
+def test_a_rational_string_every_supported_python_reads_loads(text, value):
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text", ["1_000", "1/2_0", "1 / 2", "1/ 2", "1\t/2"])
+def test_a_rational_string_only_some_pythons_read_is_a_parse_error(text):
+    # Fraction reads "_" from Python 3.11 on and whitespace around "/" from
+    # 3.12 on; an instance must load alike on every supported interpreter
+    doc = factory.demo_hop_cycle().to_dict()
+    doc["edges"][0]["interval"]["L"] = text
+    with pytest.raises(ParseError) as exc:
+        UncertainGraph.from_dict(doc)
+    assert str(exc.value) == f"not a rational: {text!r}"
 
 
 def test_a_float_value_in_a_graph_is_rejected_naming_the_edge():
